@@ -204,7 +204,7 @@ def from_json_dict(doc: dict) -> Channel:
             unitaries=us,
             hermitian=bool(doc["hermitian"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed channel document: {exc}") from exc
 
 

@@ -26,6 +26,7 @@ from .matrixcore import SeededRng, haar_unitary
 from .sdengine import evaluate_exact, evaluate_series, monte_carlo_expectation, parse_trace_expr
 from .sdengine.rational import RationalInN
 from .spectrum import (
+    DEFAULT_DIM_CEILING,
     SuperopSpectrum,
     benchmark_values,
     eigen_spectrum,
@@ -60,8 +61,8 @@ class ExperimentConfig:
         if not self.N_list:
             raise ValidationError("N_list must not be empty")
         for n in self.N_list:
-            if not 2 <= n <= 64:
-                raise ValidationError(f"every N must lie in 2..64, got {n}")
+            if not 2 <= n <= DEFAULT_DIM_CEILING:
+                raise ValidationError(f"every N must lie in 2..{DEFAULT_DIM_CEILING}, got {n}")
         if self.construction in ("hermitian", "weighted"):
             if self.D % 2 != 0 or self.D < 4:
                 raise ValidationError(
@@ -423,8 +424,8 @@ def merge_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     construction = args.construction or "hermitian"
-    n = args.n or 20
-    d = args.d or 4
+    n = 20 if args.n is None else args.n
+    d = 4 if args.d is None else args.d
     rng = SeededRng(args.seed or 0)
     chan = build_channel(construction, n, d, rng)
     spec = eigen_spectrum(chan)
@@ -442,6 +443,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "lambda_H": bench.lambda_H,
         "lambda_nH": bench.lambda_nH,
         "unit_eigvec_residual": spec.unit_eigvec_residual,
+        "spectral_radius": spec.spectral_radius,
+        "removed_eigenvalue": [spec.removed_eigenvalue.real, spec.removed_eigenvalue.imag],
         "files": [str(csv_path)],
     }
     print(json.dumps(report, indent=2))
@@ -485,8 +488,8 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     construction = args.construction or "hermitian"
-    n = args.n or 20
-    d = args.d or 4
+    n = 20 if args.n is None else args.n
+    d = 4 if args.d is None else args.d
     rng = SeededRng(args.seed or 0)
     chan = build_channel(construction, n, d, rng)
     m_values = [int(part) for part in (args.m_list or "2,4,6").split(",") if part.strip()]
@@ -506,7 +509,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_cayley(args: argparse.Namespace) -> int:
-    d = args.d or 4
+    d = 4 if args.d is None else args.d
     m_max = args.m_max if args.m_max is not None else 20
     table = walk_counts(d, m_max)
     lines = ["D,m,l,count"]
@@ -572,25 +575,25 @@ def _cmd_sd(args: argparse.Namespace) -> int:
 
 
 def _cmd_edge(args: argparse.Namespace) -> int:
-    n = args.n or 20
-    d = args.d or 4
+    n = 20 if args.n is None else args.n
+    d = 4 if args.d is None else args.d
     seed = args.seed or 0
     chan = build_channel("hermitian", n, d, SeededRng(seed, 0))
-    spec = eigen_spectrum(chan)
+    chain = tanner_chain_check(chan)
+    lam2 = chain.spectrum.lambda2
     proj_rng = SeededRng(seed, 1)
     count = args.projectors
     min_slack = math.inf
     for _ in range(count):
         rank = int(proj_rng.generator.integers(1, n // 2 + 1))
         p = random_projector(n, rank, proj_rng)
-        _, slack = converse_check(chan, p, lambda2=spec.lambda2)
+        _, slack = converse_check(chan, p, lambda2=lam2)
         min_slack = min(min_slack, slack)
-    chain = tanner_chain_check(chan)
     report = {
         "N": n,
         "D": d,
         "seed": seed,
-        "lambda2": spec.lambda2,
+        "lambda2": lam2,
         "min_slack": min_slack,
         "chain": {"lhs": chain.lhs, "rhs": chain.rhs, "holds": chain.holds},
     }

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import Channel, apply
 from .errors import NumericalError, ValidationError
 from .matrixcore import SLACK_TOL, TRACE_RESIDUAL_TOL, SeededRng, haar_unitary, hs_norm
-from .spectrum import eigen_spectrum, superoperator, unvec
+from .spectrum import SuperopSpectrum, eigen_spectrum
 
 PROJECTOR_TOL = 1e-10
 RANK_TOL = 1e-8
@@ -91,6 +91,7 @@ class ChainReport:
     rhs: float
     holds: bool
     trace_residual: float
+    spectrum: SuperopSpectrum  # the solve the eigenvector came from
 
 
 def tanner_chain_check(channel: Channel) -> ChainReport:
@@ -98,50 +99,34 @@ def tanner_chain_check(channel: Channel) -> ChainReport:
     lhs <= sqrt(2 (1 - lambda2)) + 1e-8.
 
     Requires the second eigenvalue (signed) to be positive; square the
-    channel first when it is not. The eigenvector is reconstructed as a
-    traceless Hermitian matrix: the trace component is checked (and, in
+    channel first when it is not. The eigenvector comes from the spectrum
+    module as a Hermitian matrix; its trace component is checked (and, in
     the degenerate case where the second eigenvalue ties the removed unit
     eigenvalue, projected away, since the eigenspace then contains a
-    traceless representative), and the larger of the Hermitian /
-    anti-Hermitian parts is kept.
+    traceless representative).
     """
     if not channel.hermitian:
         raise ValidationError("chain argument applies to hermitian channels")
     n = channel.dim
-    s = superoperator(channel)
-    try:
-        eigvals, eigvecs = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigensolver failed (channel seed {channel.seed}): {exc}"
-        ) from exc
-
-    unit_idx = int(np.lexsort((-eigvals, np.abs(eigvals - 1.0)))[0])
-    rest = np.delete(np.arange(eigvals.size), unit_idx)
-    second_idx = int(rest[np.argmax(eigvals[rest])])
-    lam2 = float(eigvals[second_idx])
+    spec = eigen_spectrum(channel, vectors=True)
+    if spec.second_eigenpair is None:
+        raise ValidationError("chain argument needs N >= 2")
+    lam2, x = spec.second_eigenpair
     if lam2 <= 0.0:
         raise ValidationError(
             f"second eigenvalue {lam2!r} is not positive; square the channel first"
         )
 
-    x = unvec(eigvecs[:, second_idx], n)
-    degenerate = abs(float(eigvals[unit_idx]) - lam2) <= 1e-10
+    degenerate = abs(spec.removed_eigenvalue.real - lam2) <= 1e-10
     if degenerate:
-        x = x - (np.trace(x) / n) * np.eye(n)
+        x = x - (np.trace(x).real / n) * np.eye(n)
         if hs_norm(x) < 1e-12:
             raise NumericalError("second eigenvector is the identity direction")
-    trace_residual = abs(complex(np.trace(x))) / hs_norm(x)
+    norm = hs_norm(x)
+    trace_residual = abs(float(np.trace(x).real)) / norm
     if trace_residual > TRACE_RESIDUAL_TOL:
         raise NumericalError(f"second eigenvector trace residual {trace_residual:.3e}")
-
-    herm = (x + x.conj().T) / 2.0
-    anti = (x - x.conj().T) / (2.0j)
-    part = herm if hs_norm(herm) >= hs_norm(anti) else anti
-    norm = hs_norm(part)
-    if norm < 1e-12:
-        raise NumericalError("second eigenvector has no Hermitian content")
-    xh = part / norm
+    xh = x / norm
 
     evals, evecs = np.linalg.eigh(xh)
     order = np.argsort(-evals)
@@ -173,4 +158,5 @@ def tanner_chain_check(channel: Channel) -> ChainReport:
         rhs=rhs,
         holds=lhs <= rhs + SLACK_TOL,
         trace_residual=trace_residual,
+        spectrum=spec,
     )

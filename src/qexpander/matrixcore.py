@@ -19,7 +19,6 @@ UNITARITY_TOL = 1e-10     # max-entry |U†U - 1|
 EIG_TOL = 1e-10           # eigenvector residuals, superoperator faithfulness
 WEIGHT_TOL = 1e-12        # probability weights: sum to 1, adjoint pairing
 PAIRING_TOL = 1e-12       # entrywise |U(s + D/2) - U(s)†|
-HERM_IMAG_TOL = 1e-8      # imaginary parts of a Hermitian map's spectrum
 SPECTRAL_RADIUS_TOL = 1e-8
 TRACE_RESIDUAL_TOL = 1e-8  # tracelessness of the second eigenvector
 SLACK_TOL = 1e-8          # one-sided slack on the edge inequalities

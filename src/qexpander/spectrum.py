@@ -2,8 +2,18 @@
 
 Conventions fixed here once:
 
-- vec is column-stacking, so vec(A M B) = (B^T kron A) vec(M) and the
-  superoperator of E is S = sum_s P(s) (U(s)^T kron U(s)†).
+- every spectral computation runs on the real N^2 x N^2 matrix R of E in
+  an orthonormal basis of Hermitian matrices: B = E_jj, then
+  (E_jk + E_kj)/sqrt(2) for j < k, then i(E_jk - E_kj)/sqrt(2) for j < k
+  (pairs in np.triu_indices order), with R_ab = tr(B_a E(B_b)). E maps
+  Hermitian matrices to Hermitian matrices, so R is real; it is
+  symmetric for a Hermitian channel. The coordinates of a Hermitian M are
+  c(M)_a = tr(B_a M), so R c(M) = c(E(M)).
+- R is a unitary change of basis away from the vec-basis superoperator
+  S = sum_s P(s) (U(s)^T kron U(s)†), with vec column-stacking, so
+  vec(A M B) = (B^T kron A) vec(M). Eigenvalues, traces of powers and
+  Frobenius norms of powers agree. `superoperator` builds S as the
+  definition and test oracle; no production path uses it.
 - the second eigenvalue lambda2 is the maximum modulus after removing
   exactly one eigenvalue closest to 1 (ties broken by largest real part);
   random channels have a unique unit eigenvalue, but identity-like edge
@@ -20,7 +30,7 @@ import numpy as np
 
 from .channel import Channel, apply
 from .errors import NumericalError, ValidationError
-from .matrixcore import EIG_TOL, HERM_IMAG_TOL, SPECTRAL_RADIUS_TOL
+from .matrixcore import SPECTRAL_RADIUS_TOL
 
 DEFAULT_DIM_CEILING = 64  # dense N^2 x N^2 work is impractical beyond this
 
@@ -47,6 +57,74 @@ def superoperator(channel: Channel) -> np.ndarray:
     return s
 
 
+def hermitian_coords(m: np.ndarray) -> np.ndarray:
+    """c(M), the N^2 real coordinates of a Hermitian M in the basis B."""
+    n = m.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    off = math.sqrt(2.0) * m[iu, ju]
+    return np.concatenate([m.diagonal().real, off.real, off.imag])
+
+
+def hermitian_from_coords(c: np.ndarray, n: int) -> np.ndarray:
+    """The Hermitian N x N matrix sum_a c_a B_a."""
+    iu, ju = np.triu_indices(n, 1)
+    pairs = iu.size
+    m = np.zeros((n, n), dtype=complex)
+    m[np.diag_indices(n)] = c[:n]
+    off = (c[n : n + pairs] + 1j * c[n + pairs :]) / math.sqrt(2.0)
+    m[iu, ju] = off
+    m[ju, iu] = off.conj()
+    return m
+
+
+def _image_coords(unitaries: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """The transpose of R for F(M) = sum_s w_s U_s† M U_s: row b is c(F(B_b)).
+
+    One Kraus sum per input row j gives Y_k = F(E_jk) for all k >= j at
+    once, since F(E_jk)[p, q] = sum_s w_s conj(U_s[j, p]) U_s[k, q]. With
+    F(E_kj) = F(E_jk)†, the images of the basis elements built from E_jk
+    are sqrt(2) Herm(Y_k) and sqrt(2) Herm(i Y_k), where
+    Herm(Y) = (Y + Y†)/2, and F(E_jj) = Herm(Y_j).
+    """
+    d = unitaries.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    pairs = iu.size
+    diag = np.arange(n)
+    root2 = math.sqrt(2.0)
+    rt = np.empty((n * n, n * n))
+    first = 0  # index of pair (j, j + 1) in triu order
+    for j in range(n):
+        a = weights[:, None] * unitaries[:, j, :].conj()
+        y = (a.T @ unitaries[:, j:, :].reshape(d, -1)).reshape(n, n - j, n).transpose(1, 0, 2)
+        yd, yu, yl = y[:, diag, diag], y[:, iu, ju], y[:, ju, iu]
+        # sqrt(2) c(Herm(Y_k)) and sqrt(2) c(Herm(i Y_k)), one row per k = j..N-1
+        sym = np.concatenate([root2 * yd.real, yu.real + yl.real, yu.imag - yl.imag], axis=1)
+        anti = np.concatenate([-root2 * yd.imag, -(yu.imag + yl.imag), yu.real - yl.real], axis=1)
+        rt[j] = sym[0] / root2
+        stop = first + n - 1 - j  # pairs (j, k) for k > j are first..stop-1
+        rt[n + first : n + stop] = sym[1:]
+        rt[n + pairs + first : n + pairs + stop] = anti[1:]
+        first = stop
+    return rt
+
+
+def real_superoperator(channel: Channel) -> np.ndarray:
+    """R, the real N^2 x N^2 matrix of E in the Hermitian basis B.
+
+    For a Hermitian channel the second half of the Kraus terms are the
+    adjoints of the first (Channel enforces the pairing), so E = F + F*
+    with F the first half at the pair's mean weight, and R = R_F + R_F^T:
+    half the work, and R comes out exactly symmetric.
+    """
+    n = channel.dim
+    if channel.hermitian:
+        half = channel.kraus_count // 2
+        weights = (channel.weights[:half] + channel.weights[half:]) / 2.0
+        rt = _image_coords(channel.unitaries[:half], weights, n)
+        return rt + rt.T
+    return _image_coords(channel.unitaries, channel.weights, n).T
+
+
 @dataclass(frozen=True, eq=False)
 class SuperopSpectrum:
     """All N^2 eigenvalues plus the second-eigenvalue extraction metadata."""
@@ -57,6 +135,10 @@ class SuperopSpectrum:
     lambda2: float
     unit_eigvec_residual: float
     removed_eigenvalue: complex
+    spectral_radius: float
+    # (signed eigenvalue, unit-norm Hermitian eigenvector) of the largest
+    # eigenvalue left after the removal; only from eigen_spectrum(vectors=True)
+    second_eigenpair: tuple[float, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.eigenvalues.shape != (self.dim * self.dim,):
@@ -72,26 +154,36 @@ def _remove_one_unit_eigenvalue(eigs: np.ndarray) -> tuple[int, complex]:
     return int(best), complex(eigs[best])
 
 
-def eigen_spectrum(channel: Channel, dim_ceiling: int = DEFAULT_DIM_CEILING) -> SuperopSpectrum:
-    """Dense eigendecomposition of the superoperator with lambda2 extraction."""
+def eigen_spectrum(
+    channel: Channel, dim_ceiling: int = DEFAULT_DIM_CEILING, vectors: bool = False
+) -> SuperopSpectrum:
+    """Dense eigendecomposition of R with lambda2 extraction.
+
+    Real eigvalsh for a Hermitian channel, real eigvals otherwise. With
+    vectors=True (Hermitian channels only) the solve is eigh and the
+    spectrum carries its second eigenpair.
+    """
     n = channel.dim
     if n > dim_ceiling:
         raise ValidationError(f"N={n} exceeds the dense-solver ceiling {dim_ceiling}")
-    s = superoperator(channel)
+    if vectors and not channel.hermitian:
+        raise ValidationError("eigenvectors are computed for hermitian channels only")
+    r = real_superoperator(channel)
     try:
-        if channel.hermitian:
-            eigs = np.linalg.eigvalsh(s).astype(complex)
+        if vectors:
+            eigs, coords = np.linalg.eigh(r)
+        elif channel.hermitian:
+            eigs = np.linalg.eigvalsh(r)
         else:
-            eigs = np.linalg.eigvals(s)
+            eigs = np.linalg.eigvals(r)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigensolver failed to converge (channel seed {channel.seed}): {exc}"
         ) from exc
 
-    if channel.hermitian:
-        order = np.argsort(-eigs.real)
-    else:
-        order = np.argsort(-np.abs(eigs))
+    eigs = eigs.astype(complex)
+    key = -eigs.real if channel.hermitian else -np.abs(eigs)
+    order = np.argsort(key, kind="stable")
     eigs = eigs[order]
 
     radius = float(np.max(np.abs(eigs)))
@@ -99,21 +191,18 @@ def eigen_spectrum(channel: Channel, dim_ceiling: int = DEFAULT_DIM_CEILING) -> 
         raise NumericalError(
             f"spectral radius {radius!r} exceeds 1 (channel seed {channel.seed})"
         )
-    if channel.hermitian:
-        worst_imag = float(np.max(np.abs(eigs.imag)))
-        if worst_imag > HERM_IMAG_TOL:
-            raise NumericalError(
-                f"hermitian spectrum has imaginary part {worst_imag:.3e} "
-                f"(channel seed {channel.seed})"
-            )
 
     drop, removed = _remove_one_unit_eigenvalue(eigs)
     rest = np.delete(eigs, drop)
     lam2 = float(np.max(np.abs(rest))) if rest.size else 0.0
 
-    ident = np.eye(n, dtype=complex)
-    v = vec(ident) / math.sqrt(n)
-    residual = float(np.max(np.abs(s @ v - v)))
+    second = None
+    if vectors and rest.size:
+        top = 1 if drop == 0 else 0  # eigs descend, so the first one kept
+        second = (float(eigs[top].real), hermitian_from_coords(coords[:, order[top]], n))
+
+    v = hermitian_coords(np.eye(n)) / math.sqrt(n)
+    residual = float(np.max(np.abs(r @ v - v)))
 
     return SuperopSpectrum(
         dim=n,
@@ -122,21 +211,25 @@ def eigen_spectrum(channel: Channel, dim_ceiling: int = DEFAULT_DIM_CEILING) -> 
         lambda2=lam2,
         unit_eigvec_residual=residual,
         removed_eigenvalue=removed,
+        spectral_radius=radius,
+        second_eigenpair=second,
     )
 
 
 def _superop_power(channel: Channel, m: int) -> np.ndarray:
-    s = superoperator(channel)
-    power = s
+    """R^m; R is unitarily similar to S, so traces and Frobenius norms of
+    its powers are those of S."""
+    r = real_superoperator(channel)
+    power = r
     for _ in range(m - 1):
-        power = power @ s
+        power = power @ r
     return power
 
 
 def moment_trace(channel: Channel, m: int) -> float:
     """tr(S^m) = sum_a lambda_a^m for a Hermitian channel, m even.
 
-    Computed by m - 1 dense multiplications of the superoperator.
+    Computed by m - 1 dense multiplications of R.
     """
     if not channel.hermitian:
         raise ValidationError("moment_trace needs a hermitian channel")
@@ -171,19 +264,16 @@ class BenchmarkConstants:
     D: int
     lambda_H: float
     lambda_nH: float
-    lambda_loose: float
 
 
 def benchmark_values(D: int) -> BenchmarkConstants:
-    """Closed-form gap benchmarks: 2 sqrt(D-1)/D, 1/sqrt(D), and the loose sqrt."""
+    """Closed-form gap benchmarks: 2 sqrt(D-1)/D and 1/sqrt(D)."""
     if D < 2:
         raise ValidationError(f"need D >= 2, got D={D}")
-    lam_h = 2.0 * math.sqrt(D - 1.0) / D
     return BenchmarkConstants(
         D=D,
-        lambda_H=lam_h,
+        lambda_H=2.0 * math.sqrt(D - 1.0) / D,
         lambda_nH=1.0 / math.sqrt(D),
-        lambda_loose=math.sqrt(lam_h),
     )
 
 
@@ -212,7 +302,6 @@ def faithfulness_residual(channel: Channel, s: np.ndarray, m: np.ndarray) -> flo
 
 __all__ = [
     "DEFAULT_DIM_CEILING",
-    "EIG_TOL",
     "BenchmarkConstants",
     "SuperopSpectrum",
     "benchmark_values",
@@ -220,7 +309,10 @@ __all__ = [
     "estimate_lambda2_from_moments",
     "faithfulness_residual",
     "frobenius_moment",
+    "hermitian_coords",
+    "hermitian_from_coords",
     "moment_trace",
+    "real_superoperator",
     "superoperator",
     "unvec",
     "vec",

@@ -128,6 +128,14 @@ def test_loads_rejects_corrupt_unitaries():
         loads(json.dumps(payload))
 
 
+def test_loads_rejects_malformed_complex_pair():
+    chan = build_nonhermitian_random(4, 2, SeededRng(16))
+    payload = json.loads(dumps(chan))
+    payload["unitaries"][0][0][0] = [1.0, 0.0, 0.0]
+    with pytest.raises(ValidationError):
+        loads(json.dumps(payload))
+
+
 def test_seed_recorded_but_not_compared():
     a = build_hermitian_random(5, 4, SeededRng(17))
     b = loads(dumps(a))

@@ -128,6 +128,26 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", "0"],
+        ["spectrum", "--d", "0"],
+        ["moments", "--n", "0"],
+        ["moments", "--d", "0"],
+        ["edge", "--n", "0"],
+        ["edge", "--d", "0"],
+        ["cayley", "--d", "0"],
+    ],
+)
+def test_explicit_zero_is_validated_not_defaulted(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert any(line.startswith("error:") for line in captured.err.splitlines())
+    assert "Traceback" not in captured.err + captured.out
+    assert captured.out == ""
+
+
 def test_exit_code_numerical_error(capsys):
     code = main(["sd", "eval", "tr(U1 U1 U1 U1) tr(U1' U1' U1' U1')",
                  "--series", "--n", "16", "--budget", "5"])
@@ -140,6 +160,9 @@ def test_spectrum_command_outputs(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["N"] == 8 and report["D"] == 4
     assert 0 < report["lambda2"] < 1
+    assert abs(report["spectral_radius"] - 1.0) < 1e-10
+    removed_re, removed_im = report["removed_eigenvalue"]
+    assert abs(removed_re - 1.0) < 1e-10 and removed_im == 0.0
     lines = (tmp_path / "spectrum.csv").read_text().splitlines()
     assert lines[0] == "rank,a_over_N2,eig_re,eig_im,eig_abs"
     assert len(lines) == 1 + 64
