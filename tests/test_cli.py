@@ -1,6 +1,8 @@
 import json
 import math
+import platform
 
+import numpy as np
 import pytest
 
 from qexpander.cli import (
@@ -305,3 +307,22 @@ def test_write_sweep_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == SWEEP_HEADER
     assert len(lines) == 2
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is a glibc call")
+def test_command_leaves_no_freed_heap_resident(tmp_path, capsys):
+    def rss_mb() -> float:
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * 4096 / 2**20
+
+    argv = ["spectrum", "--construction", "nonhermitian", "--n", "30", "--d", "4", "--seed", "1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    # freeing a 30 MiB block raises glibc's mmap threshold past one 6.5 MB R,
+    # so the next command's R and solver copy come from the heap
+    big = np.ones(30 * 2**20 // 8)
+    del big
+    before = rss_mb()
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert rss_mb() - before < 3.0
