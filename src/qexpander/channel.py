@@ -100,22 +100,50 @@ class Channel:
         )
 
 
-def build_hermitian_random(N: int, D: int, rng: SeededRng) -> Channel:
-    """Uniform-weight Hermitian channel: D/2 Haar unitaries plus their adjoints."""
-    if D % 2 != 0 or D < 4:
-        raise ValidationError(f"hermitian construction needs even D >= 4, got D={D}")
-    if N < 2:
-        raise ValidationError(f"need N >= 2, got N={N}")
+def _adjoint_paired_haar(N: int, D: int, rng: SeededRng) -> np.ndarray:
+    """D/2 Haar unitaries followed by their adjoints, U(s + D/2) = U(s)†."""
     half = D // 2
     us = np.empty((D, N, N), dtype=complex)
     for s in range(half):
         us[s] = haar_unitary(N, rng)
         us[s + half] = us[s].conj().T
+    return us
+
+
+def _check_paired_shape(construction: str, N: int, D: int) -> None:
+    if D % 2 != 0 or D < 4:
+        raise ValidationError(f"{construction} construction needs even D >= 4, got D={D}")
+    if N < 2:
+        raise ValidationError(f"need N >= 2, got N={N}")
+
+
+def build_hermitian_random(N: int, D: int, rng: SeededRng) -> Channel:
+    """Uniform-weight Hermitian channel: D/2 Haar unitaries plus their adjoints."""
+    _check_paired_shape("hermitian", N, D)
     return Channel(
         dim=N,
         kraus_count=D,
         weights=np.full(D, 1.0 / D),
-        unitaries=us,
+        unitaries=_adjoint_paired_haar(N, D, rng),
+        hermitian=True,
+        seed=(rng.master_seed, rng.stream_index),
+    )
+
+
+def build_weighted_random(N: int, D: int, rng: SeededRng) -> Channel:
+    """Hermitian channel with random pair weights: D/2 Haar unitaries plus
+    their adjoints, pair s weighted by Gamma(1) draw g_s as g_s / (2 sum g).
+
+    The weights are drawn before the unitaries.
+    """
+    _check_paired_shape("weighted", N, D)
+    gam = rng.generator.gamma(1.0, size=D // 2)
+    w_half = gam / (2.0 * gam.sum())
+    return Channel(
+        dim=N,
+        kraus_count=D,
+        weights=np.concatenate([w_half, w_half]),
+        unitaries=_adjoint_paired_haar(N, D, rng),
         hermitian=True,
         seed=(rng.master_seed, rng.stream_index),
     )

@@ -13,17 +13,16 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cayley import alon_boppana_lower_bound, walk_counts
-from .channel import Channel, build_hermitian_random, build_nonhermitian_random, build_weighted
+from .channel import Channel, build_hermitian_random, build_nonhermitian_random, build_weighted_random
 from .edgex import converse_check, random_projector, tanner_chain_check
 from .errors import NumericalError, QxError, ValidationError
-from .matrixcore import SeededRng, haar_unitary
+from .matrixcore import SeededRng
 from .sdengine import evaluate_exact, evaluate_series, monte_carlo_expectation, parse_trace_expr
 from .sdengine.rational import RationalInN
 from .spectrum import (
@@ -31,9 +30,7 @@ from .spectrum import (
     SuperopSpectrum,
     benchmark_values,
     eigen_spectrum,
-    estimate_lambda2_from_moments,
-    frobenius_moment,
-    moment_trace,
+    moment_table,
     write_spectrum_csv,
 )
 
@@ -96,19 +93,11 @@ def build_channel(construction: str, N: int, D: int, rng: SeededRng) -> Channel:
     if construction == "nonhermitian":
         return build_nonhermitian_random(N, D, rng)
     if construction == "weighted":
-        half = D // 2
-        gam = rng.generator.gamma(1.0, size=half)
-        w_half = gam / (2.0 * gam.sum())
-        weights = np.concatenate([w_half, w_half])
-        us = np.empty((D, N, N), dtype=complex)
-        for s in range(half):
-            us[s] = haar_unitary(N, rng)
-            us[s + half] = us[s].conj().T
-        return build_weighted(us, weights, hermitian=True)
+        return build_weighted_random(N, D, rng)
     raise ValidationError(f"unknown construction {construction!r}")
 
 
-def _run_one(config: ExperimentConfig, n: int, stream_index: int) -> tuple[ExperimentRecord, SuperopSpectrum | None]:
+def _run_one(config: ExperimentConfig, n: int, stream_index: int) -> ExperimentRecord:
     bench = benchmark_values(config.D)
     start = time.perf_counter()
     try:
@@ -121,7 +110,7 @@ def _run_one(config: ExperimentConfig, n: int, stream_index: int) -> tuple[Exper
             lb = alon_boppana_lower_bound(n, config.D, config.m_max).value
             gap_ok = spec.lambda2 >= lb - GAP_SLACK
         wall_ms = (time.perf_counter() - start) * 1000.0
-        record = ExperimentRecord(
+        return ExperimentRecord(
             N=n,
             D=config.D,
             seed=stream_index,
@@ -133,10 +122,9 @@ def _run_one(config: ExperimentConfig, n: int, stream_index: int) -> tuple[Exper
             gap_ok=gap_ok,
             wall_ms=wall_ms,
         )
-        return record, spec
     except QxError as exc:
         wall_ms = (time.perf_counter() - start) * 1000.0
-        record = ExperimentRecord(
+        return ExperimentRecord(
             N=n,
             D=config.D,
             seed=stream_index,
@@ -149,35 +137,20 @@ def _run_one(config: ExperimentConfig, n: int, stream_index: int) -> tuple[Exper
             wall_ms=wall_ms,
             error=str(exc),
         )
-        return record, None
 
 
-def run_sweep(
-    config: ExperimentConfig, workers: int = 1, keep_spectra: bool = False
-) -> tuple[list[ExperimentRecord], dict[tuple[int, int], SuperopSpectrum]]:
+def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     """One record per (N, trial), in deterministic order with per-trial
     seed streams. A failing record reports its error; the sweep continues.
     """
-    tasks = []
-    stream = 0
+    records: list[ExperimentRecord] = []
     for n in config.N_list:
         for trial in range(config.trials):
-            tasks.append((n, trial, stream))
-            stream += 1
-    records: list[ExperimentRecord] = []
-    spectra: dict[tuple[int, int], SuperopSpectrum] = {}
-    if workers <= 1:
-        results = [_run_one(config, n, s) for n, _t, s in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda args: _run_one(config, args[0], args[2]), tasks))
-    for (n, trial, _s), (record, spec) in zip(tasks, results):
-        records.append(record)
-        if keep_spectra and spec is not None:
-            spectra[(n, trial)] = spec
-        if record.error is not None:
-            print(f"record (N={n}, trial={trial}) failed: {record.error}", file=sys.stderr)
-    return records, spectra
+            record = _run_one(config, n, len(records))
+            if record.error is not None:
+                print(f"record (N={n}, trial={trial}) failed: {record.error}", file=sys.stderr)
+            records.append(record)
+    return records
 
 
 def format_record(record: ExperimentRecord) -> str:
@@ -367,11 +340,15 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _parse_n_list(text: str) -> tuple[int, ...]:
+def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
+    """A comma-separated list of integers; empty entries are skipped."""
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise ValidationError(f"bad N list {text!r}: {exc}") from exc
+        raise ValidationError(f"bad {name} {text!r}: {exc}") from exc
+    if not values:
+        raise ValidationError(f"{name} {text!r} holds no integer")
+    return values
 
 
 def _parse_int(text, name: str) -> int:
@@ -410,7 +387,7 @@ def merge_config(args: argparse.Namespace) -> ExperimentConfig:
         merged["m_max"] = str(args.m_max)
     return ExperimentConfig(
         construction=merged["construction"],
-        N_list=_parse_n_list(merged["N_list"]),
+        N_list=_parse_int_list(merged["N_list"], "N list"),
         D=_parse_int(merged["D"], "D"),
         trials=_parse_int(merged["trials"], "trials"),
         master_seed=_parse_int(merged["master_seed"], "master_seed"),
@@ -424,22 +401,18 @@ def merge_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    construction = args.construction or "hermitian"
-    n = 20 if args.n is None else args.n
-    d = 4 if args.d is None else args.d
-    rng = SeededRng(args.seed or 0)
-    chan = build_channel(construction, n, d, rng)
+    chan = build_channel(args.construction, args.n, args.d, SeededRng(args.seed))
     spec = eigen_spectrum(chan)
-    out = Path(args.out or ".")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "spectrum.csv"
     write_spectrum_csv(spec, csv_path)
-    bench = benchmark_values(d)
+    bench = benchmark_values(args.d)
     report = {
-        "N": n,
-        "D": d,
-        "construction": construction,
-        "seed": args.seed or 0,
+        "N": args.n,
+        "D": args.d,
+        "construction": args.construction,
+        "seed": args.seed,
         "lambda2": spec.lambda2,
         "lambda_H": bench.lambda_H,
         "lambda_nH": bench.lambda_nH,
@@ -456,7 +429,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = merge_config(args)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records, _ = run_sweep(config, workers=args.workers)
+    records = run_sweep(config)
     csv_path = out / "sweep.csv"
     write_sweep_csv(records, csv_path)
     failed = [r for r in records if r.error is not None]
@@ -488,37 +461,30 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
-    construction = args.construction or "hermitian"
-    n = 20 if args.n is None else args.n
-    d = 4 if args.d is None else args.d
-    rng = SeededRng(args.seed or 0)
-    chan = build_channel(construction, n, d, rng)
-    m_values = [int(part) for part in (args.m_list or "2,4,6").split(",") if part.strip()]
-    rows = []
-    for m in m_values:
-        row: dict = {"m": m}
-        if chan.hermitian and m % 2 == 0:
-            row["moment_trace"] = moment_trace(chan, m)
-            row["lambda2_estimate"] = estimate_lambda2_from_moments(chan, m)
-        else:
-            row["moment_trace"] = None
-            row["lambda2_estimate"] = None
-        row["frobenius_moment"] = frobenius_moment(chan, m)
-        rows.append(row)
-    print(json.dumps({"N": n, "D": d, "construction": construction, "moments": rows}, indent=2))
+    orders = _parse_int_list(args.m_list, "m list")
+    chan = build_channel(args.construction, args.n, args.d, SeededRng(args.seed))
+    rows = [
+        {
+            "m": row.m,
+            "moment_trace": row.moment_trace,
+            "lambda2_estimate": row.lambda2_estimate,
+            "frobenius_moment": row.frobenius_moment,
+        }
+        for row in moment_table(chan, orders)
+    ]
+    report = {"N": args.n, "D": args.d, "construction": args.construction, "moments": rows}
+    print(json.dumps(report, indent=2))
     return 0
 
 
 def _cmd_cayley(args: argparse.Namespace) -> int:
-    d = 4 if args.d is None else args.d
-    m_max = args.m_max if args.m_max is not None else 20
-    table = walk_counts(d, m_max)
+    table = walk_counts(args.d, args.m_max)
     lines = ["D,m,l,count"]
-    for m in range(m_max + 1):
+    for m in range(args.m_max + 1):
         for l in range(m + 1):
             c = table.count(l, m)
             if c:
-                lines.append(f"{d},{m},{l},{c}")
+                lines.append(f"{args.d},{m},{l},{c}")
     text = "\n".join(lines) + "\n"
     if args.out:
         out = Path(args.out)
@@ -531,10 +497,8 @@ def _cmd_cayley(args: argparse.Namespace) -> int:
 
 
 def _cmd_sd(args: argparse.Namespace) -> int:
-    if args.action != "eval":
-        raise ValidationError(f"unknown sd action {args.action!r}; expected 'eval'")
     parsed = parse_trace_expr(args.expr)
-    power = parsed.n_factor_power
+    power = parsed.empty_traces
     n = args.n
     modes = [name for name, flag in (("exact", args.exact), ("series", args.series), ("mc", args.mc)) if flag]
     if len(modes) > 1:
@@ -566,7 +530,7 @@ def _cmd_sd(args: argparse.Namespace) -> int:
     else:
         if n is None:
             raise ValidationError("--mc needs --n")
-        rng = SeededRng(args.seed or 0)
+        rng = SeededRng(args.seed)
         estimate, stderr = monte_carlo_expectation(parsed.query, n, args.samples, rng)
         scale = float(n**power)
         report["estimate"] = estimate * scale
@@ -576,23 +540,22 @@ def _cmd_sd(args: argparse.Namespace) -> int:
 
 
 def _cmd_edge(args: argparse.Namespace) -> int:
-    n = 20 if args.n is None else args.n
-    d = 4 if args.d is None else args.d
-    seed = args.seed or 0
-    chan = build_channel("hermitian", n, d, SeededRng(seed, 0))
+    n, seed = args.n, args.seed
+    if args.projectors < 1:
+        raise ValidationError(f"--projectors must be >= 1, got {args.projectors}")
+    chan = build_channel("hermitian", n, args.d, SeededRng(seed, 0))
     chain = tanner_chain_check(chan)
     lam2 = chain.spectrum.lambda2
     proj_rng = SeededRng(seed, 1)
-    count = args.projectors
     min_slack = math.inf
-    for _ in range(count):
+    for _ in range(args.projectors):
         rank = int(proj_rng.generator.integers(1, n // 2 + 1))
         p = random_projector(n, rank, proj_rng)
         _, slack = converse_check(chan, p, lambda2=lam2)
         min_slack = min(min_slack, slack)
     report = {
         "N": n,
-        "D": d,
+        "D": args.d,
         "seed": seed,
         "lambda2": lam2,
         "min_slack": min_slack,
@@ -603,60 +566,58 @@ def _cmd_edge(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, holding exactly the flags that command
+    reads. Only sweep and collapse take --config; their flags default to
+    None so that merge_config can tell a flag from a file value."""
     parser = argparse.ArgumentParser(
         prog="qexpander",
         description="Spectral-gap workbench for unitary-Kraus channels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--config", default=None, help="key=value config file")
-
     p_spec = sub.add_parser("spectrum", help="one channel: eigenvalues and lambda2")
-    common(p_spec)
-    p_spec.add_argument("--n", type=int, default=None)
-    p_spec.add_argument("--d", type=int, default=None)
-    p_spec.add_argument("--construction", choices=CONSTRUCTIONS, default=None)
+    p_spec.add_argument("--n", type=int, default=20)
+    p_spec.add_argument("--d", type=int, default=4)
+    p_spec.add_argument("--construction", choices=CONSTRUCTIONS, default="hermitian")
+    p_spec.add_argument("--seed", type=int, default=0)
+    p_spec.add_argument("--out", default=".", help="output directory")
     p_spec.set_defaults(func=_cmd_spectrum)
 
     p_sweep = sub.add_parser("sweep", help="seeded (N, trial) sweep to sweep.csv")
-    common(p_sweep)
     p_sweep.add_argument("--n-list", default=None, help="comma-separated N values")
     p_sweep.add_argument("--d", type=int, default=None)
     p_sweep.add_argument("--trials", type=int, default=None)
     p_sweep.add_argument("--construction", choices=CONSTRUCTIONS, default=None)
     p_sweep.add_argument("--m-max", dest="m_max", type=int, default=None)
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--seed", type=int, default=None, help="master seed")
+    p_sweep.add_argument("--out", default=None, help="output directory")
+    p_sweep.add_argument("--config", default=None, help="key=value config file")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_col = sub.add_parser("collapse", help="sorted-spectrum collapse figure")
-    common(p_col)
     p_col.add_argument("--n-list", default=None, help="comma-separated N values")
     p_col.add_argument("--d", type=int, default=None)
-    p_col.add_argument("--construction", choices=CONSTRUCTIONS, default=None)
-    p_col.add_argument("--trials", type=int, default=None)
-    p_col.add_argument("--m-max", dest="m_max", type=int, default=None)
+    p_col.add_argument("--seed", type=int, default=None, help="master seed")
+    p_col.add_argument("--out", default=None, help="output directory")
+    p_col.add_argument("--config", default=None, help="key=value config file")
     p_col.set_defaults(func=_cmd_collapse)
 
     p_mom = sub.add_parser("moments", help="trace moments and gap estimates")
-    common(p_mom)
-    p_mom.add_argument("--n", type=int, default=None)
-    p_mom.add_argument("--d", type=int, default=None)
-    p_mom.add_argument("--construction", choices=CONSTRUCTIONS, default=None)
-    p_mom.add_argument("--m-list", default=None, help="comma-separated moment orders")
+    p_mom.add_argument("--n", type=int, default=20)
+    p_mom.add_argument("--d", type=int, default=4)
+    p_mom.add_argument("--construction", choices=CONSTRUCTIONS, default="hermitian")
+    p_mom.add_argument("--m-list", default="2,4,6", help="comma-separated moment orders")
+    p_mom.add_argument("--seed", type=int, default=0)
     p_mom.set_defaults(func=_cmd_moments)
 
     p_cay = sub.add_parser("cayley", help="exact walk counts as CSV")
-    common(p_cay)
-    p_cay.add_argument("--d", type=int, default=None)
-    p_cay.add_argument("--m-max", dest="m_max", type=int, default=None)
+    p_cay.add_argument("--d", type=int, default=4)
+    p_cay.add_argument("--m-max", dest="m_max", type=int, default=20)
+    p_cay.add_argument("--out", default=None, help="output directory (default: stdout)")
     p_cay.set_defaults(func=_cmd_cayley)
 
     p_sd = sub.add_parser("sd", help="evaluate a trace-product expectation")
-    common(p_sd)
-    p_sd.add_argument("action", help="'eval'")
+    p_sd.add_argument("action", choices=("eval",))
     p_sd.add_argument("expr", help="e.g. \"tr(U1 U1) tr(U1' U1')\"")
     p_sd.add_argument("--n", type=int, default=None)
     p_sd.add_argument("--exact", action="store_true")
@@ -667,13 +628,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sd.add_argument("--samples", type=int, default=10_000)
     p_sd.add_argument("--budget", type=int, default=10_000_000)
     p_sd.add_argument("--allow-divergent", action="store_true")
+    p_sd.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
     p_sd.set_defaults(func=_cmd_sd)
 
     p_edge = sub.add_parser("edge", help="edge-expansion report as JSON")
-    common(p_edge)
-    p_edge.add_argument("--n", type=int, default=None)
-    p_edge.add_argument("--d", type=int, default=None)
+    p_edge.add_argument("--n", type=int, default=20)
+    p_edge.add_argument("--d", type=int, default=4)
     p_edge.add_argument("--projectors", type=int, default=20)
+    p_edge.add_argument("--seed", type=int, default=0)
     p_edge.set_defaults(func=_cmd_edge)
 
     return parser

@@ -16,13 +16,11 @@ from .errors import ValidationError
 # centralized tolerances
 
 UNITARITY_TOL = 1e-10     # max-entry |U†U - 1|
-EIG_TOL = 1e-10           # eigenvector residuals, superoperator faithfulness
 WEIGHT_TOL = 1e-12        # probability weights: sum to 1, adjoint pairing
 PAIRING_TOL = 1e-12       # entrywise |U(s + D/2) - U(s)†|
 SPECTRAL_RADIUS_TOL = 1e-8
 TRACE_RESIDUAL_TOL = 1e-8  # tracelessness of the second eigenvector
 SLACK_TOL = 1e-8          # one-sided slack on the edge inequalities
-MOMENT_REL_TOL = 1e-6     # relative agreement of trace moments with eigenvalues
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,7 @@ exposed and cross-checked in the tests: a level-wise series, an exact
 rational-function solve, and a Monte-Carlo oracle.
 """
 
-from .words import (
-    ExpectationQuery,
-    Letter,
-    cyclic_reduce,
-    letters_of,
-    query_from_traces,
-    word_from_letters,
-)
+from .words import ExpectationQuery, cyclic_reduce, query_from_traces
 from .parse import ParseResult, parse_trace_expr
 from .engine import (
     SdTerm,
@@ -29,7 +22,6 @@ from .mc import monte_carlo_expectation
 
 __all__ = [
     "ExpectationQuery",
-    "Letter",
     "LevelAudit",
     "ParseResult",
     "RationalInN",
@@ -38,10 +30,8 @@ __all__ = [
     "cyclic_reduce",
     "evaluate_exact",
     "evaluate_series",
-    "letters_of",
     "monte_carlo_expectation",
     "parse_trace_expr",
     "query_from_traces",
     "sd_step",
-    "word_from_letters",
 ]

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from ..errors import NumericalError, ValidationError
 from .rational import RAT_ONE, RationalInN
-from .words import EMPTY_QUERY, ExpectationQuery, Traces, query_from_traces
+from .words import ExpectationQuery, Traces, query_from_traces
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_SYMBOLIC_BUDGET = 10  # max total letters for the exact solver
@@ -34,10 +34,9 @@ DEFAULT_SYMBOLIC_BUDGET = 10  # max total letters for the exact solver
 
 @dataclass(frozen=True)
 class SdTerm:
-    """One child of a rewriting step (level counts steps from the parent)."""
+    """One child of a rewriting step, one level below its parent."""
 
     sign: int
-    level: int
     trivial_traces: int
     split_count: int
     query: ExpectationQuery
@@ -59,7 +58,6 @@ def _expand(query: ExpectationQuery) -> tuple[SdTerm, ...]:
         children.append(
             SdTerm(
                 sign=sign,
-                level=1,
                 trivial_traces=extracted,
                 split_count=split,
                 query=child,

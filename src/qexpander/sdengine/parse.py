@@ -24,10 +24,6 @@ class ParseResult:
     query: ExpectationQuery
     empty_traces: int  # each contributes one factor of N to the value
 
-    @property
-    def n_factor_power(self) -> int:
-        return self.empty_traces
-
 
 def _fail(text: str, pos: int, message: str) -> None:
     raise ValidationError(f"syntax error at position {pos}: {message} (input {text!r})")

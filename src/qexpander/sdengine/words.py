@@ -12,30 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from ..errors import ValidationError
 
 Word = tuple[int, ...]
 Traces = tuple[Word, ...]
-
-
-class Letter(NamedTuple):
-    generator: int
-    inverted: bool
-
-
-def word_from_letters(letters: Iterable[Letter]) -> Word:
-    out = []
-    for lt in letters:
-        if lt.generator < 1:
-            raise ValidationError(f"generator index must be >= 1, got {lt.generator}")
-        out.append(-lt.generator if lt.inverted else lt.generator)
-    return tuple(out)
-
-
-def letters_of(word: Word) -> tuple[Letter, ...]:
-    return tuple(Letter(abs(s), s < 0) for s in word)
 
 
 def cyclic_reduce(word: Word) -> Word:
@@ -133,10 +115,6 @@ class ExpectationQuery:
             )
 
     @property
-    def canonical_key(self) -> Traces:
-        return self.traces
-
-    @property
     def m_total(self) -> int:
         return sum(len(t) for t in self.traces)
 
@@ -147,9 +125,6 @@ class ExpectationQuery:
     @property
     def is_empty(self) -> bool:
         return not self.traces
-
-
-EMPTY_QUERY = ExpectationQuery(traces=())
 
 
 def reduce_traces(traces: Iterable[Word]) -> tuple[list[Word], int]:

@@ -114,9 +114,12 @@ def real_superoperator(channel: Channel) -> np.ndarray:
     For a Hermitian channel the second half of the Kraus terms are the
     adjoints of the first (Channel enforces the pairing), so E = F + F*
     with F the first half at the pair's mean weight, and R = R_F + R_F^T:
-    half the work, and R comes out exactly symmetric.
+    half the work, and R comes out exactly symmetric. Every spectral and
+    moment path builds R here, so this is where N is held to the ceiling.
     """
     n = channel.dim
+    if n > DEFAULT_DIM_CEILING:
+        raise ValidationError(f"N={n} exceeds the dense-solver ceiling {DEFAULT_DIM_CEILING}")
     if channel.hermitian:
         half = channel.kraus_count // 2
         weights = (channel.weights[:half] + channel.weights[half:]) / 2.0
@@ -154,18 +157,16 @@ def _remove_one_unit_eigenvalue(eigs: np.ndarray) -> tuple[int, complex]:
     return int(best), complex(eigs[best])
 
 
-def eigen_spectrum(
-    channel: Channel, dim_ceiling: int = DEFAULT_DIM_CEILING, vectors: bool = False
-) -> SuperopSpectrum:
+def eigen_spectrum(channel: Channel, vectors: bool = False) -> SuperopSpectrum:
     """Dense eigendecomposition of R with lambda2 extraction.
 
     Real eigvalsh for a Hermitian channel, real eigvals otherwise. With
     vectors=True (Hermitian channels only) the solve is eigh and the
-    spectrum carries its second eigenpair.
+    spectrum carries its second eigenpair, signed so that its
+    largest-magnitude coordinate is positive: the solver may return either
+    sign, and the eigenpair is then a function of the channel alone.
     """
     n = channel.dim
-    if n > dim_ceiling:
-        raise ValidationError(f"N={n} exceeds the dense-solver ceiling {dim_ceiling}")
     if vectors and not channel.hermitian:
         raise ValidationError("eigenvectors are computed for hermitian channels only")
     r = real_superoperator(channel)
@@ -199,7 +200,10 @@ def eigen_spectrum(
     second = None
     if vectors and rest.size:
         top = 1 if drop == 0 else 0  # eigs descend, so the first one kept
-        second = (float(eigs[top].real), hermitian_from_coords(coords[:, order[top]], n))
+        c = coords[:, order[top]]
+        if c[np.argmax(np.abs(c))] < 0.0:
+            c = -c
+        second = (float(eigs[top].real), hermitian_from_coords(c, n))
 
     v = hermitian_coords(np.eye(n)) / math.sqrt(n)
     residual = float(np.max(np.abs(r @ v - v)))
@@ -216,34 +220,66 @@ def eigen_spectrum(
     )
 
 
-def _superop_power(channel: Channel, m: int) -> np.ndarray:
-    """R^m; R is unitarily similar to S, so traces and Frobenius norms of
-    its powers are those of S."""
+@dataclass(frozen=True)
+class MomentRow:
+    """The moments of order m, read off one power R^m."""
+
+    m: int
+    moment_trace: float | None  # tr(S^m); Hermitian channels at even m only
+    frobenius_moment: float  # tr((S†)^m S^m)
+
+    @property
+    def lambda2_estimate(self) -> float | None:
+        if self.moment_trace is None:
+            return None
+        return _lambda2_from_moment(self.moment_trace, self.m)
+
+
+def moment_table(channel: Channel, orders) -> list[MomentRow]:
+    """One row per order, from a single walk R, R^2, ..., R^max(orders).
+
+    R is built once and each further power costs one dense product. R is
+    unitarily similar to S, so traces and Frobenius norms of its powers
+    are those of S.
+    """
+    for m in orders:
+        if m < 1:
+            raise ValidationError(f"moment order must be >= 1, got {m}")
+    wanted = set(orders)
+    rows: dict[int, MomentRow] = {}
     r = real_superoperator(channel)
     power = r
-    for _ in range(m - 1):
-        power = power @ r
-    return power
+    for m in range(1, max(wanted, default=0) + 1):
+        if m > 1:
+            power = power @ r
+        if m in wanted:
+            trace_route = channel.hermitian and m % 2 == 0
+            rows[m] = MomentRow(
+                m=m,
+                moment_trace=float(np.trace(power).real) if trace_route else None,
+                frobenius_moment=float(np.linalg.norm(power, "fro") ** 2),
+            )
+    return [rows[m] for m in orders]
 
 
 def moment_trace(channel: Channel, m: int) -> float:
-    """tr(S^m) = sum_a lambda_a^m for a Hermitian channel, m even.
-
-    Computed by m - 1 dense multiplications of R.
-    """
+    """tr(S^m) = sum_a lambda_a^m for a Hermitian channel, m even."""
     if not channel.hermitian:
         raise ValidationError("moment_trace needs a hermitian channel")
     if m < 2 or m % 2 != 0:
         raise ValidationError(f"moment order must be even and >= 2, got {m}")
-    return float(np.trace(_superop_power(channel, m)).real)
+    return moment_table(channel, [m])[0].moment_trace
+
+
+def _lambda2_from_moment(moment: float, m: int) -> float:
+    if moment <= 1.0:
+        raise NumericalError(f"moment {moment!r} <= 1 leaves the estimate undefined")
+    return float((moment - 1.0) ** (1.0 / m))
 
 
 def estimate_lambda2_from_moments(channel: Channel, m: int) -> float:
     """(tr(S^m) - 1)^(1/m): an upper bound on lambda2 that tightens as m grows."""
-    moment = moment_trace(channel, m)
-    if moment <= 1.0:
-        raise NumericalError(f"moment {moment!r} <= 1 leaves the estimate undefined")
-    return float((moment - 1.0) ** (1.0 / m))
+    return _lambda2_from_moment(moment_trace(channel, m), m)
 
 
 def frobenius_moment(channel: Channel, m: int) -> float:
@@ -253,10 +289,7 @@ def frobenius_moment(channel: Channel, m: int) -> float:
     by N^2 D^(-m) for every uniform-weight channel and by 1 always (unit
     eigenvalue).
     """
-    if m < 1:
-        raise ValidationError(f"moment order must be >= 1, got {m}")
-    power = _superop_power(channel, m)
-    return float(np.linalg.norm(power, "fro") ** 2)
+    return moment_table(channel, [m])[0].frobenius_moment
 
 
 @dataclass(frozen=True)
@@ -311,6 +344,7 @@ __all__ = [
     "frobenius_moment",
     "hermitian_coords",
     "hermitian_from_coords",
+    "moment_table",
     "moment_trace",
     "real_superoperator",
     "superoperator",

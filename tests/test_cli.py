@@ -36,16 +36,6 @@ def test_sweep_csv_header_and_determinism(tmp_path):
     assert len(a.splitlines()) == 1 + 4
 
 
-def test_sweep_worker_pool_matches_serial(tmp_path):
-    base = ["sweep", "--n-list", "8,10", "--trials", "2", "--seed", "5"]
-    s_dir, p_dir = tmp_path / "serial", tmp_path / "pool"
-    assert main(base + ["--out", str(s_dir)]) == 0
-    assert main(base + ["--out", str(p_dir), "--workers", "4"]) == 0
-    serial = mask_wall_ms((s_dir / "sweep.csv").read_text())
-    pooled = mask_wall_ms((p_dir / "sweep.csv").read_text())
-    assert serial == pooled
-
-
 def test_sweep_gap_ok_and_benchmarks(tmp_path):
     out = tmp_path / "s"
     assert main(["sweep", "--n-list", "12", "--trials", "3", "--seed", "1", "--out", str(out)]) == 0
@@ -133,21 +123,57 @@ def test_exit_code_validation_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["spectrum", "--n", "0"],
-        ["spectrum", "--d", "0"],
+        ["spectrum", "--n", "0", "--out", "{tmp}"],
+        ["spectrum", "--d", "0", "--out", "{tmp}"],
         ["moments", "--n", "0"],
         ["moments", "--d", "0"],
         ["edge", "--n", "0"],
         ["edge", "--d", "0"],
-        ["cayley", "--d", "0"],
+        ["cayley", "--d", "0", "--out", "{tmp}"],
+        ["moments", "--m-list", "x"],
+        ["moments", "--n", "1000", "--d", "4"],
+        ["edge", "--projectors", "0"],
+        ["edge", "--projectors", "-3"],
     ],
 )
 def test_explicit_zero_is_validated_not_defaulted(argv, tmp_path, capsys):
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert any(line.startswith("error:") for line in captured.err.splitlines())
     assert "Traceback" not in captured.err + captured.out
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--config", "run.cfg"],
+        ["moments", "--config", "run.cfg"],
+        ["cayley", "--config", "run.cfg"],
+        ["sd", "eval", "tr(U1)", "--config", "run.cfg"],
+        ["edge", "--config", "run.cfg"],
+        ["moments", "--out", "runs"],
+        ["sd", "eval", "tr(U1)", "--out", "runs"],
+        ["edge", "--out", "runs"],
+        ["cayley", "--seed", "1"],
+        ["collapse", "--trials", "2"],
+        ["collapse", "--m-max", "20"],
+        ["collapse", "--construction", "hermitian"],
+        ["sweep", "--workers", "2"],
+    ],
+)
+def test_unread_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sd_action_must_be_eval(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sd", "evaluate", "tr(U1)"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_exit_code_numerical_error(capsys):
@@ -193,6 +219,23 @@ def test_moments_command(capsys):
         assert row["frobenius_moment"] >= 1
     # hermitian identity: tr(S^4) = frobenius at m=2
     assert abs(moments[1]["moment_trace"] - moments[0]["frobenius_moment"]) < 1e-8
+
+
+def test_moments_command_builds_r_once(monkeypatch, capsys):
+    import qexpander.spectrum as spectrum_mod
+
+    real = spectrum_mod.real_superoperator
+    calls = []
+
+    def counted(chan):
+        calls.append(chan.dim)
+        return real(chan)
+
+    monkeypatch.setattr(spectrum_mod, "real_superoperator", counted)
+    assert main(["moments", "--n", "6", "--m-list", "1,2,3,4,5,6"]) == 0
+    assert calls == [6]
+    rows = json.loads(capsys.readouterr().out)["moments"]
+    assert [row["lambda2_estimate"] is None for row in rows] == [True, False] * 3
 
 
 def test_moments_nonhermitian_skips_trace_route(capsys):
@@ -281,7 +324,7 @@ def test_run_sweep_records_errors_and_continues(monkeypatch, capsys):
 
     monkeypatch.setattr(cli_mod, "eigen_spectrum", flaky)
     config = ExperimentConfig("hermitian", (8,), 4, 2, 0, ".", 20)
-    records, _ = run_sweep(config)
+    records = run_sweep(config)
     assert len(records) == 2
     assert records[0].error == "synthetic failure"
     assert math.isnan(records[0].lambda2)
@@ -301,7 +344,7 @@ def test_build_channel_weighted_weights_paired():
 
 def test_write_sweep_csv_round_trip(tmp_path):
     config = ExperimentConfig("hermitian", (8,), 4, 1, 0, ".", 20)
-    records, _ = run_sweep(config)
+    records = run_sweep(config)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(records, path)
     lines = path.read_text().splitlines()

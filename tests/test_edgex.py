@@ -134,3 +134,24 @@ def test_chain_rejects_nonhermitian():
     chan = build_nonhermitian_random(8, 3, SeededRng(14))
     with pytest.raises(ValidationError):
         tanner_chain_check(chan)
+
+
+def test_chain_does_not_depend_on_the_solver_eigenvector_sign(monkeypatch):
+    # seed 4 at N=8: the second eigenvector has exactly N/2 positive
+    # eigenvalues, so both orientations pass the chain's flip rule
+    chan = build_hermitian_random(8, 4, SeededRng(4))
+    lam2, x = eigen_spectrum(chan, vectors=True).second_eigenpair
+    assert 2 * int(np.sum(np.linalg.eigvalsh(x) > 0.0)) == 8
+    lhs = tanner_chain_check(chan).lhs
+
+    real_eigh = np.linalg.eigh
+
+    def negated_superop_eigh(a, *args, **kwargs):
+        eigs, vecs = real_eigh(a, *args, **kwargs)
+        return (eigs, -vecs) if a.shape == (64, 64) else (eigs, vecs)
+
+    monkeypatch.setattr(np.linalg, "eigh", negated_superop_eigh)
+    lam2_neg, x_neg = eigen_spectrum(chan, vectors=True).second_eigenpair
+    assert lam2_neg == lam2
+    assert np.array_equal(x_neg, x)
+    assert tanner_chain_check(chan).lhs == lhs

@@ -128,7 +128,6 @@ def test_parse_whitespace_tolerant():
 def test_parse_counts_identity_traces():
     parsed = parse_trace_expr("tr(U1 U1') tr(U2)")
     assert parsed.empty_traces == 1
-    assert parsed.n_factor_power == 1
     assert parsed.query.m_total == 1
 
 

@@ -5,6 +5,7 @@ from qexpander.channel import apply, build_hermitian_random, build_nonhermitian_
 from qexpander.errors import NumericalError, ValidationError
 from qexpander.matrixcore import SeededRng, haar_unitaries
 from qexpander.spectrum import (
+    DEFAULT_DIM_CEILING,
     benchmark_values,
     eigen_spectrum,
     estimate_lambda2_from_moments,
@@ -83,9 +84,9 @@ def test_lambda2_removes_exactly_one_unit_eigenvalue():
 
 
 def test_dim_ceiling_enforced():
-    chan = build_hermitian_random(6, 4, SeededRng(8))
+    chan = build_hermitian_random(DEFAULT_DIM_CEILING + 1, 4, SeededRng(8))
     with pytest.raises(ValidationError):
-        eigen_spectrum(chan, dim_ceiling=5)
+        eigen_spectrum(chan)
 
 
 def test_moment_trace_matches_eigenvalue_power_sum():
