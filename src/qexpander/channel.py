@@ -186,18 +186,13 @@ def build_weighted(unitaries, weights, hermitian: bool) -> Channel:
 
 
 def apply(channel: Channel, m: np.ndarray) -> np.ndarray:
-    """E(M) = sum_s P(s) U(s)† M U(s), one triple product per Kraus term."""
+    """E(M) = sum_s P(s) U(s)† M U(s) for one M or a stack of shape (..., N, N)."""
     n = channel.dim
-    if m.shape != (n, n):
+    if m.shape[-2:] != (n, n):
         raise ValidationError(f"matrix shape {m.shape} does not match channel dimension {n}")
-    out = np.zeros((n, n), dtype=complex)
-    for s in range(channel.kraus_count):
-        w = channel.weights[s]
-        if w == 0.0:
-            continue
-        u = channel.unitaries[s]
-        out += w * (u.conj().T @ m @ u)
-    return out
+    us = channel.unitaries
+    terms = us.conj().swapaxes(-1, -2) @ m[..., None, :, :] @ us  # (..., D, N, N)
+    return np.tensordot(channel.weights, terms, axes=(0, -3))
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise ValidationError(f"nonhermitian construction needs D >= 2, got D={self.D}")
         if self.m_max % 2 != 0 or self.m_max < 2:
             raise ValidationError(f"m_max must be even and >= 2, got {self.m_max}")
+        if self.master_seed < 0:  # SeededRng rejects it too, but only inside a sweep record
+            raise ValidationError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,9 @@ class ExperimentRecord:
 
 
 def build_channel(construction: str, N: int, D: int, rng: SeededRng) -> Channel:
+    """A random channel; N is held to the dense ceiling before any draw."""
+    if N > DEFAULT_DIM_CEILING:
+        raise ValidationError(f"N={N} exceeds the dense-solver ceiling {DEFAULT_DIM_CEILING}")
     if construction == "hermitian":
         return build_hermitian_random(N, D, rng)
     if construction == "nonhermitian":
@@ -317,7 +322,12 @@ def _collapse_svg(curves: dict[int, tuple[np.ndarray, np.ndarray]]) -> str:
 # ---------------------------------------------------------------------------
 # config files: flat key=value with ExperimentConfig's exact key names
 
-_CONFIG_KEYS = {"construction", "N_list", "D", "trials", "master_seed", "output_dir", "m_max"}
+# flag attribute -> config key; a flag that is set overrides the file value
+_FLAG_KEYS = {
+    "construction": "construction", "n_list": "N_list", "d": "D", "trials": "trials",
+    "seed": "master_seed", "out": "output_dir", "m_max": "m_max",
+}
+_CONFIG_KEYS = set(_FLAG_KEYS.values())
 
 
 def parse_config_file(path) -> dict:
@@ -358,9 +368,13 @@ def _parse_int(text, name: str) -> int:
         raise ValidationError(f"bad integer for {name}: {text!r}") from exc
 
 
-def merge_config(args: argparse.Namespace) -> ExperimentConfig:
-    """CLI flags override config-file values, which override defaults."""
+def merge_config(args: argparse.Namespace, unread: tuple[str, ...] = ()) -> ExperimentConfig:
+    """CLI flags override config-file values, which override defaults. A
+    config file that sets one of the `unread` keys is rejected."""
     file_values = parse_config_file(args.config) if args.config else {}
+    for key in unread:
+        if key in file_values:
+            raise ValidationError(f"{args.config}: {args.command} does not read {key!r}")
     defaults = {
         "construction": "hermitian",
         "N_list": "20,30,50",
@@ -371,20 +385,9 @@ def merge_config(args: argparse.Namespace) -> ExperimentConfig:
         "m_max": "20",
     }
     merged = {**defaults, **file_values}
-    if getattr(args, "construction", None) is not None:
-        merged["construction"] = args.construction
-    if getattr(args, "n_list", None) is not None:
-        merged["N_list"] = args.n_list
-    if getattr(args, "d", None) is not None:
-        merged["D"] = str(args.d)
-    if getattr(args, "trials", None) is not None:
-        merged["trials"] = str(args.trials)
-    if getattr(args, "seed", None) is not None:
-        merged["master_seed"] = str(args.seed)
-    if getattr(args, "out", None) is not None:
-        merged["output_dir"] = args.out
-    if getattr(args, "m_max", None) is not None:
-        merged["m_max"] = str(args.m_max)
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag, None) is not None:
+            merged[key] = str(getattr(args, flag))
     return ExperimentConfig(
         construction=merged["construction"],
         N_list=_parse_int_list(merged["N_list"], "N list"),
@@ -447,7 +450,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_collapse(args: argparse.Namespace) -> int:
-    config = merge_config(args)
+    config = merge_config(args, unread=("trials", "m_max"))
     if config.construction != "hermitian":
         raise ValidationError("collapse uses the hermitian construction")
     spectra: dict[int, SuperopSpectrum] = {}

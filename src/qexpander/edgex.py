@@ -100,10 +100,8 @@ def tanner_chain_check(channel: Channel) -> ChainReport:
 
     Requires the second eigenvalue (signed) to be positive; square the
     channel first when it is not. The eigenvector comes from the spectrum
-    module as a Hermitian matrix; its trace component is checked (and, in
-    the degenerate case where the second eigenvalue ties the removed unit
-    eigenvalue, projected away, since the eigenspace then contains a
-    traceless representative).
+    module's traceless block as a Hermitian matrix; its trace is still
+    checked as a safety net.
     """
     if not channel.hermitian:
         raise ValidationError("chain argument applies to hermitian channels")
@@ -117,11 +115,6 @@ def tanner_chain_check(channel: Channel) -> ChainReport:
             f"second eigenvalue {lam2!r} is not positive; square the channel first"
         )
 
-    degenerate = abs(spec.removed_eigenvalue.real - lam2) <= 1e-10
-    if degenerate:
-        x = x - (np.trace(x).real / n) * np.eye(n)
-        if hs_norm(x) < 1e-12:
-            raise NumericalError("second eigenvector is the identity direction")
     norm = hs_norm(x)
     trace_residual = abs(float(np.trace(x).real)) / norm
     if trace_residual > TRACE_RESIDUAL_TOL:
@@ -140,13 +133,10 @@ def tanner_chain_check(channel: Channel) -> ChainReport:
 
     top = evals[:m]
     f = top / math.sqrt(float(np.sum(top * top)))
-    ratios = np.empty(m)
-    proj = np.zeros((n, n), dtype=complex)
-    for i in range(m):
-        col = evecs[:, i : i + 1]
-        proj = proj + col @ col.conj().T
-        image = apply(channel, proj)
-        ratios[i] = float(np.trace((np.eye(n) - proj) @ image).real)
+    cols = evecs[:, :m].T
+    projs = np.cumsum(cols[:, :, None] * cols[:, None, :].conj(), axis=0)  # P_1..P_m
+    images = apply(channel, projs)
+    ratios = np.trace((np.eye(n) - projs) @ images, axis1=1, axis2=2).real
     weights = f * f - np.append(f[1:] * f[1:], 0.0)
     lhs = float(np.sum(weights * ratios))
     rhs = math.sqrt(max(0.0, 2.0 * (1.0 - lam2)))

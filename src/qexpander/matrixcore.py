@@ -37,6 +37,8 @@ class SeededRng:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if min(self.master_seed, self.stream_index) < 0:
+            raise ValidationError(f"seeds must be >= 0, got ({self.master_seed}, {self.stream_index})")
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
         object.__setattr__(self, "_gen", np.random.default_rng(seq))
 

@@ -3,7 +3,9 @@
 Conventions fixed here once:
 
 - every spectral computation runs on the real N^2 x N^2 matrix R of E in
-  an orthonormal basis of Hermitian matrices: B = E_jj, then
+  an orthonormal basis of Hermitian matrices: first N diagonal matrices
+  B_a = diag(H[a]), where H is the orthogonal Householder reflector whose
+  first row is (1, ..., 1)/sqrt(N), so B_0 = I/sqrt(N); then
   (E_jk + E_kj)/sqrt(2) for j < k, then i(E_jk - E_kj)/sqrt(2) for j < k
   (pairs in np.triu_indices order), with R_ab = tr(B_a E(B_b)). E maps
   Hermitian matrices to Hermitian matrices, so R is real; it is
@@ -14,10 +16,11 @@ Conventions fixed here once:
   vec(A M B) = (B^T kron A) vec(M). Eigenvalues, traces of powers and
   Frobenius norms of powers agree. `superoperator` builds S as the
   definition and test oracle; no production path uses it.
-- the second eigenvalue lambda2 is the maximum modulus after removing
-  exactly one eigenvalue closest to 1 (ties broken by largest real part);
-  random channels have a unique unit eigenvalue, but identity-like edge
-  cases need a deterministic rule.
+- every channel here is unital and trace preserving, so I/sqrt(N) is an
+  eigenvector with eigenvalue 1 and the traceless matrices are invariant:
+  R = [[R_00, 0], [0, R']] with R_00 = 1, up to rounding. The unit
+  eigenvalue is R_00, and the second eigenvalue lambda2 is the largest
+  modulus among the eigenvalues of the traceless block R' = R[1:, 1:].
 """
 
 from __future__ import annotations
@@ -49,12 +52,21 @@ def superoperator(channel: Channel) -> np.ndarray:
     n = channel.dim
     s = np.zeros((n * n, n * n), dtype=complex)
     for k in range(channel.kraus_count):
-        w = channel.weights[k]
-        if w == 0.0:
-            continue
         u = channel.unitaries[k]
-        s += w * np.kron(u.T, u.conj().T)
+        s += channel.weights[k] * np.kron(u.T, u.conj().T)
     return s
+
+
+def _diagonal_basis(n: int) -> np.ndarray:
+    """H, whose row a is the diagonal of B_a: the Householder reflector
+    I - 2 v v^T / (v^T v) with v = e_0 - (1, ..., 1)/sqrt(N), symmetric and
+    orthogonal with first row (1, ..., 1)/sqrt(N). At N = 1, H = I."""
+    v = np.full(n, -1.0 / math.sqrt(n))
+    v[0] += 1.0
+    h = np.eye(n)
+    if n > 1:
+        h -= (2.0 / (v @ v)) * np.outer(v, v)
+    return h
 
 
 def hermitian_coords(m: np.ndarray) -> np.ndarray:
@@ -62,7 +74,7 @@ def hermitian_coords(m: np.ndarray) -> np.ndarray:
     n = m.shape[0]
     iu, ju = np.triu_indices(n, 1)
     off = math.sqrt(2.0) * m[iu, ju]
-    return np.concatenate([m.diagonal().real, off.real, off.imag])
+    return np.concatenate([_diagonal_basis(n) @ m.diagonal().real, off.real, off.imag])
 
 
 def hermitian_from_coords(c: np.ndarray, n: int) -> np.ndarray:
@@ -70,7 +82,7 @@ def hermitian_from_coords(c: np.ndarray, n: int) -> np.ndarray:
     iu, ju = np.triu_indices(n, 1)
     pairs = iu.size
     m = np.zeros((n, n), dtype=complex)
-    m[np.diag_indices(n)] = c[:n]
+    m[np.diag_indices(n)] = _diagonal_basis(n) @ c[:n]
     off = (c[n : n + pairs] + 1j * c[n + pairs :]) / math.sqrt(2.0)
     m[iu, ju] = off
     m[ju, iu] = off.conj()
@@ -84,7 +96,8 @@ def _image_coords(unitaries: np.ndarray, weights: np.ndarray, n: int) -> np.ndar
     once, since F(E_jk)[p, q] = sum_s w_s conj(U_s[j, p]) U_s[k, q]. With
     F(E_kj) = F(E_jk)†, the images of the basis elements built from E_jk
     are sqrt(2) Herm(Y_k) and sqrt(2) Herm(i Y_k), where
-    Herm(Y) = (Y + Y†)/2, and F(E_jj) = Herm(Y_j).
+    Herm(Y) = (Y + Y†)/2, and F(E_jj) = Herm(Y_j). The loop fills the
+    diagonal rows and columns for E_jj; H then turns both into the B_a.
     """
     d = unitaries.shape[0]
     iu, ju = np.triu_indices(n, 1)
@@ -105,6 +118,10 @@ def _image_coords(unitaries: np.ndarray, weights: np.ndarray, n: int) -> np.ndar
         rt[n + first : n + stop] = sym[1:]
         rt[n + pairs + first : n + pairs + stop] = anti[1:]
         first = stop
+    h = _diagonal_basis(n)
+    for k in range(0, n * n, n):  # H rt H in N-wide strips: no N x N^2 temporary
+        rt[:n, k : k + n] = h @ rt[:n, k : k + n]
+        rt[k : k + n, :n] = rt[k : k + n, :n] @ h
     return rt
 
 
@@ -136,11 +153,11 @@ class SuperopSpectrum:
     eigenvalues: np.ndarray  # sorted: descending real part (hermitian) or modulus
     hermitian: bool
     lambda2: float
-    unit_eigvec_residual: float
-    removed_eigenvalue: complex
+    unit_eigvec_residual: float  # max |R[:, 0] - e_0|
+    removed_eigenvalue: complex  # R_00, the unit eigenvalue of I/sqrt(N)
     spectral_radius: float
-    # (signed eigenvalue, unit-norm Hermitian eigenvector) of the largest
-    # eigenvalue left after the removal; only from eigen_spectrum(vectors=True)
+    # (signed eigenvalue, unit-norm traceless Hermitian eigenvector) of the
+    # top of the traceless block; only from eigen_spectrum(vectors=True)
     second_eigenpair: tuple[float, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -150,70 +167,58 @@ class SuperopSpectrum:
             )
 
 
-def _remove_one_unit_eigenvalue(eigs: np.ndarray) -> tuple[int, complex]:
-    """Index of the eigenvalue to remove: closest to 1, ties to largest real part."""
-    dist = np.abs(eigs - 1.0)
-    best = np.lexsort((-eigs.real, dist))[0]
-    return int(best), complex(eigs[best])
-
-
 def eigen_spectrum(channel: Channel, vectors: bool = False) -> SuperopSpectrum:
-    """Dense eigendecomposition of R with lambda2 extraction.
+    """Dense eigendecomposition of the traceless block R' = R[1:, 1:].
 
-    Real eigvalsh for a Hermitian channel, real eigvals otherwise. With
-    vectors=True (Hermitian channels only) the solve is eigh and the
-    spectrum carries its second eigenpair, signed so that its
-    largest-magnitude coordinate is positive: the solver may return either
-    sign, and the eigenpair is then a function of the channel alone.
+    Real eigvalsh for a Hermitian channel, real eigvals otherwise; the
+    spectrum is R_00 together with the eigenvalues of R'. With vectors=True
+    (Hermitian channels only) the solve is eigh and the spectrum carries
+    the top eigenpair of R', signed so that its largest-magnitude
+    coordinate is positive: the solver may return either sign, and the
+    eigenpair is then a function of the channel alone.
     """
     n = channel.dim
     if vectors and not channel.hermitian:
         raise ValidationError("eigenvectors are computed for hermitian channels only")
     r = real_superoperator(channel)
+    block = r[1:, 1:]  # a view: no second N^2 x N^2 array
     try:
         if vectors:
-            eigs, coords = np.linalg.eigh(r)
+            rest, coords = np.linalg.eigh(block)
         elif channel.hermitian:
-            eigs = np.linalg.eigvalsh(r)
+            rest = np.linalg.eigvalsh(block)
         else:
-            eigs = np.linalg.eigvals(r)
+            rest = np.linalg.eigvals(block)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigensolver failed to converge (channel seed {channel.seed}): {exc}"
         ) from exc
 
-    eigs = eigs.astype(complex)
+    removed = complex(r[0, 0])
+    eigs = np.concatenate([[removed], rest.astype(complex)])
     key = -eigs.real if channel.hermitian else -np.abs(eigs)
-    order = np.argsort(key, kind="stable")
-    eigs = eigs[order]
+    eigs = eigs[np.argsort(key, kind="stable")]
 
     radius = float(np.max(np.abs(eigs)))
     if radius > 1.0 + SPECTRAL_RADIUS_TOL:
         raise NumericalError(
             f"spectral radius {radius!r} exceeds 1 (channel seed {channel.seed})"
         )
-
-    drop, removed = _remove_one_unit_eigenvalue(eigs)
-    rest = np.delete(eigs, drop)
     lam2 = float(np.max(np.abs(rest))) if rest.size else 0.0
 
     second = None
     if vectors and rest.size:
-        top = 1 if drop == 0 else 0  # eigs descend, so the first one kept
-        c = coords[:, order[top]]
+        c = np.concatenate([[0.0], coords[:, -1]])  # eigh ascends; 0 on I/sqrt(N)
         if c[np.argmax(np.abs(c))] < 0.0:
             c = -c
-        second = (float(eigs[top].real), hermitian_from_coords(c, n))
-
-    v = hermitian_coords(np.eye(n)) / math.sqrt(n)
-    residual = float(np.max(np.abs(r @ v - v)))
+        second = (float(rest[-1]), hermitian_from_coords(c, n))
 
     return SuperopSpectrum(
         dim=n,
         eigenvalues=eigs,
         hermitian=channel.hermitian,
         lambda2=lam2,
-        unit_eigvec_residual=residual,
+        unit_eigvec_residual=float(np.max(np.abs(r[:, 0] - np.eye(1, n * n)[0]))),  # e_0
         removed_eigenvalue=removed,
         spectral_radius=radius,
         second_eigenpair=second,

@@ -68,6 +68,23 @@ def test_apply_hermiticity_preserved():
     assert np.linalg.norm(out - out.conj().T) < 1e-12
 
 
+def test_apply_takes_a_stack_of_matrices():
+    chan = build_weighted(haar_unitaries(5, 3, SeededRng(30)), np.array([0.5, 0.3, 0.2]), hermitian=False)
+    g = SeededRng(31).generator
+    ms = g.standard_normal((2, 3, 5, 5)) + 1j * g.standard_normal((2, 3, 5, 5))
+    stacked = apply(chan, ms)
+    assert stacked.shape == (2, 3, 5, 5)
+    for i in range(2):
+        for j in range(3):
+            m = ms[i, j]
+            assert np.max(np.abs(stacked[i, j] - apply(chan, m))) <= 1e-15
+            # the Kraus sum written out term by term
+            terms = [w * (u.conj().T @ m @ u) for w, u in zip(chan.weights, chan.unitaries)]
+            assert np.max(np.abs(stacked[i, j] - sum(terms))) <= 1e-15
+    with pytest.raises(ValidationError):
+        apply(chan, np.zeros((2, 4, 4)))
+
+
 def test_build_weighted_validates_weights():
     us = haar_unitaries(5, 2, SeededRng(10))
     with pytest.raises(ValidationError):

@@ -95,11 +95,17 @@ def test_config_file_merging(tmp_path):
     assert config.master_seed == 9
 
 
-def test_config_file_rejects_unknown_key(tmp_path):
+def test_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("unknown_key = 1\n")
     with pytest.raises(ValidationError):
         parse_config_file(cfg)
+    # collapse reads neither trials nor m_max and builds only hermitian channels
+    for line in ("trials = 2", "m_max = 20", "construction = weighted"):
+        cfg.write_text(f"N_list = 4,6\n{line}\n")
+        assert main(["collapse", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_config_validation():
@@ -112,6 +118,17 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         ExperimentConfig("hermitian", (8,), 4, 0, 0, ".", 20)  # no trials
     ExperimentConfig("nonhermitian", (8,), 2, 1, 0, ".", 20)  # D=2 fine here
+
+
+@pytest.mark.parametrize("command", [["spectrum", "--out", "{tmp}"], ["moments"], ["edge"]])
+def test_over_ceiling_n_is_rejected_before_the_haar_draw(command, monkeypatch, tmp_path, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a unitary was drawn")
+
+    monkeypatch.setattr("qexpander.channel.haar_unitary", no_draw)
+    argv = [command[0], "--n", "65", *(arg.format(tmp=tmp_path) for arg in command[1:])]
+    assert main(argv) == 2
+    assert "ceiling" in capsys.readouterr().err
 
 
 def test_exit_code_validation_error(tmp_path, capsys):
@@ -134,6 +151,10 @@ def test_exit_code_validation_error(tmp_path, capsys):
         ["moments", "--n", "1000", "--d", "4"],
         ["edge", "--projectors", "0"],
         ["edge", "--projectors", "-3"],
+        ["spectrum", "--n", "4", "--seed", "-1", "--out", "{tmp}"],
+        ["sweep", "--n-list", "4", "--seed", "-1", "--out", "{tmp}"],
+        ["edge", "--n", "4", "--seed", "-1"],
+        ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "4", "--seed", "-1"],
     ],
 )
 def test_explicit_zero_is_validated_not_defaulted(argv, tmp_path, capsys):

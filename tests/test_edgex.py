@@ -119,6 +119,8 @@ def test_chain_identity_channel_degenerate_spectrum():
     assert abs(report.lambda2 - 1.0) < 1e-12
     assert report.rhs < 1e-6
     assert abs(report.lhs) < 1e-10
+    # the eigenvector comes from the traceless block: no projection needed
+    assert report.trace_residual <= 1e-14
 
 
 def test_chain_rejects_nonpositive_second_eigenvalue():
@@ -146,12 +148,18 @@ def test_chain_does_not_depend_on_the_solver_eigenvector_sign(monkeypatch):
 
     real_eigh = np.linalg.eigh
 
+    calls = []
+
     def negated_superop_eigh(a, *args, **kwargs):
         eigs, vecs = real_eigh(a, *args, **kwargs)
-        return (eigs, -vecs) if a.shape == (64, 64) else (eigs, vecs)
+        if a.shape != (63, 63):  # the traceless block R[1:, 1:] at N=8
+            return eigs, vecs
+        calls.append(a.shape)
+        return eigs, -vecs
 
     monkeypatch.setattr(np.linalg, "eigh", negated_superop_eigh)
     lam2_neg, x_neg = eigen_spectrum(chan, vectors=True).second_eigenpair
+    assert calls  # the traceless block's solve was negated
     assert lam2_neg == lam2
     assert np.array_equal(x_neg, x)
     assert tanner_chain_check(chan).lhs == lhs

@@ -99,7 +99,15 @@ def complex_power(chan, m):
 def test_eigenvalues_match_complex_oracle(chan):
     s = superoperator(chan)
     want = np.linalg.eigvalsh(s) if chan.hermitian else np.linalg.eigvals(s)
-    got = eigen_spectrum(chan).eigenvalues
+    spec = eigen_spectrum(chan)
+    got = spec.eigenvalues
+    # B_0 = I/sqrt(N): R = [[1, 0], [0, R']] up to rounding for every unital,
+    # trace-preserving channel, and R_00 is the removed unit eigenvalue
+    r = real_superoperator(chan)
+    assert abs(r[0, 0] - 1.0) <= 1e-14
+    assert np.max(np.abs(r[1:, 0])) <= 1e-14 and np.max(np.abs(r[0, 1:])) <= 1e-14
+    assert spec.removed_eigenvalue == r[0, 0]
+    assert spec.unit_eigvec_residual <= 1e-14
     if chan.hermitian:
         assert np.max(np.abs(np.sort(got.real) - np.sort(want))) <= EIG_AGREE
         assert np.all(got.imag == 0.0)
@@ -131,6 +139,10 @@ def test_coordinate_round_trip():
         back = hermitian_from_coords(c, n)
         assert np.array_equal(back, back.conj().T)
         assert np.max(np.abs(hermitian_coords(back) - c)) <= 1e-15
+        # the first basis element is I/sqrt(N)
+        e0 = np.zeros(n * n)
+        e0[0] = 1.0
+        assert np.max(np.abs(hermitian_coords(np.eye(n) / np.sqrt(n)) - e0)) <= 1e-15
     # the basis is orthonormal: coordinates preserve the Hilbert-Schmidt norm
     m = random_hermitian(6, 33)
     assert abs(np.linalg.norm(hermitian_coords(m)) - np.linalg.norm(m)) <= 1e-12
