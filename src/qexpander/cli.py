@@ -105,43 +105,31 @@ def build_channel(construction: str, N: int, D: int, rng: SeededRng) -> Channel:
 def _run_one(config: ExperimentConfig, n: int, stream_index: int) -> ExperimentRecord:
     bench = benchmark_values(config.D)
     start = time.perf_counter()
+    error = None
     try:
         rng = SeededRng(config.master_seed, stream_index)
         chan = build_channel(config.construction, n, config.D, rng)
-        spec = eigen_spectrum(chan)
+        lam2 = eigen_spectrum(chan).lambda2
         if config.construction == "nonhermitian":
             lb, gap_ok = math.nan, None
         else:
             lb = alon_boppana_lower_bound(n, config.D, config.m_max).value
-            gap_ok = spec.lambda2 >= lb - GAP_SLACK
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        return ExperimentRecord(
-            N=n,
-            D=config.D,
-            seed=stream_index,
-            construction=config.construction,
-            lambda2=spec.lambda2,
-            lambda_H=bench.lambda_H,
-            lambda_nH=bench.lambda_nH,
-            alon_boppana_lb=lb,
-            gap_ok=gap_ok,
-            wall_ms=wall_ms,
-        )
+            gap_ok = lam2 >= lb - GAP_SLACK
     except QxError as exc:
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        return ExperimentRecord(
-            N=n,
-            D=config.D,
-            seed=stream_index,
-            construction=config.construction,
-            lambda2=math.nan,
-            lambda_H=bench.lambda_H,
-            lambda_nH=bench.lambda_nH,
-            alon_boppana_lb=math.nan,
-            gap_ok=None,
-            wall_ms=wall_ms,
-            error=str(exc),
-        )
+        lam2, lb, gap_ok, error = math.nan, math.nan, None, str(exc)
+    return ExperimentRecord(
+        N=n,
+        D=config.D,
+        seed=stream_index,
+        construction=config.construction,
+        lambda2=lam2,
+        lambda_H=bench.lambda_H,
+        lambda_nH=bench.lambda_nH,
+        alon_boppana_lb=lb,
+        gap_ok=gap_ok,
+        wall_ms=(time.perf_counter() - start) * 1000.0,
+        error=error,
+    )
 
 
 def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:

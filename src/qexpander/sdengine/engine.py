@@ -43,7 +43,8 @@ class SdTerm:
 
 
 @lru_cache(maxsize=None)
-def _expand(query: ExpectationQuery) -> tuple[SdTerm, ...]:
+def sd_step(query: ExpectationQuery) -> tuple[SdTerm, ...]:
+    """All children of one rewriting step at the canonical pivot."""
     if query.is_empty:
         return ()
     traces = query.traces
@@ -83,11 +84,6 @@ def _expand(query: ExpectationQuery) -> tuple[SdTerm, ...]:
                 emit(+1, 0, [w[1:] + v[j + 1 :] + v[:j], *bystanders])
 
     return tuple(children)
-
-
-def sd_step(query: ExpectationQuery) -> list[SdTerm]:
-    """All children of one rewriting step at the canonical pivot."""
-    return list(_expand(query))
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,7 @@ def evaluate_series(
         terminated: dict[tuple[int, int, int], int] = {}
         term_count = 0
         for (state, p, q, sign), mult in frontier.items():
-            for child in _expand(state):
+            for child in sd_step(state):
                 csign = sign * child.sign
                 cp = p + child.trivial_traces
                 cq = q + child.split_count
@@ -220,7 +216,7 @@ def _reachable(start: ExpectationQuery) -> set[ExpectationQuery]:
     stack = [start]
     while stack:
         q = stack.pop()
-        for child in _expand(q):
+        for child in sd_step(q):
             cq = child.query
             if not cq.is_empty and cq not in seen:
                 seen.add(cq)
@@ -261,7 +257,7 @@ def evaluate_exact(
         rhs = [zero] * size
         for i, q in enumerate(block):
             matrix[i][i] = RAT_ONE
-            for child in _expand(q):
+            for child in sd_step(q):
                 coeff = inv_n * RationalInN.n_power(child.trivial_traces)
                 if child.sign < 0:
                     coeff = -coeff

@@ -267,34 +267,10 @@ def moment_table(channel: Channel, orders) -> list[MomentRow]:
     return [rows[m] for m in orders]
 
 
-def moment_trace(channel: Channel, m: int) -> float:
-    """tr(S^m) = sum_a lambda_a^m for a Hermitian channel, m even."""
-    if not channel.hermitian:
-        raise ValidationError("moment_trace needs a hermitian channel")
-    if m < 2 or m % 2 != 0:
-        raise ValidationError(f"moment order must be even and >= 2, got {m}")
-    return moment_table(channel, [m])[0].moment_trace
-
-
 def _lambda2_from_moment(moment: float, m: int) -> float:
     if moment <= 1.0:
         raise NumericalError(f"moment {moment!r} <= 1 leaves the estimate undefined")
     return float((moment - 1.0) ** (1.0 / m))
-
-
-def estimate_lambda2_from_moments(channel: Channel, m: int) -> float:
-    """(tr(S^m) - 1)^(1/m): an upper bound on lambda2 that tightens as m grows."""
-    return _lambda2_from_moment(moment_trace(channel, m), m)
-
-
-def frobenius_moment(channel: Channel, m: int) -> float:
-    """tr((S†)^m S^m), the squared Frobenius norm of S^m.
-
-    Equals sum_a lambda_a^(2m) for Hermitian channels, and is bounded below
-    by N^2 D^(-m) for every uniform-weight channel and by 1 always (unit
-    eigenvalue).
-    """
-    return moment_table(channel, [m])[0].frobenius_moment
 
 
 @dataclass(frozen=True)
@@ -344,13 +320,10 @@ __all__ = [
     "SuperopSpectrum",
     "benchmark_values",
     "eigen_spectrum",
-    "estimate_lambda2_from_moments",
     "faithfulness_residual",
-    "frobenius_moment",
     "hermitian_coords",
     "hermitian_from_coords",
     "moment_table",
-    "moment_trace",
     "real_superoperator",
     "superoperator",
     "unvec",

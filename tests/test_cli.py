@@ -322,6 +322,20 @@ def test_sd_eval_parse_error_exit_2(capsys):
     assert main(["sd", "eval", "tr(", "--exact"]) == 2
 
 
+@pytest.mark.parametrize("mode", [["--mc", "--n", "16"], ["--exact"]])
+def test_sd_eval_over_the_generator_limit_exits_2(mode, monkeypatch, capsys):
+    def no_search(traces):
+        raise AssertionError("the canonical-form search ran")
+
+    # 8 letters fit the exact solver's budget; only the generator count is over
+    monkeypatch.setattr("qexpander.sdengine.words.canonical_traces", no_search)
+    assert main(["sd", "eval", "tr(U1 U2 U3 U4 U5 U6 U7 U8)", *mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "generators" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert captured.out == ""
+
+
 def test_edge_command(capsys):
     assert main(["edge", "--n", "10", "--d", "4", "--seed", "2", "--projectors", "5"]) == 0
     report = json.loads(capsys.readouterr().out)

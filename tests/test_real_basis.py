@@ -15,10 +15,9 @@ from qexpander.errors import ValidationError
 from qexpander.matrixcore import SeededRng, haar_unitaries
 from qexpander.spectrum import (
     eigen_spectrum,
-    frobenius_moment,
     hermitian_coords,
     hermitian_from_coords,
-    moment_trace,
+    moment_table,
     real_superoperator,
     superoperator,
 )
@@ -166,13 +165,13 @@ def test_real_superoperator_is_the_channel_on_coordinates(chan):
 
 def test_moments_match_complex_power_chain():
     for chan in (build_hermitian_random(8, 4, SeededRng(38)), build_nonhermitian_random(7, 3, SeededRng(39))):
-        for m in range(1, 7):
-            power = complex_power(chan, m)
+        for row in moment_table(chan, range(1, 7)):
+            power = complex_power(chan, row.m)
             want_frob = float(np.linalg.norm(power, "fro") ** 2)
-            assert abs(frobenius_moment(chan, m) - want_frob) <= MOMENT_REL * want_frob
-            if chan.hermitian and m % 2 == 0:
+            assert abs(row.frobenius_moment - want_frob) <= MOMENT_REL * want_frob
+            if chan.hermitian and row.m % 2 == 0:
                 want = float(np.trace(power).real)
-                assert abs(moment_trace(chan, m) - want) <= MOMENT_REL * want
+                assert abs(row.moment_trace - want) <= MOMENT_REL * want
 
 
 def complex_signed_lambda2(chan):

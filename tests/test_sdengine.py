@@ -17,7 +17,7 @@ from qexpander.sdengine import (
     sd_step,
 )
 from qexpander.sdengine.rational import RAT_ONE, RAT_ZERO, RationalInN
-from qexpander.sdengine.words import canonical_traces
+from qexpander.sdengine.words import MAX_GENERATORS, canonical_traces
 
 # frozen regression corpus: 2-trace queries with verified constants.
 # first eight come from hand derivations; the last was frozen after the
@@ -64,12 +64,40 @@ def test_canonical_form_examples():
 
 
 def test_query_validates_canonical_input():
-    with pytest.raises(ValidationError):
-        ExpectationQuery(traces=((5, 7),))  # generators not renamed 1..g
+    # any reduced input is stored in canonical form, however it was built
+    query = ExpectationQuery(traces=((5, 7),))  # generators not renamed 1..g
+    assert query == query_from_traces([(5, 7)])[0]
+    assert query.traces == ((-2, -1),)  # the adjoint flips give the smaller encoding
     with pytest.raises(ValidationError):
         ExpectationQuery(traces=((1, -1),))  # not cyclically reduced
     with pytest.raises(ValidationError):
         ExpectationQuery(traces=((),))  # empty trace
+
+
+def test_one_canonical_search_per_query(monkeypatch):
+    calls = []
+
+    def counting(traces):
+        calls.append(traces)
+        return canonical_traces(traces)
+
+    monkeypatch.setattr("qexpander.sdengine.words.canonical_traces", counting)
+    for traces in ([(1, 2), (-2, -1)], [(1, -1), (3,)], [(4, 3, 4, 3)], [(2, -2)]):
+        before = len(calls)
+        query_from_traces(traces)
+        assert len(calls) == before + 1, traces
+
+
+def test_generator_limit_is_checked_before_the_search(monkeypatch):
+    def no_search(traces):
+        raise AssertionError("the canonical-form search ran")
+
+    monkeypatch.setattr("qexpander.sdengine.words.canonical_traces", no_search)
+    with pytest.raises(ValidationError, match="generators"):
+        query_from_traces([tuple(range(1, MAX_GENERATORS + 2))])
+    # at the limit the search runs
+    with pytest.raises(AssertionError):
+        query_from_traces([tuple(range(1, MAX_GENERATORS + 1))])
 
 
 @st.composite
