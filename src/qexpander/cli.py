@@ -24,6 +24,8 @@ from .edgex import converse_check, random_projector, tanner_chain_check
 from .errors import NumericalError, QxError, ValidationError
 from .matrixcore import SeededRng
 from .sdengine import evaluate_exact, evaluate_series, monte_carlo_expectation, parse_trace_expr
+from .sdengine.engine import DEFAULT_SYMBOLIC_BUDGET
+from .sdengine.mc import monte_carlo_threads
 from .sdengine.rational import RationalInN
 from .spectrum import (
     DEFAULT_DIM_CEILING,
@@ -488,13 +490,14 @@ def _cmd_cayley(args: argparse.Namespace) -> int:
 
 
 def _cmd_sd(args: argparse.Namespace) -> int:
-    parsed = parse_trace_expr(args.expr)
-    power = parsed.empty_traces
-    n = args.n
     modes = [name for name, flag in (("exact", args.exact), ("series", args.series), ("mc", args.mc)) if flag]
     if len(modes) > 1:
         raise ValidationError(f"pick one of --exact/--series/--mc, got {modes}")
     mode = modes[0] if modes else "exact"
+    # the exact solver's budget is checked before the canonical-form search
+    parsed = parse_trace_expr(args.expr, DEFAULT_SYMBOLIC_BUDGET if mode == "exact" else None)
+    power = parsed.empty_traces
+    n = args.n
     report: dict = {"expression": args.expr, "mode": mode, "n": n, "tr1_factors": power}
 
     if mode == "exact":
@@ -526,6 +529,8 @@ def _cmd_sd(args: argparse.Namespace) -> int:
         scale = float(n**power)
         report["estimate"] = estimate * scale
         report["stderr"] = stderr * scale
+        report["samples"] = args.samples
+        report["threads"] = monte_carlo_threads(parsed.query, args.samples)
     print(json.dumps(report, indent=2))
     return 0
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from ..errors import NumericalError, ValidationError
 from .rational import RAT_ONE, RationalInN
-from .words import ExpectationQuery, Traces, query_from_traces
+from .words import ExpectationQuery, Traces, check_letter_budget, query_from_traces
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_SYMBOLIC_BUDGET = 10  # max total letters for the exact solver
@@ -237,10 +237,7 @@ def evaluate_exact(
     """
     if query.is_empty:
         return RAT_ONE
-    if query.m_total > max_letters:
-        raise ValidationError(
-            f"m_total={query.m_total} exceeds the symbolic budget {max_letters}"
-        )
+    check_letter_budget(query.m_total, max_letters)
 
     groups: dict[int, list[ExpectationQuery]] = {}
     for q in _reachable(query):

@@ -1,8 +1,15 @@
 """Monte-Carlo oracle: estimate trace-product expectations by direct sampling.
 
 Independent of the symbolic engine on purpose; the tests require both
-routes to agree. Unitaries are sampled in stacked batches (one QR per
-chunk per generator) and words are evaluated with batched matmuls.
+routes to agree. Samples come in chunks of 2048: per chunk and generator,
+`haar_unitaries` fills one reused (2048, N, N) stack, and the words are
+then evaluated with batched matmuls. The per-matrix work (the phase-fixed
+QRs and the word products) runs in sub-batches on one thread per CPU,
+while every random draw stays on the calling thread in a fixed order. So
+a seed gives the same estimate bit for bit on any number of CPUs. The
+memory in use is the reused stacks, one sub-batch of temporaries per
+thread and 16 bytes per sample: about 105 MB of numpy memory at N=32 with
+two generators and two threads.
 """
 
 from __future__ import annotations
@@ -12,10 +19,10 @@ import math
 import numpy as np
 
 from ..errors import NumericalError, ValidationError
-from ..matrixcore import SeededRng, haar_unitaries
+from ..matrixcore import SeededRng, batch_workers, haar_unitaries, map_batches
 from .words import ExpectationQuery
 
-_CHUNK = 2048
+_CHUNK = 2048  # fixes which normals go to which generator, so it never changes
 
 
 def _batched_adjoint(u: np.ndarray) -> np.ndarray:
@@ -32,6 +39,12 @@ def _trace_product(stacks: dict[int, np.ndarray], query: ExpectationQuery) -> np
             prod = mat if prod is None else prod @ mat
         values *= np.einsum("kii->k", prod)
     return values
+
+
+def monte_carlo_threads(query: ExpectationQuery, samples: int) -> int:
+    """Threads `monte_carlo_expectation` splits its per-matrix work across
+    for this query and sample count; 1 means the calling thread alone."""
+    return 1 if query.is_empty else batch_workers(min(_CHUNK, samples))
 
 
 def monte_carlo_expectation(
@@ -51,13 +64,19 @@ def monte_carlo_expectation(
         return 1.0, 0.0
 
     gens = sorted({abs(s) for t in query.traces for s in t})
+    shape = (min(_CHUNK, samples), N, N)
+    buffers = {g: np.empty(shape, dtype=complex) for g in gens}
+    draw = np.empty(shape)
     vals = np.empty(samples, dtype=complex)
-    done = 0
-    while done < samples:
+    for done in range(0, samples, _CHUNK):
         chunk = min(_CHUNK, samples - done)
-        stacks = {g: haar_unitaries(N, chunk, rng) for g in gens}
-        vals[done : done + chunk] = _trace_product(stacks, query)
-        done += chunk
+        stacks = {g: haar_unitaries(N, chunk, rng, out=buffers[g][:chunk], draw=draw[:chunk]) for g in gens}
+        out = vals[done : done + chunk]
+
+        def products(lo: int, hi: int) -> None:
+            out[lo:hi] = _trace_product({g: u[lo:hi] for g, u in stacks.items()}, query)
+
+        map_batches(products, chunk)
 
     mean_re = float(vals.real.mean())
     stderr_re = float(vals.real.std(ddof=1) / math.sqrt(samples))

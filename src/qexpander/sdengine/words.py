@@ -134,9 +134,21 @@ class ExpectationQuery:
         return not self.traces
 
 
-def query_from_traces(traces: Iterable[Word]) -> tuple[ExpectationQuery, int]:
+def check_letter_budget(m_total: int, max_letters: int) -> None:
+    """The exact solver's limit on the total letter count of a query."""
+    if m_total > max_letters:
+        raise ValidationError(f"m_total={m_total} exceeds the symbolic budget {max_letters}")
+
+
+def query_from_traces(
+    traces: Iterable[Word], max_letters: int | None = None
+) -> tuple[ExpectationQuery, int]:
     """Cyclically reduce every trace and build the query; empties are
-    dropped and counted (each stands for tr(1) = N)."""
+    dropped and counted (each stands for tr(1) = N). With `max_letters`,
+    a query over that letter budget is refused before the canonical-form
+    search runs."""
     reduced = [cyclic_reduce(tuple(t)) for t in traces]
     kept = [r for r in reduced if r]
+    if max_letters is not None:
+        check_letter_budget(sum(map(len, kept)), max_letters)
     return ExpectationQuery(traces=tuple(kept)), len(reduced) - len(kept)

@@ -1,6 +1,7 @@
 import json
 import math
 import platform
+import threading
 
 import numpy as np
 import pytest
@@ -334,6 +335,50 @@ def test_sd_eval_over_the_generator_limit_exits_2(mode, monkeypatch, capsys):
     assert captured.err.startswith("error:") and "generators" in captured.err
     assert "Traceback" not in captured.err + captured.out
     assert captured.out == ""
+
+
+def test_sd_eval_exact_over_the_letter_budget_exits_2_before_the_search(monkeypatch, capsys):
+    def no_search(traces):
+        raise AssertionError("the canonical-form search ran")
+
+    monkeypatch.setattr("qexpander.sdengine.words.canonical_traces", no_search)
+    expr = "tr(U1 U2 U3 U4 U5 U6 U7) tr(U7' U6' U5' U4' U3' U2' U1')"
+    assert main(["sd", "eval", expr, "--exact", "--n", "16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: m_total=14 exceeds the symbolic budget 10\n"
+    assert captured.out == ""
+
+
+def test_sd_eval_exact_budget_counts_reduced_letters(capsys):
+    # 12 letters as written, 2 after cyclic reduction
+    expr = "tr(U1 U1' U2 U2' U1 U3 U3' U1' U1 U2 U2') tr(U1')"
+    assert main(["sd", "eval", expr, "--exact", "--n", "16"]) == 0
+    assert json.loads(capsys.readouterr().out)["rational"] == "1"
+
+
+@pytest.mark.parametrize(
+    "samples, cpus, threads",
+    [(256, 2, 1), (257, 2, 2), (300, 1, 1), (10000, 2, 2), (10000, 3, 3), (2048, 16, 8)],
+)
+def test_sd_eval_mc_reports_samples_and_threads(monkeypatch, capsys, samples, cpus, threads):
+    # the threads actually used: one per CPU, at most one per 256-matrix
+    # sub-batch of a 2048-sample chunk; a single sub-batch runs inline
+    from qexpander.sdengine import mc
+
+    callers: set[int] = set()
+    real = mc._trace_product
+
+    def recording(stacks, query):
+        callers.add(threading.get_ident())
+        return real(stacks, query)
+
+    monkeypatch.setattr("qexpander.matrixcore.worker_count", lambda: cpus)
+    monkeypatch.setattr(mc, "_trace_product", recording)
+    assert main(["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "4",
+                 "--samples", str(samples), "--seed", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["samples"], report["threads"]) == (samples, threads)
+    assert (callers == {threading.get_ident()}) == (threads == 1)
 
 
 def test_edge_command(capsys):
