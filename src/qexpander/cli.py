@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from .edgex import converse_check, random_projector, tanner_chain_check
 from .errors import NumericalError, QxError, ValidationError
 from .matrixcore import SeededRng
 from .sdengine import evaluate_exact, evaluate_series, monte_carlo_expectation, parse_trace_expr
-from .sdengine.engine import DEFAULT_SYMBOLIC_BUDGET
 from .sdengine.mc import monte_carlo_threads
 from .sdengine.rational import RationalInN
 from .spectrum import (
@@ -494,13 +494,19 @@ def _cmd_sd(args: argparse.Namespace) -> int:
     if len(modes) > 1:
         raise ValidationError(f"pick one of --exact/--series/--mc, got {modes}")
     mode = modes[0] if modes else "exact"
-    # the exact solver's budget is checked before the canonical-form search
-    parsed = parse_trace_expr(args.expr, DEFAULT_SYMBOLIC_BUDGET if mode == "exact" else None)
+    parsed = parse_trace_expr(args.expr)
     power = parsed.empty_traces
     n = args.n
     report: dict = {"expression": args.expr, "mode": mode, "n": n, "tr1_factors": power}
 
     if mode == "exact":
+        # the Weingarten formula holds only for N >= k (Collins 2003)
+        k = max(Counter(s for t in parsed.query.traces for s in t).values(), default=0)
+        if n is not None and n < max(1, k):
+            raise ValidationError(
+                f"--exact needs --n >= {max(1, k)}: one letter occurs k={k} times in the "
+                "reduced query, and the rational function is the expectation only for N >= k"
+            )
         value = evaluate_exact(parsed.query) * RationalInN.n_power(power)
         report["rational"] = str(value)
         if n is not None:

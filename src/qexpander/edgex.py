@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import Channel, apply
 from .errors import NumericalError, ValidationError
-from .matrixcore import SLACK_TOL, TRACE_RESIDUAL_TOL, SeededRng, haar_unitary, hs_norm
+from .matrixcore import SLACK_TOL, TRACE_RESIDUAL_TOL, SeededRng, complex_gaussian, hs_norm
 from .spectrum import SuperopSpectrum, eigen_spectrum
 
 PROJECTOR_TOL = 1e-10
@@ -29,7 +29,8 @@ def random_projector(N: int, rank: int, rng: SeededRng) -> np.ndarray:
     """Rank-`rank` projector onto the span of Haar-random orthonormal columns."""
     if not 1 <= rank <= N:
         raise ValidationError(f"rank must lie in 1..{N}, got {rank}")
-    v = haar_unitary(N, rng)[:, :rank]
+    # the column span of an N x rank Ginibre matrix is uniform; V V† needs no phase fix
+    v, _ = np.linalg.qr(complex_gaussian(rng, (N, rank)))
     return v @ v.conj().T
 
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from ..errors import NumericalError, ValidationError
 from .rational import RAT_ONE, RationalInN
-from .words import ExpectationQuery, Traces, check_letter_budget, query_from_traces
+from .words import ExpectationQuery, Traces, query_from_traces
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_SYMBOLIC_BUDGET = 10  # max total letters for the exact solver
@@ -135,7 +135,7 @@ def evaluate_series(
         raise ValidationError(f"need N >= 1, got N={N}")
     if n_max < 1:
         raise ValidationError(f"need n_max >= 1, got n_max={n_max}")
-    if tol < 0:
+    if not tol >= 0:  # also refuses NaN
         raise ValidationError(f"need tol >= 0, got tol={tol}")
     m_total = query.m_total
     if m_total > N and not allow_divergent:
@@ -224,9 +224,7 @@ def _reachable(start: ExpectationQuery) -> set[ExpectationQuery]:
     return seen
 
 
-def evaluate_exact(
-    query: ExpectationQuery, max_letters: int = DEFAULT_SYMBOLIC_BUDGET
-) -> RationalInN:
+def evaluate_exact(query: ExpectationQuery) -> RationalInN:
     """Exact expectation as a rational function of N.
 
     The rewriting step never increases the total letter count, so the
@@ -237,7 +235,10 @@ def evaluate_exact(
     """
     if query.is_empty:
         return RAT_ONE
-    check_letter_budget(query.m_total, max_letters)
+    if query.m_total > DEFAULT_SYMBOLIC_BUDGET:
+        raise ValidationError(
+            f"m_total={query.m_total} exceeds the symbolic budget {DEFAULT_SYMBOLIC_BUDGET}"
+        )
 
     groups: dict[int, list[ExpectationQuery]] = {}
     for q in _reachable(query):

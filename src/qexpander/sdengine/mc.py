@@ -9,7 +9,9 @@ while every random draw stays on the calling thread in a fixed order. So
 a seed gives the same estimate bit for bit on any number of CPUs. The
 memory in use is the reused stacks, one sub-batch of temporaries per
 thread and 16 bytes per sample: about 105 MB of numpy memory at N=32 with
-two generators and two threads.
+two generators and two threads. Each further generator adds one complex
+stack, 16·2048·N² bytes (34 MB at N=32); the number of generators has no
+limit.
 """
 
 from __future__ import annotations

@@ -29,9 +29,7 @@ def _fail(text: str, pos: int, message: str) -> None:
     raise ValidationError(f"syntax error at position {pos}: {message} (input {text!r})")
 
 
-def parse_trace_expr(text: str, max_letters: int | None = None) -> ParseResult:
-    """Parse and canonicalize; with `max_letters`, an expression over that
-    letter budget (after cyclic reduction) is refused before the search."""
+def parse_trace_expr(text: str) -> ParseResult:
     pos = 0
     n = len(text)
     traces: list[tuple[int, ...]] = []
@@ -76,5 +74,5 @@ def parse_trace_expr(text: str, max_letters: int | None = None) -> ParseResult:
         traces.append(tuple(letters))
         pos = skip_ws(pos)
 
-    query, empties = query_from_traces(traces, max_letters)
+    query, empties = query_from_traces(traces)
     return ParseResult(query=query, empty_traces=empties)

@@ -11,18 +11,12 @@ adjoint globally; the canonical form quotients out exactly that group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
 from typing import Iterable
 
 from ..errors import ValidationError
 
 Word = tuple[int, ...]
 Traces = tuple[Word, ...]
-
-# canonical_traces encodes a query g!·2^g times: 645,120 encodings at g=7
-# (seconds), 10.3 million at g=8 (minutes). A rewriting step never adds a
-# generator, so only parsed input can exceed this.
-MAX_GENERATORS = 7
 
 
 def cyclic_reduce(word: Word) -> Word:
@@ -43,59 +37,68 @@ def cyclic_reduce(word: Word) -> Word:
     return tuple(stack[lo:hi])
 
 
-def _min_rotation(word: Word) -> Word:
-    if len(word) <= 1:
-        return word
-    return min(word[i:] + word[:i] for i in range(len(word)))
-
-
-def _trace_sort_key(word: Word):
-    return (len(word), word)
+def _encode(word: Word, labels: dict[int, int], next_label: int) -> tuple[Word, dict[int, int]]:
+    """Greedy encoding of `word`: a generator in `labels` keeps its label
+    (the image of its positive letter); a new one takes `next_label`,
+    `next_label + 1`, ... where it first appears, signed so that this first
+    letter reads as the label. Returns the encoding and the extended labels."""
+    labels = dict(labels)
+    out = []
+    for s in word:
+        if abs(s) not in labels:
+            labels[abs(s)] = next_label if s > 0 else -next_label
+            next_label += 1
+        out.append(labels[abs(s)] if s > 0 else -labels[abs(s)])
+    return tuple(out), labels
 
 
 def canonical_traces(traces: Iterable[Word]) -> Traces:
-    """Minimal encoding over generator renamings and global adjoint flips.
+    """Minimal encoding over generator renamings and global adjoint flips:
+    the least, over all relabelings of the g generators by -g..-1 with
+    either sign, of the per-trace minimal rotations sorted by (length, word).
 
-    Generators are first relabeled 1..g by appearance; the representative
-    is the minimum, over all g! renamings and 2^g flips, of the sorted
-    tuple of per-trace minimal rotations. The search encodes the query
-    g!·2^g times, so `ExpectationQuery` refuses more than MAX_GENERATORS
-    generators before calling it.
+    Built trace by trace, shortest first: the least greedy encoding
+    (`_encode`) of any (trace, rotation) is the next trace, since no
+    labeling that extends the current one encodes it lower. The search
+    branches only on ties, cuts a prefix above the best found, and keeps
+    one of the tied branches whose remaining traces read the same with the
+    unlabeled generators renamed by first appearance, as those end in the
+    same representative (McKay and Piperno, J. Symb. Comput. 60, 2014).
     """
     ts = tuple(tuple(t) for t in traces)
-    gens: list[int] = []
-    for t in ts:
-        for s in t:
-            if abs(s) not in gens:
-                gens.append(abs(s))
-    g = len(gens)
-    relabel = {old: new for new, old in enumerate(gens, start=1)}
-    base = tuple(
-        tuple((1 if s > 0 else -1) * relabel[abs(s)] for s in t) for t in ts
-    )
-    if g == 0:
-        return tuple(sorted(base, key=_trace_sort_key))
-
+    g = len({abs(s) for t in ts for s in t})
     best: Traces | None = None
-    for perm in permutations(range(1, g + 1)):
-        rename = {old: perm[old - 1] for old in range(1, g + 1)}
-        for flips in product((1, -1), repeat=g):
-            encoded = tuple(
-                sorted(
-                    (
-                        _min_rotation(
-                            tuple(
-                                (1 if s > 0 else -1) * flips[abs(s) - 1] * rename[abs(s)]
-                                for s in t
-                            )
-                        )
-                        for t in base
-                    ),
-                    key=_trace_sort_key,
-                )
-            )
-            if best is None or encoded < best:
-                best = encoded
+    stack: list[tuple[Traces, dict[int, int], Traces]] = [((), {}, ts)]
+    while stack:
+        prefix, labels, rest = stack.pop()
+        if best is not None and prefix > best[: len(prefix)]:
+            continue
+        if not rest:
+            best = prefix
+            continue
+        next_label = len(labels) - g
+        shortest = min(map(len, rest))
+        # one candidate per distinct rotated word: two traces with a common
+        # rotation are the same cyclic word, so either can be removed
+        rotations = {
+            t[r:] + t[:r]: i
+            for i, t in enumerate(rest)
+            if len(t) == shortest
+            for r in range(shortest or 1)
+        }
+        candidates = [(*_encode(word, labels, next_label), i) for word, i in rotations.items()]
+        least = min(code for code, _, _ in candidates)
+        seen = set()
+        for code, extended, i in candidates:
+            if code != least:
+                continue
+            others = rest[:i] + rest[i + 1 :]
+            # all ties share the prefix and so the next label
+            renamed, _ = _encode(sum(others, ()), extended, len(extended) - g)
+            state = (tuple(map(len, others)), renamed)
+            if state not in seen:
+                seen.add(state)
+                stack.append((prefix + (least,), extended, others))
     assert best is not None
     return best
 
@@ -114,11 +117,6 @@ class ExpectationQuery:
                 )
             if cyclic_reduce(t) != t:
                 raise ValidationError(f"trace {t!r} is not cyclically reduced")
-        if self.generator_count > MAX_GENERATORS:
-            raise ValidationError(
-                f"query has {self.generator_count} generators, over the limit "
-                f"{MAX_GENERATORS} of the canonical-form search"
-            )
         object.__setattr__(self, "traces", canonical_traces(self.traces))
 
     @property
@@ -126,29 +124,13 @@ class ExpectationQuery:
         return sum(len(t) for t in self.traces)
 
     @property
-    def generator_count(self) -> int:
-        return len({abs(s) for t in self.traces for s in t})
-
-    @property
     def is_empty(self) -> bool:
         return not self.traces
 
 
-def check_letter_budget(m_total: int, max_letters: int) -> None:
-    """The exact solver's limit on the total letter count of a query."""
-    if m_total > max_letters:
-        raise ValidationError(f"m_total={m_total} exceeds the symbolic budget {max_letters}")
-
-
-def query_from_traces(
-    traces: Iterable[Word], max_letters: int | None = None
-) -> tuple[ExpectationQuery, int]:
+def query_from_traces(traces: Iterable[Word]) -> tuple[ExpectationQuery, int]:
     """Cyclically reduce every trace and build the query; empties are
-    dropped and counted (each stands for tr(1) = N). With `max_letters`,
-    a query over that letter budget is refused before the canonical-form
-    search runs."""
+    dropped and counted (each stands for tr(1) = N)."""
     reduced = [cyclic_reduce(tuple(t)) for t in traces]
     kept = [r for r in reduced if r]
-    if max_letters is not None:
-        check_letter_budget(sum(map(len, kept)), max_letters)
     return ExpectationQuery(traces=tuple(kept)), len(reduced) - len(kept)

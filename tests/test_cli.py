@@ -156,6 +156,10 @@ def test_exit_code_validation_error(tmp_path, capsys):
         ["sweep", "--n-list", "4", "--seed", "-1", "--out", "{tmp}"],
         ["edge", "--n", "4", "--seed", "-1"],
         ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "4", "--seed", "-1"],
+        ["sd", "eval", "tr(U1 U2 U1' U2')", "--exact", "--n", "0"],
+        ["sd", "eval", "tr(U1 U2 U1' U2')", "--exact", "--n", "-4"],
+        ["sd", "eval", "tr(U1 U1 U1) tr(U1' U1' U1')", "--exact", "--n", "2"],
+        ["sd", "eval", "tr(U1 U1) tr(U1' U1')", "--series", "--n", "16", "--tol", "nan"],
     ],
 )
 def test_explicit_zero_is_validated_not_defaulted(argv, tmp_path, capsys):
@@ -323,30 +327,40 @@ def test_sd_eval_parse_error_exit_2(capsys):
     assert main(["sd", "eval", "tr(", "--exact"]) == 2
 
 
-@pytest.mark.parametrize("mode", [["--mc", "--n", "16"], ["--exact"]])
-def test_sd_eval_over_the_generator_limit_exits_2(mode, monkeypatch, capsys):
-    def no_search(traces):
-        raise AssertionError("the canonical-form search ran")
-
-    # 8 letters fit the exact solver's budget; only the generator count is over
-    monkeypatch.setattr("qexpander.sdengine.words.canonical_traces", no_search)
-    assert main(["sd", "eval", "tr(U1 U2 U3 U4 U5 U6 U7 U8)", *mode]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "generators" in captured.err
-    assert "Traceback" not in captured.err + captured.out
-    assert captured.out == ""
+@pytest.mark.parametrize("mode", [["--mc", "--n", "16", "--samples", "200"], ["--exact"]])
+def test_sd_eval_takes_eight_generators(mode, capsys):
+    assert main(["sd", "eval", "tr(U1 U2 U3 U4 U5 U6 U7 U8)", *mode]) == 0
+    report = json.loads(capsys.readouterr().out)
+    if "--exact" in mode:
+        assert report["rational"] == "0"
+    else:
+        assert abs(report["estimate"]) <= 4 * report["stderr"]
 
 
-def test_sd_eval_exact_over_the_letter_budget_exits_2_before_the_search(monkeypatch, capsys):
-    def no_search(traces):
-        raise AssertionError("the canonical-form search ran")
-
-    monkeypatch.setattr("qexpander.sdengine.words.canonical_traces", no_search)
+def test_sd_eval_exact_over_the_letter_budget_exits_2_before_the_search(capsys):
+    # the budget is the exact solver's first step
     expr = "tr(U1 U2 U3 U4 U5 U6 U7) tr(U7' U6' U5' U4' U3' U2' U1')"
     assert main(["sd", "eval", expr, "--exact", "--n", "16"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: m_total=14 exceeds the symbolic budget 10\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "expr, k",
+    [("tr(U1 U1 U1) tr(U1' U1' U1')", 3), ("tr(U1 U2 U1' U2' U1) tr(U1' U2 U1 U2' U1')", 3)],
+    ids=["cube", "ten_letters"],
+)
+def test_sd_eval_exact_holds_from_n_equal_k(expr, k, capsys):
+    # below k, the most times one letter occurs, the rational function is
+    # not the expectation (at N=2 the first would print 3 and the second 1)
+    assert main(["sd", "eval", expr, "--exact", "--n", str(k - 1)]) == 2
+    assert f"k={k}" in capsys.readouterr().err
+    assert main(["sd", "eval", expr, "--exact", "--n", str(k)]) == 0
+    exact = json.loads(capsys.readouterr().out)["value"]
+    assert main(["sd", "eval", expr, "--mc", "--n", str(k), "--samples", "20000", "--seed", "1"]) == 0
+    mc = json.loads(capsys.readouterr().out)
+    assert abs(mc["estimate"] - exact) <= 4 * mc["stderr"]
 
 
 def test_sd_eval_exact_budget_counts_reduced_letters(capsys):

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,10 @@ from qexpander.sdengine import (
     query_from_traces,
     sd_step,
 )
+from oracle_canonical import canonical_traces as brute_force_canonical
+from qexpander.sdengine.engine import _reachable
 from qexpander.sdengine.rational import RAT_ONE, RAT_ZERO, RationalInN
-from qexpander.sdengine.words import MAX_GENERATORS, canonical_traces
+from qexpander.sdengine.words import canonical_traces
 
 # frozen regression corpus: 2-trace queries with verified constants.
 # first eight come from hand derivations; the last was frozen after the
@@ -88,29 +92,83 @@ def test_one_canonical_search_per_query(monkeypatch):
         assert len(calls) == before + 1, traces
 
 
-def test_generator_limit_is_checked_before_the_search(monkeypatch):
-    def no_search(traces):
-        raise AssertionError("the canonical-form search ran")
-
-    monkeypatch.setattr("qexpander.sdengine.words.canonical_traces", no_search)
-    with pytest.raises(ValidationError, match="generators"):
-        query_from_traces([tuple(range(1, MAX_GENERATORS + 2))])
-    # at the limit the search runs
-    with pytest.raises(AssertionError):
-        query_from_traces([tuple(range(1, MAX_GENERATORS + 1))])
+def test_twelve_generators_parse_fast():
+    forward = " ".join(f"U{i}" for i in range(1, 13))
+    backward = " ".join(f"U{i}'" for i in range(12, 0, -1))
+    start = time.perf_counter()
+    query = parse_trace_expr(f"tr({forward}) tr({backward})").query
+    assert time.perf_counter() - start < 0.1
+    assert query.traces == (tuple(range(-12, 0)), tuple(range(1, 13)))
 
 
 @st.composite
 def trace_lists(draw):
-    n_traces = draw(st.integers(1, 3))
+    # up to 5 generators and 10 letters, where the brute force is still quick
     traces = []
-    for _ in range(n_traces):
-        length = draw(st.integers(1, 4))
+    letters = 10
+    for _ in range(draw(st.integers(1, 4))):
+        if not letters:
+            break
+        length = draw(st.integers(1, letters))
+        letters -= length
         trace = tuple(
-            draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1))) for _ in range(length)
+            draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1))) for _ in range(length)
         )
         traces.append(trace)
     return traces
+
+
+@given(trace_lists())
+@settings(max_examples=300, deadline=None)
+def test_canonical_form_matches_brute_force(traces):
+    assert canonical_traces(traces) == brute_force_canonical(traces)
+
+
+# criterion 3-5's corpus, the five m_total = 10 queries and the two
+# 12-letter queries of the benchmark, with everything sd_step reaches from them
+ORACLE_ROOTS = [expr for expr, _ in CORPUS] + [
+    "tr(U1 U2 U1' U2' U1) tr(U1' U2 U1 U2' U1')",
+    "tr(U1 U2 U1' U2') tr(U1 U2 U1' U2') tr(U1) tr(U1')",
+    "tr(U1 U2 U3 U1' U2' U3') tr(U1 U2) tr(U2' U1')",
+    "tr(U1 U2 U3 U4 U1' U2' U3' U4') tr(U1) tr(U1')",
+    "tr(U1 U2 U3 U4 U5 U1' U2' U3' U4' U5')",
+    "tr(U1 U2 U3 U4 U5 U6) tr(U6' U5' U4' U3' U2' U1')",
+    "tr(U1 U2 U1 U2 U1 U2) tr(U2' U1' U2' U1' U2' U1')",
+]
+
+
+@pytest.fixture(scope="module")
+def reachable_queries():
+    queries = set()
+    for expr in ORACLE_ROOTS:
+        queries |= _reachable(parse_trace_expr(expr).query)
+    return sorted(queries, key=lambda q: q.traces)
+
+
+def test_reachable_queries_match_brute_force(reachable_queries):
+    assert len(reachable_queries) == 81
+    for query in reachable_queries:
+        assert query.traces == brute_force_canonical(query.traces)
+
+
+def test_reachable_queries_canonical_under_symmetries(reachable_queries):
+    rnd = random.Random(7)
+    for query in reachable_queries:
+        for _ in range(3):
+            moved = _scramble(query.traces, rnd)
+            assert canonical_traces(moved) == query.traces, moved
+
+
+def _scramble(traces, rnd):
+    """Rotate each trace, shuffle the traces, rename the generators and
+    flip a random subset of them to their adjoints."""
+    moved = [list(t) for t in traces]
+    moved = [t[k:] + t[:k] for t in moved for k in [rnd.randrange(len(t))]]
+    rnd.shuffle(moved)
+    gens = sorted({abs(s) for t in moved for s in t})
+    names = rnd.sample(range(1, 20), len(gens))
+    rename = {g: name * rnd.choice((1, -1)) for g, name in zip(gens, names)}
+    return [tuple((1 if s > 0 else -1) * rename[abs(s)] for s in t) for t in moved]
 
 
 @given(trace_lists(), st.randoms(use_true_random=False))
@@ -119,19 +177,7 @@ def test_canonicalization_invariant_under_symmetries(traces, rnd):
     query, _ = query_from_traces(traces)
     if query.is_empty:
         return
-    moved = [list(t) for t in query.traces]
-    # rotate each trace
-    moved = [t[k:] + t[:k] for t in moved for k in [rnd.randrange(len(t))]]
-    # permute traces
-    rnd.shuffle(moved)
-    # rename generators by a random permutation of 1..5
-    perm = list(range(1, 6))
-    rnd.shuffle(perm)
-    moved = [[(1 if s > 0 else -1) * perm[abs(s) - 1] for s in t] for t in moved]
-    # flip a random subset of generators to their adjoints
-    flips = {g: rnd.choice((1, -1)) for g in range(1, 6)}
-    moved = [[s * flips[abs(s)] for s in t] for t in moved]
-    again, empties = query_from_traces(moved)
+    again, empties = query_from_traces(_scramble(query.traces, rnd))
     assert empties == 0
     assert again == query
 
@@ -144,7 +190,7 @@ def test_parse_simple():
     parsed = parse_trace_expr("tr(U1 U2) tr(U2' U1')")
     assert parsed.empty_traces == 0
     assert parsed.query.m_total == 4
-    assert parsed.query.generator_count == 2
+    assert len({abs(s) for t in parsed.query.traces for s in t}) == 2
 
 
 def test_parse_whitespace_tolerant():
@@ -289,7 +335,7 @@ def test_exact_empty_query_is_one():
 def test_exact_letter_budget():
     query = parse_trace_expr("tr(U1 U2 U3 U4 U5 U6 U1' U2' U3' U4' U5' U6')").query
     with pytest.raises(ValidationError):
-        evaluate_exact(query, max_letters=10)
+        evaluate_exact(query)
 
 
 # ---------------------------------------------------------------------------
