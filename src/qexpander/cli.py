@@ -23,9 +23,8 @@ from .cayley import alon_boppana_lower_bound, walk_counts
 from .channel import Channel, build_hermitian_random, build_nonhermitian_random, build_weighted_random
 from .edgex import converse_check, random_projector, tanner_chain_check
 from .errors import NumericalError, QxError, ValidationError
-from .matrixcore import SeededRng
+from .matrixcore import SeededRng, batch_workers
 from .sdengine import evaluate_exact, evaluate_series, monte_carlo_expectation, parse_trace_expr
-from .sdengine.mc import monte_carlo_threads
 from .sdengine.rational import RationalInN
 from .spectrum import (
     DEFAULT_DIM_CEILING,
@@ -500,14 +499,16 @@ def _cmd_sd(args: argparse.Namespace) -> int:
     report: dict = {"expression": args.expr, "mode": mode, "n": n, "tr1_factors": power}
 
     if mode == "exact":
-        # the Weingarten formula holds only for N >= k (Collins 2003)
-        k = max(Counter(s for t in parsed.query.traces for s in t).values(), default=0)
+        # the Weingarten formula holds only for N >= k (Collins 2003); an
+        # unbalanced query is 0 at every N, so only N >= 1 is needed there
+        query = parsed.query
+        k = 0 if query.is_unbalanced else max(Counter(s for t in query.traces for s in t).values(), default=0)
         if n is not None and n < max(1, k):
             raise ValidationError(
                 f"--exact needs --n >= {max(1, k)}: one letter occurs k={k} times in the "
                 "reduced query, and the rational function is the expectation only for N >= k"
             )
-        value = evaluate_exact(parsed.query) * RationalInN.n_power(power)
+        value = evaluate_exact(query) * RationalInN.n_power(power)
         report["rational"] = str(value)
         if n is not None:
             report["value"] = float(value.evaluate(n))
@@ -536,7 +537,7 @@ def _cmd_sd(args: argparse.Namespace) -> int:
         report["estimate"] = estimate * scale
         report["stderr"] = stderr * scale
         report["samples"] = args.samples
-        report["threads"] = monte_carlo_threads(parsed.query, args.samples)
+        report["threads"] = 1 if parsed.query.is_empty else batch_workers(args.samples)
     print(json.dumps(report, indent=2))
     return 0
 

@@ -58,23 +58,14 @@ class SeededRng:
         return SeededRng(self.master_seed, index)
 
 
-def complex_gaussian(
-    rng: SeededRng,
-    shape: tuple[int, ...],
-    out: np.ndarray | None = None,
-    draw: np.ndarray | None = None,
-) -> np.ndarray:
+def complex_gaussian(rng: SeededRng, shape: tuple[int, ...]) -> np.ndarray:
     """I.i.d. standard complex Gaussians (variance 1 per complex entry).
 
-    All real parts are drawn before all imaginary parts. `out` (complex)
-    and `draw` (real) are optional C-contiguous buffers of `shape` to reuse;
-    the result is written into `out` and is the same bit for bit either way.
+    All real parts are drawn before all imaginary parts.
     """
-    z = np.empty(shape, dtype=complex) if out is None else out
-    x = np.empty(shape) if draw is None else draw
-    if z.shape != tuple(shape) or x.shape != tuple(shape):
-        raise ValidationError(f"buffers {z.shape} and {x.shape} do not match {shape}")
     g = rng.generator
+    z = np.empty(shape, dtype=complex)
+    x = np.empty(shape)
     g.standard_normal(out=x)
     z.real = x
     g.standard_normal(out=x)
@@ -93,32 +84,33 @@ def haar_unitary(n: int, rng: SeededRng) -> np.ndarray:
     return _phase_fixed_q(complex_gaussian(rng, (n, n)))
 
 
-def haar_unitaries(
-    n: int,
-    count: int,
-    rng: SeededRng,
-    out: np.ndarray | None = None,
-    draw: np.ndarray | None = None,
-) -> np.ndarray:
+def haar_unitaries(n: int, count: int, rng: SeededRng) -> np.ndarray:
     """A (count, n, n) stack of independent Haar unitaries.
 
-    `out` and `draw` are optional (count, n, n) buffers that
-    `complex_gaussian` reuses; the stack is written into `out`. The draws
-    run on the calling thread and the phase-fixed QRs in sub-batches on
-    every CPU, so a seed gives the same stack bit for bit whatever the
-    buffers and the worker count.
+    Each sub-batch is drawn from its own stream and orthonormalized in one
+    `map_batches` task, so a seed gives the same stack bit for bit
+    whatever the worker count. Besides the stack, each thread holds one
+    sub-batch's Q and R, 32·256·n² bytes.
     """
     if n < 1:
         raise ValidationError(f"invalid dimension n={n}; need n >= 1")
     if count < 1:
         raise ValidationError(f"invalid count={count}; need count >= 1")
-    z = complex_gaussian(rng, (count, n, n), out=out, draw=draw)
-
-    def fix(lo: int, hi: int) -> None:
-        _phase_fixed_q(z[lo:hi], out=z[lo:hi])
-
-    map_batches(fix, count)
+    z = np.empty((count, n, n), dtype=complex)
+    map_batches(lambda lo, hi, gen: _haar_fill(z[lo:hi], gen), count, rng)
     return z
+
+
+def _haar_fill(z: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """Overwrite the C-contiguous complex stack `z` with Haar unitaries
+    drawn from `gen`, and return it.
+
+    The normals go straight into `z`, real and imaginary parts
+    interleaved, without the 1/sqrt(2): Q and its phase fix do not change
+    when Z is scaled by a positive number.
+    """
+    gen.standard_normal(out=z.view(np.float64))
+    return _phase_fixed_q(z, out=z)
 
 
 def _phase_fixed_q(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -141,26 +133,32 @@ def batch_workers(count: int) -> int:
     return max(1, min(worker_count(), -(-count // _SUB_BATCH)))
 
 
-def map_batches(fn: Callable[[int, int], object], count: int) -> None:
-    """Call fn(lo, hi) on consecutive _SUB_BATCH slices of range(count), on
-    `batch_workers(count)` threads (inline when that is 1).
+def map_batches(fn: Callable[[int, int, np.random.Generator], object], count: int, rng: SeededRng) -> None:
+    """Call fn(lo, hi, gen) on consecutive _SUB_BATCH slices of range(count),
+    on `batch_workers(count)` threads (inline when that is 1).
+
+    `gen` is the slice's own random stream: slice b gets child b of rng's
+    generator, spawned on the calling thread before any call. A stream
+    belongs to a slice, not to a thread, so what fn draws does not depend
+    on the thread count or on the order the slices run in.
 
     Each call must write only its own slice, and must not call a public
     function: the benchmark tracer wraps those with one span stack that all
     threads would share.
     """
     bounds = [(lo, min(lo + _SUB_BATCH, count)) for lo in range(0, count, _SUB_BATCH)]
+    children = rng.generator.spawn(len(bounds))
     workers = batch_workers(count)
     if workers == 1:
-        for lo, hi in bounds:
-            fn(lo, hi)
+        for (lo, hi), gen in zip(bounds, children):
+            fn(lo, hi, gen)
         return
     # imported here: concurrent.futures pulls in logging, which would add
     # about 8 ms to every command's start-up
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(fn, *zip(*bounds)))
+        list(pool.map(fn, *zip(*bounds), children))
 
 
 def unitarity_residual(u: np.ndarray) -> float:

@@ -232,7 +232,10 @@ def evaluate_exact(query: ExpectationQuery) -> RationalInN:
     the letter count. Blocks are solved in increasing count by exact
     Gaussian elimination over rational functions; within a block, cyclic
     dependencies (split followed by re-merge) are solved simultaneously.
+    An unbalanced query is exactly 0 and skips the budget and the solve.
     """
+    if query.is_unbalanced:
+        return RationalInN.from_int(0)
     if query.is_empty:
         return RAT_ONE
     if query.m_total > DEFAULT_SYMBOLIC_BUDGET:

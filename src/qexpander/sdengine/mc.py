@@ -1,17 +1,17 @@
 """Monte-Carlo oracle: estimate trace-product expectations by direct sampling.
 
 Independent of the symbolic engine on purpose; the tests require both
-routes to agree. Samples come in chunks of 2048: per chunk and generator,
-`haar_unitaries` fills one reused (2048, N, N) stack, and the words are
-then evaluated with batched matmuls. The per-matrix work (the phase-fixed
-QRs and the word products) runs in sub-batches on one thread per CPU,
-while every random draw stays on the calling thread in a fixed order. So
-a seed gives the same estimate bit for bit on any number of CPUs. The
-memory in use is the reused stacks, one sub-batch of temporaries per
-thread and 16 bytes per sample: about 105 MB of numpy memory at N=32 with
-two generators and two threads. Each further generator adds one complex
-stack, 16·2048·N² bytes (34 MB at N=32); the number of generators has no
-limit.
+routes to agree. The samples split into sub-batches of 256. Sub-batch b
+draws its unitaries from child stream b of the seed, spawned on the
+calling thread, and one task does all of its work: for each generator in
+sorted order, the draw and the phase-fixed QR into a (256, N, N) stack of
+its own, then the words with batched matmuls. The tasks run on one thread
+per CPU. A stream belongs to a sub-batch, not to a thread, so a seed gives
+the same estimate bit for bit on any number of CPUs. Memory is one
+sub-batch per thread plus 16 bytes per sample: a thread holds a
+16·256·N² byte stack per generator (4 MB at N=32) and the temporaries of
+one QR or one word product, about 21 MB at N=32 with two generators. The
+number of generators has no limit; N has the ceiling MC_DIM_CEILING.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ import math
 import numpy as np
 
 from ..errors import NumericalError, ValidationError
-from ..matrixcore import SeededRng, batch_workers, haar_unitaries, map_batches
+from ..matrixcore import SeededRng, _haar_fill, map_batches
 from .words import ExpectationQuery
 
-_CHUNK = 2048  # fixes which normals go to which generator, so it never changes
+MC_DIM_CEILING = 128  # one sub-batch then holds 64 MB per generator
 
 
 def _batched_adjoint(u: np.ndarray) -> np.ndarray:
@@ -32,8 +32,8 @@ def _batched_adjoint(u: np.ndarray) -> np.ndarray:
 
 
 def _trace_product(stacks: dict[int, np.ndarray], query: ExpectationQuery) -> np.ndarray:
-    chunk = next(iter(stacks.values())).shape[0]
-    values = np.ones(chunk, dtype=complex)
+    batch = next(iter(stacks.values())).shape[0]
+    values = np.ones(batch, dtype=complex)
     for word in query.traces:
         prod = None
         for s in word:
@@ -41,12 +41,6 @@ def _trace_product(stacks: dict[int, np.ndarray], query: ExpectationQuery) -> np
             prod = mat if prod is None else prod @ mat
         values *= np.einsum("kii->k", prod)
     return values
-
-
-def monte_carlo_threads(query: ExpectationQuery, samples: int) -> int:
-    """Threads `monte_carlo_expectation` splits its per-matrix work across
-    for this query and sample count; 1 means the calling thread alone."""
-    return 1 if query.is_empty else batch_workers(min(_CHUNK, samples))
 
 
 def monte_carlo_expectation(
@@ -62,23 +56,19 @@ def monte_carlo_expectation(
         raise ValidationError(f"need at least 100 samples, got {samples}")
     if N < 1:
         raise ValidationError(f"need N >= 1, got N={N}")
+    if N > MC_DIM_CEILING:
+        raise ValidationError(f"N={N} is over the Monte-Carlo ceiling {MC_DIM_CEILING}")
     if query.is_empty:
         return 1.0, 0.0
 
     gens = sorted({abs(s) for t in query.traces for s in t})
-    shape = (min(_CHUNK, samples), N, N)
-    buffers = {g: np.empty(shape, dtype=complex) for g in gens}
-    draw = np.empty(shape)
     vals = np.empty(samples, dtype=complex)
-    for done in range(0, samples, _CHUNK):
-        chunk = min(_CHUNK, samples - done)
-        stacks = {g: haar_unitaries(N, chunk, rng, out=buffers[g][:chunk], draw=draw[:chunk]) for g in gens}
-        out = vals[done : done + chunk]
 
-        def products(lo: int, hi: int) -> None:
-            out[lo:hi] = _trace_product({g: u[lo:hi] for g, u in stacks.items()}, query)
+    def sample(lo: int, hi: int, gen: np.random.Generator) -> None:
+        stacks = {g: _haar_fill(np.empty((hi - lo, N, N), dtype=complex), gen) for g in gens}
+        vals[lo:hi] = _trace_product(stacks, query)
 
-        map_batches(products, chunk)
+    map_batches(sample, samples, rng)
 
     mean_re = float(vals.real.mean())
     stderr_re = float(vals.real.std(ddof=1) / math.sqrt(samples))

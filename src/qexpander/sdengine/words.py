@@ -10,6 +10,7 @@ adjoint globally; the canonical form quotients out exactly that group.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -126,6 +127,17 @@ class ExpectationQuery:
     @property
     def is_empty(self) -> bool:
         return not self.traces
+
+    @property
+    def is_unbalanced(self) -> bool:
+        """Some generator occurs a different number of times than its
+        adjoint. The expectation is then 0 at every N, since U_g and
+        e^{i theta} U_g have the same Haar distribution."""
+        net: Counter[int] = Counter()
+        for t in self.traces:
+            for s in t:
+                net[abs(s)] += 1 if s > 0 else -1
+        return any(net.values())
 
 
 def query_from_traces(traces: Iterable[Word]) -> tuple[ExpectationQuery, int]:

@@ -156,6 +156,8 @@ def test_exit_code_validation_error(tmp_path, capsys):
         ["sweep", "--n-list", "4", "--seed", "-1", "--out", "{tmp}"],
         ["edge", "--n", "4", "--seed", "-1"],
         ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "4", "--seed", "-1"],
+        ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "129", "--samples", "100"],
+        ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "1000000", "--samples", "100"],
         ["sd", "eval", "tr(U1 U2 U1' U2')", "--exact", "--n", "0"],
         ["sd", "eval", "tr(U1 U2 U1' U2')", "--exact", "--n", "-4"],
         ["sd", "eval", "tr(U1 U1 U1) tr(U1' U1' U1')", "--exact", "--n", "2"],
@@ -363,6 +365,19 @@ def test_sd_eval_exact_holds_from_n_equal_k(expr, k, capsys):
     assert abs(mc["estimate"] - exact) <= 4 * mc["stderr"]
 
 
+@pytest.mark.parametrize(
+    "expr, n",
+    [("tr(U1 U1 U1)", "2"), ("tr(U1 U2 U3 U4 U5 U6 U7 U8 U9 U10 U11 U12)", "16")],
+    ids=["below_k", "over_budget"],
+)
+def test_sd_eval_exact_is_zero_for_an_unbalanced_query(expr, n, capsys):
+    # a generator with net exponent != 0 makes the expectation 0 at every
+    # N, so neither N >= k nor the letter budget applies
+    assert main(["sd", "eval", expr, "--exact", "--n", n]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["rational"], report["value"]) == ("0", 0.0)
+
+
 def test_sd_eval_exact_budget_counts_reduced_letters(capsys):
     # 12 letters as written, 2 after cyclic reduction
     expr = "tr(U1 U1' U2 U2' U1 U3 U3' U1' U1 U2 U2') tr(U1')"
@@ -375,8 +390,8 @@ def test_sd_eval_exact_budget_counts_reduced_letters(capsys):
     [(256, 2, 1), (257, 2, 2), (300, 1, 1), (10000, 2, 2), (10000, 3, 3), (2048, 16, 8)],
 )
 def test_sd_eval_mc_reports_samples_and_threads(monkeypatch, capsys, samples, cpus, threads):
-    # the threads actually used: one per CPU, at most one per 256-matrix
-    # sub-batch of a 2048-sample chunk; a single sub-batch runs inline
+    # the threads actually used: one per CPU, at most one per 256-sample
+    # sub-batch; a single sub-batch runs inline
     from qexpander.sdengine import mc
 
     callers: set[int] = set()
