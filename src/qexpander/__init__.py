@@ -2,12 +2,12 @@
 
 Subpackages and modules:
 
-- matrixcore: seeded RNG streams, Haar unitary sampling, Hilbert-Schmidt tools
+- matrixcore: seeded RNG streams, Haar sampling, sub-batches across CPUs, Hilbert-Schmidt norm
 - channel:    weighted unitary-Kraus CPTP maps (Hermitian / non-Hermitian / weighted)
-- spectrum:   superoperator, eigenvalues, second-eigenvalue extraction, moments
-- cayley:     free-group word reduction and exact tree walk combinatorics
+- spectrum:   real Hermitian-basis superoperator R, eigenvalues, lambda2, moments
+- cayley:     exact tree walk counts and the Alon-Boppana lower bound
 - sdengine:   symbolic evaluation of Haar expectations of trace products
-- edgex:      edge-expansion ratios and the eigenvector chain inequality
+- edgex:      the converse edge bound and the eigenvector chain inequality
 - cli:        experiment harness (sweeps, scaling collapse, file outputs)
 """
 

@@ -1,17 +1,15 @@
-"""Exact word combinatorics on the D-letter alphabet with inverse pairing.
+"""Exact walk counts on the free-group tree and the lower bound they give.
 
 Letters are integers 1..D; letter s and s + D/2 (indices wrapping mod D)
-are mutually inverse, so D must be even wherever inverses matter. Index
-sequences are walks on the tree with D branches at the root and D - 1 at
-every other node; N(l, m) counts length-m sequences whose free reduction
-has length l. Everything here is exact integer arithmetic: D^m overflows
-64 bits near m = 32 for D = 4, and the spectral lower bound needs exact
-ratios.
+are mutually inverse. Index sequences are walks on the tree with D
+branches at the root and D - 1 at every other node; N(l, m) counts
+length-m sequences whose free reduction has length l. Everything here
+is exact integer arithmetic: D^m overflows 64 bits near m = 32 for
+D = 4, and the spectral lower bound needs exact ratios.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -19,37 +17,6 @@ from typing import NamedTuple
 from .errors import ValidationError
 
 MAX_WALK_LENGTH = 64
-
-
-def inverse_letter(s: int, D: int) -> int:
-    return (s - 1 + D // 2) % D + 1
-
-
-def _check_alphabet(D: int, letters) -> None:
-    if D < 2 or D % 2 != 0:
-        raise ValidationError(f"inverse pairing needs even D >= 2, got D={D}")
-    for s in letters:
-        if not 1 <= s <= D:
-            raise ValidationError(f"letter {s} out of range 1..{D}")
-
-
-def reduce_word(D: int, letters) -> tuple[int, ...]:
-    """Free reduction: repeatedly delete adjacent inverse pairs.
-
-    Single left-to-right stack pass; the result has no adjacent inverse
-    pair and its length has the parity of the input length. This is the
-    linear (open-word) reduction; trace words are reduced cyclically by
-    the symbolic engine instead.
-    """
-    seq = tuple(letters)
-    _check_alphabet(D, seq)
-    stack: list[int] = []
-    for s in seq:
-        if stack and stack[-1] == inverse_letter(s, D):
-            stack.pop()
-        else:
-            stack.append(s)
-    return tuple(stack)
 
 
 @dataclass(frozen=True)
@@ -94,14 +61,6 @@ def walk_counts(D: int, m_max: int) -> WalkTable:
     return WalkTable(D=D, m_max=m_max, counts=counts)
 
 
-def return_count_upper_bound(D: int, m: int) -> int:
-    """(D-1)^(m/2) * m! / ((m/2)!)^2, an upper bound on N(0, m) for even m."""
-    if m % 2 != 0 or m < 0:
-        raise ValidationError(f"bound defined for even m >= 0, got {m}")
-    half = m // 2
-    return (D - 1) ** half * math.factorial(m) // (math.factorial(half) ** 2)
-
-
 class AlonBoppanaBound(NamedTuple):
     value: float
     attained_m: int | None  # None when no moment order qualifies
@@ -135,21 +94,3 @@ def alon_boppana_lower_bound(N: int, D: int, m_max: int = 20) -> AlonBoppanaBoun
             best_m = m
     return AlonBoppanaBound(value=best, attained_m=best_m)
 
-
-def shift_symmetry_period(letters) -> int:
-    """Largest o dividing len(w) with w invariant under cyclic shift by len/o.
-
-    Input must be nonempty and freely reduced; o = 1 means no nontrivial
-    symmetry.
-    """
-    w = tuple(letters)
-    if not w:
-        raise ValidationError("shift symmetry of the empty word is undefined")
-    n = len(w)
-    for o in range(n, 0, -1):
-        if n % o != 0:
-            continue
-        k = n // o
-        if w == w[k:] + w[:k]:
-            return o
-    return 1

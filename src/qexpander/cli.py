@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cayley import alon_boppana_lower_bound, walk_counts
+from .cayley import MAX_WALK_LENGTH, alon_boppana_lower_bound, walk_counts
 from .channel import Channel, build_hermitian_random, build_nonhermitian_random, build_weighted_random
 from .edgex import converse_check, random_projector, tanner_chain_check
 from .errors import NumericalError, QxError, ValidationError
@@ -69,8 +69,8 @@ class ExperimentConfig:
                 )
         elif self.D < 2:
             raise ValidationError(f"nonhermitian construction needs D >= 2, got D={self.D}")
-        if self.m_max % 2 != 0 or self.m_max < 2:
-            raise ValidationError(f"m_max must be even and >= 2, got {self.m_max}")
+        if self.m_max % 2 != 0 or not 2 <= self.m_max <= MAX_WALK_LENGTH:
+            raise ValidationError(f"m_max must be even and lie in 2..{MAX_WALK_LENGTH}, got {self.m_max}")
         if self.master_seed < 0:  # SeededRng rejects it too, but only inside a sweep record
             raise ValidationError(f"master_seed must be >= 0, got {self.master_seed}")
 
@@ -671,5 +671,8 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     finally:
         _release_free_heap()

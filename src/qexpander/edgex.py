@@ -1,5 +1,5 @@
-"""Edge-expansion checks: per-projector ratios, the converse bound, and the
-chain inequality on projectors built from the second eigenvector.
+"""Edge-expansion checks: the per-projector converse bound, and the chain
+inequality on projectors built from the second eigenvector.
 
 For a Hermitian channel with second eigenvalue lambda2 (signed, positive),
 the chain argument diagonalizes the traceless eigenvector X, forms nested
@@ -49,14 +49,6 @@ def assert_projector(p: np.ndarray) -> int:
     if abs(tr - rank) > RANK_TOL:
         raise ValidationError(f"projector trace {tr!r} is not near an integer")
     return rank
-
-
-def edge_ratio(channel: Channel, p: np.ndarray) -> float:
-    """tr(P E(P)) / tr(P), the retained weight of the subspace under one step."""
-    rank = assert_projector(p)
-    if rank == 0:
-        raise ValidationError("edge ratio of the rank-0 projector is undefined")
-    return float(np.trace(p @ apply(channel, p)).real) / rank
 
 
 def converse_check(

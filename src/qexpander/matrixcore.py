@@ -84,23 +84,6 @@ def haar_unitary(n: int, rng: SeededRng) -> np.ndarray:
     return _phase_fixed_q(complex_gaussian(rng, (n, n)))
 
 
-def haar_unitaries(n: int, count: int, rng: SeededRng) -> np.ndarray:
-    """A (count, n, n) stack of independent Haar unitaries.
-
-    Each sub-batch is drawn from its own stream and orthonormalized in one
-    `map_batches` task, so a seed gives the same stack bit for bit
-    whatever the worker count. Besides the stack, each thread holds one
-    sub-batch's Q and R, 32·256·n² bytes.
-    """
-    if n < 1:
-        raise ValidationError(f"invalid dimension n={n}; need n >= 1")
-    if count < 1:
-        raise ValidationError(f"invalid count={count}; need count >= 1")
-    z = np.empty((count, n, n), dtype=complex)
-    map_batches(lambda lo, hi, gen: _haar_fill(z[lo:hi], gen), count, rng)
-    return z
-
-
 def _haar_fill(z: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Overwrite the C-contiguous complex stack `z` with Haar unitaries
     drawn from `gen`, and return it.
@@ -165,12 +148,6 @@ def unitarity_residual(u: np.ndarray) -> float:
     """max-entry |U†U - 1|; 0 for an exact unitary."""
     n = u.shape[-1]
     return float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-
-
-def assert_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
-    res = unitarity_residual(u)
-    if res > tol:
-        raise ValidationError(f"matrix is not unitary: residual {res:.3e} > {tol:.1e}")
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:

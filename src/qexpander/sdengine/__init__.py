@@ -9,23 +9,14 @@ rational-function solve, and a Monte-Carlo oracle.
 
 from .words import ExpectationQuery, cyclic_reduce, query_from_traces
 from .parse import ParseResult, parse_trace_expr
-from .engine import (
-    SdTerm,
-    SeriesResult,
-    LevelAudit,
-    evaluate_exact,
-    evaluate_series,
-    sd_step,
-)
+from .engine import SeriesResult, evaluate_exact, evaluate_series, sd_step
 from .rational import RationalInN
 from .mc import monte_carlo_expectation
 
 __all__ = [
     "ExpectationQuery",
-    "LevelAudit",
     "ParseResult",
     "RationalInN",
-    "SdTerm",
     "SeriesResult",
     "cyclic_reduce",
     "evaluate_exact",

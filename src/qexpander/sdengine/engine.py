@@ -137,11 +137,13 @@ def evaluate_series(
         raise ValidationError(f"need n_max >= 1, got n_max={n_max}")
     if not tol >= 0:  # also refuses NaN
         raise ValidationError(f"need tol >= 0, got tol={tol}")
+    if node_budget < 0:
+        raise ValidationError(f"need node_budget >= 0, got node_budget={node_budget}")
     m_total = query.m_total
     if m_total > N and not allow_divergent:
         raise ValidationError(
             f"m_total={m_total} exceeds N={N}: series convergence is not guaranteed "
-            "(pass allow_divergent=True to force)"
+            "(pass allow_divergent=True, or --allow-divergent on the command line, to force)"
         )
     if query.is_empty:
         return SeriesResult(

@@ -11,11 +11,6 @@ Conventions fixed here once:
   Hermitian matrices to Hermitian matrices, so R is real; it is
   symmetric for a Hermitian channel. The coordinates of a Hermitian M are
   c(M)_a = tr(B_a M), so R c(M) = c(E(M)).
-- R is a unitary change of basis away from the vec-basis superoperator
-  S = sum_s P(s) (U(s)^T kron U(s)†), with vec column-stacking, so
-  vec(A M B) = (B^T kron A) vec(M). Eigenvalues, traces of powers and
-  Frobenius norms of powers agree. `superoperator` builds S as the
-  definition and test oracle; no production path uses it.
 - every channel here is unital and trace preserving, so I/sqrt(N) is an
   eigenvector with eigenvalue 1 and the traceless matrices are invariant:
   R = [[R_00, 0], [0, R']] with R_00 = 1, up to rounding. The unit
@@ -31,30 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, apply
+from .channel import Channel
 from .errors import NumericalError, ValidationError
 from .matrixcore import SPECTRAL_RADIUS_TOL
 
 DEFAULT_DIM_CEILING = 64  # dense N^2 x N^2 work is impractical beyond this
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return m.reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return v.reshape((n, n), order="F")
-
-
-def superoperator(channel: Channel) -> np.ndarray:
-    """The N^2 x N^2 matrix S with S vec(M) = vec(E(M)) for all M."""
-    n = channel.dim
-    s = np.zeros((n * n, n * n), dtype=complex)
-    for k in range(channel.kraus_count):
-        u = channel.unitaries[k]
-        s += channel.weights[k] * np.kron(u.T, u.conj().T)
-    return s
 
 
 def _diagonal_basis(n: int) -> np.ndarray:
@@ -67,14 +43,6 @@ def _diagonal_basis(n: int) -> np.ndarray:
     if n > 1:
         h -= (2.0 / (v @ v)) * np.outer(v, v)
     return h
-
-
-def hermitian_coords(m: np.ndarray) -> np.ndarray:
-    """c(M), the N^2 real coordinates of a Hermitian M in the basis B."""
-    n = m.shape[0]
-    iu, ju = np.triu_indices(n, 1)
-    off = math.sqrt(2.0) * m[iu, ju]
-    return np.concatenate([_diagonal_basis(n) @ m.diagonal().real, off.real, off.imag])
 
 
 def hermitian_from_coords(c: np.ndarray, n: int) -> np.ndarray:
@@ -230,8 +198,8 @@ class MomentRow:
     """The moments of order m, read off one power R^m."""
 
     m: int
-    moment_trace: float | None  # tr(S^m); Hermitian channels at even m only
-    frobenius_moment: float  # tr((S†)^m S^m)
+    moment_trace: float | None  # tr(R^m); Hermitian channels at even m only
+    frobenius_moment: float  # tr((R^T)^m R^m)
 
     @property
     def lambda2_estimate(self) -> float | None:
@@ -243,9 +211,9 @@ class MomentRow:
 def moment_table(channel: Channel, orders) -> list[MomentRow]:
     """One row per order, from a single walk R, R^2, ..., R^max(orders).
 
-    R is built once and each further power costs one dense product. R is
-    unitarily similar to S, so traces and Frobenius norms of its powers
-    are those of S.
+    R is built once and each further power costs one dense product. B is
+    orthonormal, so traces and Frobenius norms of the powers of R are
+    those of the channel's matrix in any orthonormal basis.
     """
     for m in orders:
         if m < 1:
@@ -309,24 +277,14 @@ def write_spectrum_csv(spectrum: SuperopSpectrum, path) -> None:
             )
 
 
-def faithfulness_residual(channel: Channel, s: np.ndarray, m: np.ndarray) -> float:
-    """max-entry |S vec(M) - vec(E(M))|, the defining contract of S."""
-    return float(np.max(np.abs(s @ vec(m) - vec(apply(channel, m)))))
-
-
 __all__ = [
     "DEFAULT_DIM_CEILING",
     "BenchmarkConstants",
     "SuperopSpectrum",
     "benchmark_values",
     "eigen_spectrum",
-    "faithfulness_residual",
-    "hermitian_coords",
     "hermitian_from_coords",
     "moment_table",
     "real_superoperator",
-    "superoperator",
-    "unvec",
-    "vec",
     "write_spectrum_csv",
 ]

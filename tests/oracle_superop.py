@@ -1,0 +1,51 @@
+"""The complex vec-basis superoperator S, the definition the real kernel R
+in qexpander.spectrum is checked against.
+
+S = sum_s P(s) (U(s)^T kron U(s)†), with vec column-stacking, so
+vec(A M B) = (B^T kron A) vec(M) and S vec(M) = vec(E(M)). R is a unitary
+change of basis away from S: eigenvalues, traces of powers and Frobenius
+norms of powers agree. S is built term by term with `np.kron`, so it is
+only usable at small N.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from qexpander.channel import Channel, apply
+from qexpander.spectrum import _diagonal_basis
+
+
+def vec(m: np.ndarray) -> np.ndarray:
+    """Column-stacking vectorization."""
+    return m.reshape(-1, order="F")
+
+
+def unvec(v: np.ndarray, n: int) -> np.ndarray:
+    return v.reshape((n, n), order="F")
+
+
+def superoperator(channel: Channel) -> np.ndarray:
+    """The N^2 x N^2 matrix S with S vec(M) = vec(E(M)) for all M."""
+    n = channel.dim
+    s = np.zeros((n * n, n * n), dtype=complex)
+    for k in range(channel.kraus_count):
+        u = channel.unitaries[k]
+        s += channel.weights[k] * np.kron(u.T, u.conj().T)
+    return s
+
+
+def faithfulness_residual(channel: Channel, s: np.ndarray, m: np.ndarray) -> float:
+    """max-entry |S vec(M) - vec(E(M))|, the defining contract of S."""
+    return float(np.max(np.abs(s @ vec(m) - vec(apply(channel, m)))))
+
+
+def hermitian_coords(m: np.ndarray) -> np.ndarray:
+    """c(M), the N^2 real coordinates of a Hermitian M in the basis B of
+    qexpander.spectrum: the inverse of `hermitian_from_coords`."""
+    n = m.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    off = math.sqrt(2.0) * m[iu, ju]
+    return np.concatenate([_diagonal_basis(n) @ m.diagonal().real, off.real, off.imag])

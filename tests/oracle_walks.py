@@ -2,16 +2,78 @@
 
 Every length-m sequence over the D letters is generated and reduced by
 simulating the cancellation stack directly, vectorized over chunks so the
-D=6, m=10 case (60M sequences) stays tractable.
+D=6, m=10 case (60M sequences) stays tractable. Letters are integers
+1..D; letter s and s + D/2 (indices wrapping mod D) are mutually inverse,
+so D must be even. Also here: the open-word free reduction, the closed
+upper bound on return counts, and the shift symmetry of a word.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from qexpander.cayley import inverse_letter, reduce_word
+from qexpander.errors import ValidationError
+
+
+def inverse_letter(s: int, D: int) -> int:
+    return (s - 1 + D // 2) % D + 1
+
+
+def _check_alphabet(D: int, letters) -> None:
+    if D < 2 or D % 2 != 0:
+        raise ValidationError(f"inverse pairing needs even D >= 2, got D={D}")
+    for s in letters:
+        if not 1 <= s <= D:
+            raise ValidationError(f"letter {s} out of range 1..{D}")
+
+
+def reduce_word(D: int, letters) -> tuple[int, ...]:
+    """Free reduction: repeatedly delete adjacent inverse pairs.
+
+    Single left-to-right stack pass; the result has no adjacent inverse
+    pair and its length has the parity of the input length. This is the
+    linear (open-word) reduction; trace words are reduced cyclically by
+    the symbolic engine instead.
+    """
+    seq = tuple(letters)
+    _check_alphabet(D, seq)
+    stack: list[int] = []
+    for s in seq:
+        if stack and stack[-1] == inverse_letter(s, D):
+            stack.pop()
+        else:
+            stack.append(s)
+    return tuple(stack)
+
+
+def return_count_upper_bound(D: int, m: int) -> int:
+    """(D-1)^(m/2) * m! / ((m/2)!)^2, an upper bound on N(0, m) for even m."""
+    if m % 2 != 0 or m < 0:
+        raise ValidationError(f"bound defined for even m >= 0, got {m}")
+    half = m // 2
+    return (D - 1) ** half * math.factorial(m) // (math.factorial(half) ** 2)
+
+
+def shift_symmetry_period(letters) -> int:
+    """Largest o dividing len(w) with w invariant under cyclic shift by len/o.
+
+    Input must be nonempty and freely reduced; o = 1 means no nontrivial
+    symmetry.
+    """
+    w = tuple(letters)
+    if not w:
+        raise ValidationError("shift symmetry of the empty word is undefined")
+    n = len(w)
+    for o in range(n, 0, -1):
+        if n % o != 0:
+            continue
+        k = n // o
+        if w == w[k:] + w[:k]:
+            return o
+    return 1
 
 
 def slow_return_counts(d: int, m: int) -> dict[int, int]:

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import record_verdict
-from oracle_walks import enumerate_length_counts
-from qexpander.cayley import alon_boppana_lower_bound, return_count_upper_bound, walk_counts
+from oracle_superop import superoperator, vec
+from oracle_walks import enumerate_length_counts, return_count_upper_bound
+from qexpander.cayley import alon_boppana_lower_bound, walk_counts
 from qexpander.channel import apply, build_hermitian_random, build_nonhermitian_random
 from qexpander.cli import build_channel, collapse_curve, emit_collapse, quantile_distance
 from qexpander.edgex import converse_check, random_projector, tanner_chain_check
@@ -23,7 +24,7 @@ from qexpander.sdengine import (
     monte_carlo_expectation,
     parse_trace_expr,
 )
-from qexpander.spectrum import eigen_spectrum, moment_table, superoperator, vec
+from qexpander.spectrum import eigen_spectrum, moment_table
 
 LAMBDA_H = 0.86603  # 2 sqrt(3)/4 to five places
 MEDIAN_TOL = 0.05
@@ -123,9 +124,9 @@ def test_criterion_3_sd_worked_examples():
     series = evaluate_series(two_query, 16, n_max=12, tol=0.0)
     tail = series.level_sums[1:]
     ok = (
-        one.is_constant
+        one.is_constant()
         and one.constant_value() == 1
-        and two.is_constant
+        and two.is_constant()
         and two.constant_value() == 2
         and series.level_sums[0] == Fraction(2)
         and len(series.level_sums) == 12

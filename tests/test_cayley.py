@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_walks import enumerate_length_counts, slow_return_counts
-from qexpander.cayley import (
-    alon_boppana_lower_bound,
+from oracle_walks import (
+    enumerate_length_counts,
     inverse_letter,
     reduce_word,
     return_count_upper_bound,
     shift_symmetry_period,
-    walk_counts,
+    slow_return_counts,
 )
+from qexpander.cayley import alon_boppana_lower_bound, walk_counts
 from qexpander.errors import ValidationError
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracle_mc import haar_stack
 from qexpander.channel import (
     Channel,
     apply,
@@ -13,7 +14,7 @@ from qexpander.channel import (
     loads,
 )
 from qexpander.errors import ValidationError
-from qexpander.matrixcore import SeededRng, haar_unitaries
+from qexpander.matrixcore import SeededRng
 
 
 def test_hermitian_build_shapes_and_pairing():
@@ -69,7 +70,7 @@ def test_apply_hermiticity_preserved():
 
 
 def test_apply_takes_a_stack_of_matrices():
-    chan = build_weighted(haar_unitaries(5, 3, SeededRng(30)), np.array([0.5, 0.3, 0.2]), hermitian=False)
+    chan = build_weighted(haar_stack(5, 3, SeededRng(30)), np.array([0.5, 0.3, 0.2]), hermitian=False)
     g = SeededRng(31).generator
     ms = g.standard_normal((2, 3, 5, 5)) + 1j * g.standard_normal((2, 3, 5, 5))
     stacked = apply(chan, ms)
@@ -86,7 +87,7 @@ def test_apply_takes_a_stack_of_matrices():
 
 
 def test_build_weighted_validates_weights():
-    us = haar_unitaries(5, 2, SeededRng(10))
+    us = haar_stack(5, 2, SeededRng(10))
     with pytest.raises(ValidationError):
         build_weighted(us, np.array([0.7, 0.7]), hermitian=False)
     with pytest.raises(ValidationError):
@@ -94,7 +95,7 @@ def test_build_weighted_validates_weights():
 
 
 def test_build_weighted_hermitian_checks_adjoint_pairing():
-    us = haar_unitaries(5, 4, SeededRng(11))
+    us = haar_stack(5, 4, SeededRng(11))
     # unpaired factors must be rejected when hermitian is claimed
     with pytest.raises(ValidationError):
         build_weighted(us, np.full(4, 0.25), hermitian=True)
@@ -106,7 +107,7 @@ def test_build_weighted_hermitian_checks_adjoint_pairing():
 
 
 def test_weight_pairing_enforced_for_hermitian():
-    us = haar_unitaries(5, 2, SeededRng(12))
+    us = haar_stack(5, 2, SeededRng(12))
     paired = np.stack([us[0], us[0].conj().T])
     with pytest.raises(ValidationError):
         build_weighted(paired, np.array([0.6, 0.4]), hermitian=True)
@@ -131,7 +132,7 @@ def test_json_round_trip():
 
 
 def test_json_round_trip_weighted_nonhermitian():
-    us = haar_unitaries(4, 3, SeededRng(15))
+    us = haar_stack(4, 3, SeededRng(15))
     w = np.array([0.5, 0.25, 0.25])
     chan = build_weighted(us, w, hermitian=False)
     assert loads(dumps(chan)) == chan

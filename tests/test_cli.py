@@ -1,11 +1,20 @@
+import importlib
 import json
 import math
+import os
+import pkgutil
 import platform
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qexpander
+from qexpander import sdengine, spectrum
+from qexpander.cayley import MAX_WALK_LENGTH
 from qexpander.cli import (
     ExperimentConfig,
     SWEEP_HEADER,
@@ -23,6 +32,34 @@ from qexpander.matrixcore import SeededRng
 
 def mask_wall_ms(text: str) -> list[str]:
     return [",".join(line.split(",")[:9]) for line in text.splitlines()]
+
+
+# test-only code lives next to the oracles in tests/, or is gone
+MOVED_TO_TESTS = (
+    "superoperator",
+    "vec",
+    "unvec",
+    "faithfulness_residual",
+    "hermitian_coords",
+    "inverse_letter",
+    "_check_alphabet",
+    "reduce_word",
+    "shift_symmetry_period",
+    "return_count_upper_bound",
+    "edge_ratio",
+    "assert_unitary",
+    "haar_unitaries",
+)
+
+
+def test_src_exports_resolve_and_hold_no_test_only_code():
+    for module in (spectrum, sdengine):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    assert not {"SdTerm", "LevelAudit"} & set(vars(sdengine))
+    for info in pkgutil.walk_packages(qexpander.__path__, "qexpander."):
+        module = importlib.import_module(info.name)
+        assert not set(MOVED_TO_TESTS) & set(vars(module)), info.name
 
 
 def test_sweep_csv_header_and_determinism(tmp_path):
@@ -118,6 +155,9 @@ def test_config_validation():
         ExperimentConfig("weird", (8,), 4, 1, 0, ".", 20)
     with pytest.raises(ValidationError):
         ExperimentConfig("hermitian", (8,), 4, 0, 0, ".", 20)  # no trials
+    with pytest.raises(ValidationError):
+        ExperimentConfig("hermitian", (8,), 4, 1, 0, ".", MAX_WALK_LENGTH + 2)  # past the walk table
+    ExperimentConfig("hermitian", (8,), 4, 1, 0, ".", MAX_WALK_LENGTH)
     ExperimentConfig("nonhermitian", (8,), 2, 1, 0, ".", 20)  # D=2 fine here
 
 
@@ -162,6 +202,8 @@ def test_exit_code_validation_error(tmp_path, capsys):
         ["sd", "eval", "tr(U1 U2 U1' U2')", "--exact", "--n", "-4"],
         ["sd", "eval", "tr(U1 U1 U1) tr(U1' U1' U1')", "--exact", "--n", "2"],
         ["sd", "eval", "tr(U1 U1) tr(U1' U1')", "--series", "--n", "16", "--tol", "nan"],
+        ["sd", "eval", "tr(U1) tr(U1')", "--series", "--n", "16", "--budget", "-1"],
+        ["sweep", "--n-list", "4", "--d", "4", "--m-max", "200", "--out", "{tmp}"],
     ],
 )
 def test_explicit_zero_is_validated_not_defaulted(argv, tmp_path, capsys):
@@ -170,6 +212,21 @@ def test_explicit_zero_is_validated_not_defaulted(argv, tmp_path, capsys):
     assert any(line.startswith("error:") for line in captured.err.splitlines())
     assert "Traceback" not in captured.err + captured.out
     assert captured.out == ""
+
+
+def test_out_of_memory_exits_2_without_a_traceback():
+    # 16 PB of samples: the allocation fails at once on any allocator. The
+    # command runs in a child process because after a failed malloc glibc
+    # serves the thread from a second arena, where malloc_trim leaves freed
+    # pages resident and test_command_leaves_no_freed_heap_resident fails.
+    argv = ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "4", "--samples", "1000000000000000"]
+    env = {**os.environ, "PYTHONPATH": str(Path(qexpander.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qexpander", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: out of memory") and len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from qexpander.channel import build_hermitian_random, build_nonhermitian_random, build_weighted
-from qexpander.edgex import (
-    assert_projector,
-    converse_check,
-    edge_ratio,
-    random_projector,
-    tanner_chain_check,
-)
+from qexpander.channel import Channel, apply, build_hermitian_random, build_nonhermitian_random, build_weighted
+from qexpander.edgex import assert_projector, converse_check, random_projector, tanner_chain_check
 from qexpander.errors import ValidationError
 from qexpander.matrixcore import SeededRng
 from qexpander.spectrum import eigen_spectrum
+
+
+def edge_ratio(channel: Channel, p: np.ndarray) -> float:
+    """tr(P E(P)) / tr(P), the retained weight of the subspace under one step."""
+    rank = assert_projector(p)
+    if rank == 0:
+        raise ValidationError("edge ratio of the rank-0 projector is undefined")
+    return float(np.trace(p @ apply(channel, p)).real) / rank
 
 
 def identity_channel(n: int) -> object:

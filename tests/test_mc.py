@@ -13,7 +13,7 @@ import pytest
 
 import oracle_mc
 from qexpander import matrixcore
-from qexpander.matrixcore import SeededRng, haar_unitaries
+from qexpander.matrixcore import SeededRng
 from qexpander.sdengine import monte_carlo_expectation, parse_trace_expr
 from qexpander.sdengine import mc
 from test_acceptance import CORPUS
@@ -25,13 +25,6 @@ MC_PEAK_BOUND_MB = 64.0  # traced peak of one N=32, 4096-sample, 2-generator run
 
 def _query(expr: str):
     return parse_trace_expr(expr).query
-
-
-@pytest.mark.parametrize("n, count", [(8, 6), (12, 400), (32, 2048)])
-def test_haar_unitaries_match_the_oracle_bitwise(n, count):
-    got = haar_unitaries(n, count, SeededRng(19, n))
-    want = oracle_mc.haar_stack(n, count, SeededRng(19, n))
-    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [16, 32])

@@ -1,26 +1,22 @@
 """The real Hermitian-basis kernel R against the complex vec-basis oracle S.
 
-Every production spectral path runs on R; `superoperator` stays the
-definition. Tolerances: 1e-12 absolute on eigenvalues and on R c(M) =
-c(E(M)), 1e-12 relative on traces and Frobenius norms of powers.
+Every production spectral path runs on R; S, built by `superoperator` in
+tests/oracle_superop.py, is the definition, and `hermitian_coords` there
+gives c(M). Tolerances: 1e-12 absolute on eigenvalues and on
+R c(M) = c(E(M)), 1e-12 relative on traces and Frobenius norms of powers.
 """
 
 import numpy as np
 import pytest
 
+from oracle_mc import haar_stack
+from oracle_superop import hermitian_coords, superoperator
 from qexpander.channel import apply, build_hermitian_random, build_nonhermitian_random, build_weighted
 from qexpander.cli import build_channel
 from qexpander.edgex import tanner_chain_check
 from qexpander.errors import ValidationError
-from qexpander.matrixcore import SeededRng, haar_unitaries
-from qexpander.spectrum import (
-    eigen_spectrum,
-    hermitian_coords,
-    hermitian_from_coords,
-    moment_table,
-    real_superoperator,
-    superoperator,
-)
+from qexpander.matrixcore import SeededRng
+from qexpander.spectrum import eigen_spectrum, hermitian_from_coords, moment_table, real_superoperator
 
 EIG_AGREE = 1e-12
 MOMENT_REL = 1e-12
@@ -56,7 +52,7 @@ def two_pauli_channel():
 
 
 def weighted_nonhermitian_channel():
-    us = haar_unitaries(6, 3, SeededRng(21))
+    us = haar_stack(6, 3, SeededRng(21))
     return build_weighted(us, np.array([0.5, 0.3, 0.2]), hermitian=False)
 
 
