@@ -9,8 +9,7 @@ Hilbert-Schmidt inner product.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,19 +26,25 @@ from .matrixcore import (
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """Immutable weighted unitary-Kraus channel.
+    """Immutable weighted unitary-Kraus channel; equality is identity.
 
     unitaries is a (D, N, N) complex array; weights a length-D probability
     vector. seed records the stream that built the channel (diagnostics
-    only; not part of the serialized form).
+    only).
     """
 
-    dim: int
-    kraus_count: int
-    weights: np.ndarray
     unitaries: np.ndarray
+    weights: np.ndarray
     hermitian: bool
-    seed: tuple[int, int] | None = field(default=None, compare=False)
+    seed: tuple[int, int] | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.unitaries.shape[1]
+
+    @property
+    def kraus_count(self) -> int:
+        return self.unitaries.shape[0]
 
     def __post_init__(self) -> None:
         ws = np.array(self.weights, dtype=float)
@@ -48,13 +53,11 @@ class Channel:
         us.flags.writeable = False
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "unitaries", us)
+        if us.ndim != 3 or us.shape[1] != us.shape[2]:
+            raise ValidationError(f"unitaries must be a (D,N,N) stack, got shape {us.shape}")
         n, d = self.dim, self.kraus_count
         if n < 1:
             raise ValidationError(f"invalid dimension N={n}")
-        if self.unitaries.shape != (d, n, n):
-            raise ValidationError(
-                f"unitaries shape {self.unitaries.shape} does not match (D,N,N)=({d},{n},{n})"
-            )
         if self.weights.shape != (d,):
             raise ValidationError(f"weights shape {self.weights.shape} does not match D={d}")
         if not np.all(np.isfinite(self.weights)):
@@ -88,17 +91,6 @@ class Channel:
             if d < 2:
                 raise ValidationError(f"need D >= 2 Kraus terms, got D={d}")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Channel):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.kraus_count == other.kraus_count
-            and self.hermitian == other.hermitian
-            and np.array_equal(self.weights, other.weights)
-            and np.array_equal(self.unitaries, other.unitaries)
-        )
-
 
 def _adjoint_paired_haar(N: int, D: int, rng: SeededRng) -> np.ndarray:
     """D/2 Haar unitaries followed by their adjoints, U(s + D/2) = U(s)†."""
@@ -121,8 +113,6 @@ def build_hermitian_random(N: int, D: int, rng: SeededRng) -> Channel:
     """Uniform-weight Hermitian channel: D/2 Haar unitaries plus their adjoints."""
     _check_paired_shape("hermitian", N, D)
     return Channel(
-        dim=N,
-        kraus_count=D,
         weights=np.full(D, 1.0 / D),
         unitaries=_adjoint_paired_haar(N, D, rng),
         hermitian=True,
@@ -140,8 +130,6 @@ def build_weighted_random(N: int, D: int, rng: SeededRng) -> Channel:
     gam = rng.generator.gamma(1.0, size=D // 2)
     w_half = gam / (2.0 * gam.sum())
     return Channel(
-        dim=N,
-        kraus_count=D,
         weights=np.concatenate([w_half, w_half]),
         unitaries=_adjoint_paired_haar(N, D, rng),
         hermitian=True,
@@ -157,31 +145,10 @@ def build_nonhermitian_random(N: int, D: int, rng: SeededRng) -> Channel:
         raise ValidationError(f"need N >= 2, got N={N}")
     us = np.stack([haar_unitary(N, rng) for _ in range(D)])
     return Channel(
-        dim=N,
-        kraus_count=D,
         weights=np.full(D, 1.0 / D),
         unitaries=us,
         hermitian=False,
         seed=(rng.master_seed, rng.stream_index),
-    )
-
-
-def build_weighted(unitaries, weights, hermitian: bool) -> Channel:
-    """Channel from explicit unitaries and probabilities P(s).
-
-    Kraus factors are sqrt(P(s)) U(s); all Channel invariants (weight sum,
-    adjoint pairing when hermitian) are enforced by the constructor.
-    """
-    us = np.asarray(unitaries, dtype=complex)
-    ws = np.asarray(weights, dtype=float)
-    if us.ndim != 3:
-        raise ValidationError(f"unitaries must be a (D,N,N) stack, got shape {us.shape}")
-    return Channel(
-        dim=us.shape[1],
-        kraus_count=us.shape[0],
-        weights=ws,
-        unitaries=us,
-        hermitian=hermitian,
     )
 
 
@@ -193,51 +160,3 @@ def apply(channel: Channel, m: np.ndarray) -> np.ndarray:
     us = channel.unitaries
     terms = us.conj().swapaxes(-1, -2) @ m[..., None, :, :] @ us  # (..., D, N, N)
     return np.tensordot(channel.weights, terms, axes=(0, -3))
-
-
-# ---------------------------------------------------------------------------
-# serialization: {dim, kraus_count, hermitian, weights[], unitaries[[re,im]]}
-# json emits repr-exact floats, so the round trip is lossless.
-
-
-def to_json_dict(channel: Channel) -> dict:
-    return {
-        "dim": channel.dim,
-        "kraus_count": channel.kraus_count,
-        "hermitian": channel.hermitian,
-        "weights": [float(w) for w in channel.weights],
-        "unitaries": [
-            [[[float(z.real), float(z.imag)] for z in row] for row in u]
-            for u in channel.unitaries
-        ],
-    }
-
-
-def from_json_dict(doc: dict) -> Channel:
-    try:
-        us = np.array(
-            [[[complex(re, im) for re, im in row] for row in u] for u in doc["unitaries"]],
-            dtype=complex,
-        )
-        ws = np.array(doc["weights"], dtype=float)
-        return Channel(
-            dim=int(doc["dim"]),
-            kraus_count=int(doc["kraus_count"]),
-            weights=ws,
-            unitaries=us,
-            hermitian=bool(doc["hermitian"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed channel document: {exc}") from exc
-
-
-def dumps(channel: Channel) -> str:
-    return json.dumps(to_json_dict(channel))
-
-
-def loads(text: str) -> Channel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid channel JSON: {exc}") from exc
-    return from_json_dict(doc)

@@ -177,11 +177,11 @@ def write_sweep_csv(records: list[ExperimentRecord], path) -> None:
 
 
 def collapse_curve(spectrum: SuperopSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """(a/N^2, eigenvalue) with eigenvalues from most positive to most negative."""
+    """(a/N^2, eigenvalue) with eigenvalues from most positive to most
+    negative, the order eigen_spectrum gives a hermitian spectrum."""
     n2 = spectrum.dim * spectrum.dim
-    eigs = np.sort(spectrum.eigenvalues.real)[::-1]
     ranks = np.arange(1, n2 + 1) / n2
-    return ranks, eigs
+    return ranks, spectrum.eigenvalues.real
 
 
 def quantile_distance(
@@ -442,6 +442,9 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
     config = merge_config(args, unread=("trials", "m_max"))
     if config.construction != "hermitian":
         raise ValidationError("collapse uses the hermitian construction")
+    repeated = sorted(n for n, count in Counter(config.N_list).items() if count > 1)
+    if repeated:
+        raise ValidationError(f"collapse draws one curve per N; N list repeats {repeated}")
     spectra: dict[int, SuperopSpectrum] = {}
     for stream, n in enumerate(config.N_list):
         rng = SeededRng(config.master_seed, stream)
@@ -511,22 +514,31 @@ def _cmd_sd(args: argparse.Namespace) -> int:
         value = evaluate_exact(query) * RationalInN.n_power(power)
         report["rational"] = str(value)
         if n is not None:
-            report["value"] = float(value.evaluate(n))
+            try:
+                report["value"] = float(value.evaluate(n))
+            except OverflowError:
+                raise ValidationError(f"the value at N={n} does not fit in a float") from None
     elif mode == "series":
         if n is None:
             raise ValidationError("--series needs --n")
-        result = evaluate_series(
-            parsed.query,
-            n,
-            n_max=args.levels,
-            tol=args.tol,
-            node_budget=args.budget,
-            allow_divergent=args.allow_divergent,
-        )
-        scale = n**power
-        report["value"] = result.partial_total * scale
+        try:
+            result = evaluate_series(
+                parsed.query,
+                n,
+                n_max=args.levels,
+                tol=args.tol,
+                node_budget=args.budget,
+                allow_divergent=args.allow_divergent,
+            )
+            scale = n**power
+            value, bound = result.partial_total * scale, result.truncation_bound * scale
+        except OverflowError:  # a float conversion, or a power of N in the bound
+            value = bound = math.inf
+        if math.isinf(value) or math.isinf(bound):
+            raise ValidationError(f"the value or its bound at N={n} does not fit in a float")
+        report["value"] = value
         report["levels_computed"] = result.levels_computed
-        report["truncation_bound"] = result.truncation_bound * scale
+        report["truncation_bound"] = bound
         report["level_sums"] = [str(s) for s in result.level_sums]
     else:
         if n is None:

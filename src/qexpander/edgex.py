@@ -51,14 +51,12 @@ def assert_projector(p: np.ndarray) -> int:
     return rank
 
 
-def converse_check(
-    channel: Channel, p: np.ndarray, lambda2: float | None = None
-) -> tuple[bool, float]:
+def converse_check(channel: Channel, p: np.ndarray, lambda2: float) -> tuple[bool, float]:
     """Per-projector bound tr(P E(P)) <= |l2| (l - l^2/N) + l^2/N for l <= N/2.
 
     Returns (holds, slack) with slack = rhs - lhs; holds means
-    slack >= -1e-8. lambda2 may be passed in to avoid recomputing the
-    spectrum per projector.
+    slack >= -1e-8. lambda2 is required: the caller solves the spectrum
+    once and reuses it for every projector.
     """
     if not channel.hermitian:
         raise ValidationError("converse bound applies to hermitian channels")
@@ -68,9 +66,8 @@ def converse_check(
     n = channel.dim
     if rank > n / 2:
         raise ValidationError(f"converse bound needs rank <= N/2, got rank {rank} at N={n}")
-    lam = eigen_spectrum(channel).lambda2 if lambda2 is None else abs(lambda2)
     lhs = float(np.trace(p @ apply(channel, p)).real)
-    rhs = lam * (rank - rank * rank / n) + rank * rank / n
+    rhs = abs(lambda2) * (rank - rank * rank / n) + rank * rank / n
     slack = rhs - lhs
     return slack >= -SLACK_TOL, slack
 

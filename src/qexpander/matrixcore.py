@@ -53,10 +53,6 @@ class SeededRng:
     def generator(self) -> np.random.Generator:
         return self._gen
 
-    def stream(self, index: int) -> "SeededRng":
-        """Sibling stream with the same master seed."""
-        return SeededRng(self.master_seed, index)
-
 
 def complex_gaussian(rng: SeededRng, shape: tuple[int, ...]) -> np.ndarray:
     """I.i.d. standard complex Gaussians (variance 1 per complex entry).

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ..errors import NumericalError, ValidationError
-from .rational import RAT_ONE, RationalInN
+from .rational import RAT_ONE, RAT_ZERO, RationalInN
 from .words import ExpectationQuery, Traces, query_from_traces
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -103,11 +103,6 @@ class SeriesResult:
     truncation_bound: float
     levels_computed: int
     level_audits: tuple[LevelAudit, ...]
-    m_total: int
-    N: int
-
-    def exact_partial_total(self) -> Fraction:
-        return sum(self.level_sums, Fraction(0))
 
 
 def _truncation_bound(m_total: int, n_levels: int, N: int) -> float:
@@ -152,8 +147,6 @@ def evaluate_series(
             truncation_bound=0.0,
             levels_computed=0,
             level_audits=(),
-            m_total=0,
-            N=N,
         )
 
     frontier: dict[tuple[ExpectationQuery, int, int, int], int] = {(query, 0, 0, 1): 1}
@@ -208,8 +201,6 @@ def evaluate_series(
         truncation_bound=bound,
         levels_computed=level,
         level_audits=tuple(audits),
-        m_total=m_total,
-        N=N,
     )
 
 
@@ -237,7 +228,7 @@ def evaluate_exact(query: ExpectationQuery) -> RationalInN:
     An unbalanced query is exactly 0 and skips the budget and the solve.
     """
     if query.is_unbalanced:
-        return RationalInN.from_int(0)
+        return RAT_ZERO
     if query.is_empty:
         return RAT_ONE
     if query.m_total > DEFAULT_SYMBOLIC_BUDGET:
@@ -255,9 +246,8 @@ def evaluate_exact(query: ExpectationQuery) -> RationalInN:
         block = sorted(groups[count], key=lambda q: q.traces)
         index = {q: i for i, q in enumerate(block)}
         size = len(block)
-        zero = RationalInN.from_int(0)
-        matrix = [[zero] * size for _ in range(size)]
-        rhs = [zero] * size
+        matrix = [[RAT_ZERO] * size for _ in range(size)]
+        rhs = [RAT_ZERO] * size
         for i, q in enumerate(block):
             matrix[i][i] = RAT_ONE
             for child in sd_step(q):

@@ -148,14 +148,6 @@ class RationalInN:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == _ONE
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant in N")
-        return self.num[0] if self.num else Fraction(0)
-
     def evaluate(self, n) -> Fraction:
         x = Fraction(n)
         d = _peval(self.den, x)

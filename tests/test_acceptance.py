@@ -19,6 +19,7 @@ from qexpander.cli import build_channel, collapse_curve, emit_collapse, quantile
 from qexpander.edgex import converse_check, random_projector, tanner_chain_check
 from qexpander.matrixcore import SeededRng
 from qexpander.sdengine import (
+    RationalInN,
     evaluate_exact,
     evaluate_series,
     monte_carlo_expectation,
@@ -124,10 +125,8 @@ def test_criterion_3_sd_worked_examples():
     series = evaluate_series(two_query, 16, n_max=12, tol=0.0)
     tail = series.level_sums[1:]
     ok = (
-        one.is_constant()
-        and one.constant_value() == 1
-        and two.is_constant()
-        and two.constant_value() == 2
+        one == RationalInN.from_int(1)  # reduced form: equality is exact
+        and two == RationalInN.from_int(2)
         and series.level_sums[0] == Fraction(2)
         and len(series.level_sums) == 12
         and all(s == 0 for s in tail)

@@ -1,18 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from oracle_mc import haar_stack
-from qexpander.channel import (
-    Channel,
-    apply,
-    build_hermitian_random,
-    build_nonhermitian_random,
-    build_weighted,
-    dumps,
-    loads,
-)
+from qexpander.channel import Channel, apply, build_hermitian_random, build_nonhermitian_random
 from qexpander.errors import ValidationError
 from qexpander.matrixcore import SeededRng
 
@@ -70,7 +60,7 @@ def test_apply_hermiticity_preserved():
 
 
 def test_apply_takes_a_stack_of_matrices():
-    chan = build_weighted(haar_stack(5, 3, SeededRng(30)), np.array([0.5, 0.3, 0.2]), hermitian=False)
+    chan = Channel(haar_stack(5, 3, SeededRng(30)), np.array([0.5, 0.3, 0.2]), hermitian=False)
     g = SeededRng(31).generator
     ms = g.standard_normal((2, 3, 5, 5)) + 1j * g.standard_normal((2, 3, 5, 5))
     stacked = apply(chan, ms)
@@ -89,28 +79,28 @@ def test_apply_takes_a_stack_of_matrices():
 def test_build_weighted_validates_weights():
     us = haar_stack(5, 2, SeededRng(10))
     with pytest.raises(ValidationError):
-        build_weighted(us, np.array([0.7, 0.7]), hermitian=False)
+        Channel(us, np.array([0.7, 0.7]), hermitian=False)
     with pytest.raises(ValidationError):
-        build_weighted(us, np.array([1.2, -0.2]), hermitian=False)
+        Channel(us, np.array([1.2, -0.2]), hermitian=False)
 
 
 def test_build_weighted_hermitian_checks_adjoint_pairing():
     us = haar_stack(5, 4, SeededRng(11))
     # unpaired factors must be rejected when hermitian is claimed
     with pytest.raises(ValidationError):
-        build_weighted(us, np.full(4, 0.25), hermitian=True)
+        Channel(us, np.full(4, 0.25), hermitian=True)
     paired = np.empty_like(us)
     paired[0], paired[1] = us[0], us[1]
     paired[2], paired[3] = us[0].conj().T, us[1].conj().T
-    chan = build_weighted(paired, np.array([0.3, 0.2, 0.3, 0.2]), hermitian=True)
+    chan = Channel(paired, np.array([0.3, 0.2, 0.3, 0.2]), hermitian=True)
     assert chan.hermitian
 
 
 def test_weight_pairing_enforced_for_hermitian():
     us = haar_stack(5, 2, SeededRng(12))
-    paired = np.stack([us[0], us[0].conj().T])
-    with pytest.raises(ValidationError):
-        build_weighted(paired, np.array([0.6, 0.4]), hermitian=True)
+    paired = np.concatenate([us, us.conj().swapaxes(1, 2)])
+    with pytest.raises(ValidationError, match="weight pairing"):
+        Channel(paired, np.array([0.3, 0.2, 0.2, 0.3]), hermitian=True)
 
 
 def test_channel_arrays_read_only():
@@ -121,41 +111,16 @@ def test_channel_arrays_read_only():
         chan.weights[0] = 0.5
 
 
-def test_json_round_trip():
-    chan = build_hermitian_random(5, 4, SeededRng(14))
-    text = dumps(chan)
-    back = loads(text)
-    assert back == chan
-    payload = json.loads(text)
-    assert payload["dim"] == 5 and payload["kraus_count"] == 4
-    assert payload["hermitian"] is True
-
-
-def test_json_round_trip_weighted_nonhermitian():
-    us = haar_stack(4, 3, SeededRng(15))
-    w = np.array([0.5, 0.25, 0.25])
-    chan = build_weighted(us, w, hermitian=False)
-    assert loads(dumps(chan)) == chan
-
-
-def test_loads_rejects_corrupt_unitaries():
-    chan = build_nonhermitian_random(4, 2, SeededRng(16))
-    payload = json.loads(dumps(chan))
-    payload["unitaries"][0][0][0] = [2.0, 0.0]
-    with pytest.raises(ValidationError):
-        loads(json.dumps(payload))
-
-
-def test_loads_rejects_malformed_complex_pair():
-    chan = build_nonhermitian_random(4, 2, SeededRng(16))
-    payload = json.loads(dumps(chan))
-    payload["unitaries"][0][0][0] = [1.0, 0.0, 0.0]
-    with pytest.raises(ValidationError):
-        loads(json.dumps(payload))
-
-
-def test_seed_recorded_but_not_compared():
-    a = build_hermitian_random(5, 4, SeededRng(17))
-    b = loads(dumps(a))
-    assert a.seed is not None and b.seed is None
-    assert a == b
+def test_channel_rejects_a_bad_stack():
+    us = haar_stack(4, 2, SeededRng(16))
+    w = np.full(2, 0.5)
+    corrupt = us.copy()
+    corrupt[0, 0, 0] = 2.0
+    with pytest.raises(ValidationError, match="not unitary"):
+        Channel(corrupt, w, hermitian=False)
+    corrupt[0, 0, 0] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        Channel(corrupt, w, hermitian=False)
+    for shape in [(4, 4), (2, 4, 3), (1, 2, 4, 4)]:
+        with pytest.raises(ValidationError, match="stack"):
+            Channel(np.zeros(shape, dtype=complex), w, hermitian=False)

@@ -1,9 +1,11 @@
+import dataclasses
 import importlib
 import json
 import math
 import os
 import pkgutil
 import platform
+import shlex
 import subprocess
 import sys
 import threading
@@ -19,6 +21,7 @@ from qexpander.cli import (
     ExperimentConfig,
     SWEEP_HEADER,
     build_channel,
+    build_parser,
     format_record,
     main,
     merge_config,
@@ -49,6 +52,11 @@ MOVED_TO_TESTS = (
     "edge_ratio",
     "assert_unitary",
     "haar_unitaries",
+    "build_weighted",
+    "to_json_dict",
+    "from_json_dict",
+    "dumps",
+    "loads",
 )
 
 
@@ -60,6 +68,29 @@ def test_src_exports_resolve_and_hold_no_test_only_code():
     for info in pkgutil.walk_packages(qexpander.__path__, "qexpander."):
         module = importlib.import_module(info.name)
         assert not set(MOVED_TO_TESTS) & set(vars(module)), info.name
+    for cls, names in (
+        (sdengine.RationalInN, ("is_constant", "constant_value")),
+        (sdengine.SeriesResult, ("exact_partial_total", "m_total", "N")),
+        (SeededRng, ("stream",)),
+    ):
+        members = set(dir(cls)) | {f.name for f in dataclasses.fields(cls)}
+        assert not members & set(names), cls.__name__
+
+
+def test_readme_command_lines_parse():
+    # every example in README's "Command line" block names only flags argparse accepts
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("python -m qexpander ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line)[3:]
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+        assert args.command == argv[0]
 
 
 def test_sweep_csv_header_and_determinism(tmp_path):
@@ -204,6 +235,9 @@ def test_exit_code_validation_error(tmp_path, capsys):
         ["sd", "eval", "tr(U1 U1) tr(U1' U1')", "--series", "--n", "16", "--tol", "nan"],
         ["sd", "eval", "tr(U1) tr(U1')", "--series", "--n", "16", "--budget", "-1"],
         ["sweep", "--n-list", "4", "--d", "4", "--m-max", "200", "--out", "{tmp}"],
+        ["collapse", "--n-list", "6,8,6", "--out", "{tmp}"],
+        ["sd", "eval", "tr(U1 U1') tr(U2 U2') tr(U3) tr(U3')", "--exact", "--n", "1" + "0" * 200],
+        ["sd", "eval", "tr(U1 U1') tr(U2 U2') tr(U3) tr(U3')", "--series", "--n", "1" + "0" * 200],
     ],
 )
 def test_explicit_zero_is_validated_not_defaulted(argv, tmp_path, capsys):

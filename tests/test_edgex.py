@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qexpander.channel import Channel, apply, build_hermitian_random, build_nonhermitian_random, build_weighted
+from qexpander.channel import Channel, apply, build_hermitian_random, build_nonhermitian_random
 from qexpander.edgex import assert_projector, converse_check, random_projector, tanner_chain_check
 from qexpander.errors import ValidationError
 from qexpander.matrixcore import SeededRng
@@ -19,7 +19,7 @@ def edge_ratio(channel: Channel, p: np.ndarray) -> float:
 def identity_channel(n: int) -> object:
     eye = np.eye(n, dtype=complex)
     us = np.stack([eye, eye, eye, eye])
-    return build_weighted(us, np.full(4, 0.25), hermitian=True)
+    return Channel(us, np.full(4, 0.25), hermitian=True)
 
 
 def test_random_projector_is_projector():
@@ -69,9 +69,12 @@ def test_converse_bound_holds_on_random_projectors():
 
 
 def test_converse_computes_lambda2_when_omitted():
+    # lambda2 is required: a caller without a spectrum solves it first
     chan = build_hermitian_random(8, 4, SeededRng(7))
     p = random_projector(8, 2, SeededRng(8))
-    holds, _ = converse_check(chan, p)
+    with pytest.raises(TypeError):
+        converse_check(chan, p)
+    holds, _ = converse_check(chan, p, eigen_spectrum(chan).lambda2)
     assert holds
 
 
@@ -87,14 +90,14 @@ def test_converse_rejects_large_rank():
     chan = build_hermitian_random(8, 4, SeededRng(10))
     p = random_projector(8, 5, SeededRng(11))  # rank > N/2
     with pytest.raises(ValidationError):
-        converse_check(chan, p)
+        converse_check(chan, p, 0.5)
 
 
 def test_converse_rejects_nonhermitian():
     chan = build_nonhermitian_random(8, 3, SeededRng(12))
     p = random_projector(8, 2, SeededRng(13))
     with pytest.raises(ValidationError):
-        converse_check(chan, p)
+        converse_check(chan, p, 0.5)
 
 
 def test_chain_holds_on_random_channels():
@@ -129,7 +132,7 @@ def test_chain_rejects_nonpositive_second_eigenvalue():
     # two-Pauli mixture on N=2: superoperator eigenvalues {1, 0, 0, -1}
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    chan = build_weighted(np.stack([x, y, x, y]), np.full(4, 0.25), hermitian=True)
+    chan = Channel(np.stack([x, y, x, y]), np.full(4, 0.25), hermitian=True)
     with pytest.raises(ValidationError):
         tanner_chain_check(chan)
 

@@ -11,7 +11,7 @@ import pytest
 
 from oracle_mc import haar_stack
 from oracle_superop import hermitian_coords, superoperator
-from qexpander.channel import apply, build_hermitian_random, build_nonhermitian_random, build_weighted
+from qexpander.channel import Channel, apply, build_hermitian_random, build_nonhermitian_random
 from qexpander.cli import build_channel
 from qexpander.edgex import tanner_chain_check
 from qexpander.errors import ValidationError
@@ -42,18 +42,18 @@ def criterion_8_channels():
 
 def identity_channel(n):
     eye = np.eye(n, dtype=complex)
-    return build_weighted(np.stack([eye] * 4), np.full(4, 0.25), hermitian=True)
+    return Channel(np.stack([eye] * 4), np.full(4, 0.25), hermitian=True)
 
 
 def two_pauli_channel():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    return build_weighted(np.stack([x, y, x, y]), np.full(4, 0.25), hermitian=True)
+    return Channel(np.stack([x, y, x, y]), np.full(4, 0.25), hermitian=True)
 
 
 def weighted_nonhermitian_channel():
     us = haar_stack(6, 3, SeededRng(21))
-    return build_weighted(us, np.array([0.5, 0.3, 0.2]), hermitian=False)
+    return Channel(us, np.array([0.5, 0.3, 0.2]), hermitian=False)
 
 
 EXTRA_CHANNELS = [

@@ -346,7 +346,7 @@ def test_series_matches_exact_on_corpus():
     for expr, want in CORPUS:
         query = parse_trace_expr(expr).query
         result = evaluate_series(query, 16, n_max=12, tol=0.0)
-        assert result.exact_partial_total() == Fraction(want), expr
+        assert sum(result.level_sums, Fraction(0)) == Fraction(want), expr
 
 
 def test_series_level1_sum_is_shift_symmetry():
