@@ -47,7 +47,6 @@ class ExperimentConfig:
     D: int
     trials: int
     master_seed: int
-    output_dir: str
     m_max: int
 
     def __post_init__(self) -> None:
@@ -309,34 +308,7 @@ def _collapse_svg(curves: dict[int, tuple[np.ndarray, np.ndarray]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config files: flat key=value with ExperimentConfig's exact key names
-
-# flag attribute -> config key; a flag that is set overrides the file value
-_FLAG_KEYS = {
-    "construction": "construction", "n_list": "N_list", "d": "D", "trials": "trials",
-    "seed": "master_seed", "out": "output_dir", "m_max": "m_max",
-}
-_CONFIG_KEYS = set(_FLAG_KEYS.values())
-
-
-def parse_config_file(path) -> dict:
-    values: dict = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
-    return values
+# subcommands
 
 
 def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
@@ -348,48 +320,6 @@ def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
     if not values:
         raise ValidationError(f"{name} {text!r} holds no integer")
     return values
-
-
-def _parse_int(text, name: str) -> int:
-    try:
-        return int(text)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad integer for {name}: {text!r}") from exc
-
-
-def merge_config(args: argparse.Namespace, unread: tuple[str, ...] = ()) -> ExperimentConfig:
-    """CLI flags override config-file values, which override defaults. A
-    config file that sets one of the `unread` keys is rejected."""
-    file_values = parse_config_file(args.config) if args.config else {}
-    for key in unread:
-        if key in file_values:
-            raise ValidationError(f"{args.config}: {args.command} does not read {key!r}")
-    defaults = {
-        "construction": "hermitian",
-        "N_list": "20,30,50",
-        "D": "4",
-        "trials": "1",
-        "master_seed": "0",
-        "output_dir": ".",
-        "m_max": "20",
-    }
-    merged = {**defaults, **file_values}
-    for flag, key in _FLAG_KEYS.items():
-        if getattr(args, flag, None) is not None:
-            merged[key] = str(getattr(args, flag))
-    return ExperimentConfig(
-        construction=merged["construction"],
-        N_list=_parse_int_list(merged["N_list"], "N list"),
-        D=_parse_int(merged["D"], "D"),
-        trials=_parse_int(merged["trials"], "trials"),
-        master_seed=_parse_int(merged["master_seed"], "master_seed"),
-        output_dir=merged["output_dir"],
-        m_max=_parse_int(merged["m_max"], "m_max"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# subcommands
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -418,8 +348,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = merge_config(args)
-    out = Path(config.output_dir)
+    n_list = _parse_int_list(args.n_list, "N list")
+    config = ExperimentConfig(args.construction, n_list, args.d, args.trials, args.seed, args.m_max)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = run_sweep(config)
     csv_path = out / "sweep.csv"
@@ -439,9 +370,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_collapse(args: argparse.Namespace) -> int:
-    config = merge_config(args, unread=("trials", "m_max"))
-    if config.construction != "hermitian":
-        raise ValidationError("collapse uses the hermitian construction")
+    # collapse reads neither trials nor m_max; 1 and 20 only pass validation
+    n_list = _parse_int_list(args.n_list, "N list")
+    config = ExperimentConfig("hermitian", n_list, args.d, 1, args.seed, 20)
     repeated = sorted(n for n, count in Counter(config.N_list).items() if count > 1)
     if repeated:
         raise ValidationError(f"collapse draws one curve per N; N list repeats {repeated}")
@@ -450,7 +381,7 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
         rng = SeededRng(config.master_seed, stream)
         chan = build_hermitian_random(n, config.D, rng)
         spectra[n] = eigen_spectrum(chan)
-    report = emit_collapse(spectra, config.output_dir)
+    report = emit_collapse(spectra, args.out)
     print(json.dumps(report, indent=2))
     return 0
 
@@ -496,6 +427,9 @@ def _cmd_sd(args: argparse.Namespace) -> int:
     if len(modes) > 1:
         raise ValidationError(f"pick one of --exact/--series/--mc, got {modes}")
     mode = modes[0] if modes else "exact"
+    for flag, owner in args.mode_flags:
+        if owner != mode:
+            raise ValidationError(f"{flag} is read by --{owner} only, not by --{mode}")
     parsed = parse_trace_expr(args.expr)
     power = parsed.empty_traces
     n = args.n
@@ -532,7 +466,7 @@ def _cmd_sd(args: argparse.Namespace) -> int:
             )
             scale = n**power
             value, bound = result.partial_total * scale, result.truncation_bound * scale
-        except OverflowError:  # a float conversion, or a power of N in the bound
+        except OverflowError:  # a value that does not convert to a float
             value = bound = math.inf
         if math.isinf(value) or math.isinf(bound):
             raise ValidationError(f"the value or its bound at N={n} does not fit in a float")
@@ -580,10 +514,23 @@ def _cmd_edge(args: argparse.Namespace) -> int:
     return 0
 
 
+class _ModeFlag(argparse.Action):
+    """An `sd eval` flag that only one mode reads. It stores its value as
+    argparse's store action does (store_true with nargs=0) and, when
+    given, appends (flag, mode) to args.mode_flags for _cmd_sd to check."""
+
+    def __init__(self, option_strings, dest, mode: str, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.mode = mode
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        namespace.mode_flags += ((self.option_strings[0], self.mode),)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, holding exactly the flags that command
-    reads. Only sweep and collapse take --config; their flags default to
-    None so that merge_config can tell a flag from a file value."""
+    reads, each with its documented default."""
     parser = argparse.ArgumentParser(
         prog="qexpander",
         description="Spectral-gap workbench for unitary-Kraus channels",
@@ -599,22 +546,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.set_defaults(func=_cmd_spectrum)
 
     p_sweep = sub.add_parser("sweep", help="seeded (N, trial) sweep to sweep.csv")
-    p_sweep.add_argument("--n-list", default=None, help="comma-separated N values")
-    p_sweep.add_argument("--d", type=int, default=None)
-    p_sweep.add_argument("--trials", type=int, default=None)
-    p_sweep.add_argument("--construction", choices=CONSTRUCTIONS, default=None)
-    p_sweep.add_argument("--m-max", dest="m_max", type=int, default=None)
-    p_sweep.add_argument("--seed", type=int, default=None, help="master seed")
-    p_sweep.add_argument("--out", default=None, help="output directory")
-    p_sweep.add_argument("--config", default=None, help="key=value config file")
+    p_sweep.add_argument("--n-list", default="20,30,50", help="comma-separated N values")
+    p_sweep.add_argument("--d", type=int, default=4)
+    p_sweep.add_argument("--trials", type=int, default=1)
+    p_sweep.add_argument("--construction", choices=CONSTRUCTIONS, default="hermitian")
+    p_sweep.add_argument("--m-max", dest="m_max", type=int, default=20)
+    p_sweep.add_argument("--seed", type=int, default=0, help="master seed")
+    p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_col = sub.add_parser("collapse", help="sorted-spectrum collapse figure")
-    p_col.add_argument("--n-list", default=None, help="comma-separated N values")
-    p_col.add_argument("--d", type=int, default=None)
-    p_col.add_argument("--seed", type=int, default=None, help="master seed")
-    p_col.add_argument("--out", default=None, help="output directory")
-    p_col.add_argument("--config", default=None, help="key=value config file")
+    p_col.add_argument("--n-list", default="20,30,50", help="comma-separated N values")
+    p_col.add_argument("--d", type=int, default=4)
+    p_col.add_argument("--seed", type=int, default=0, help="master seed")
+    p_col.add_argument("--out", default=".", help="output directory")
     p_col.set_defaults(func=_cmd_collapse)
 
     p_mom = sub.add_parser("moments", help="trace moments and gap estimates")
@@ -638,13 +583,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sd.add_argument("--exact", action="store_true")
     p_sd.add_argument("--series", action="store_true")
     p_sd.add_argument("--mc", action="store_true")
-    p_sd.add_argument("--levels", type=int, default=12)
-    p_sd.add_argument("--tol", type=float, default=1e-12)
-    p_sd.add_argument("--samples", type=int, default=10_000)
-    p_sd.add_argument("--budget", type=int, default=10_000_000)
-    p_sd.add_argument("--allow-divergent", action="store_true")
-    p_sd.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
-    p_sd.set_defaults(func=_cmd_sd)
+    p_sd.add_argument("--levels", type=int, default=12, action=_ModeFlag, mode="series")
+    p_sd.add_argument("--tol", type=float, default=1e-12, action=_ModeFlag, mode="series")
+    p_sd.add_argument("--samples", type=int, default=10_000, action=_ModeFlag, mode="mc")
+    p_sd.add_argument("--budget", type=int, default=10_000_000, action=_ModeFlag, mode="series")
+    p_sd.add_argument(
+        "--allow-divergent", nargs=0, const=True, default=False, action=_ModeFlag, mode="series"
+    )
+    p_sd.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed", action=_ModeFlag, mode="mc")
+    p_sd.set_defaults(func=_cmd_sd, mode_flags=())
 
     p_edge = sub.add_parser("edge", help="edge-expansion report as JSON")
     p_edge.add_argument("--n", type=int, default=20)

@@ -20,6 +20,7 @@ total letter count never grows, which keeps the reachable set finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -107,8 +108,12 @@ class SeriesResult:
 
 def _truncation_bound(m_total: int, n_levels: int, N: int) -> float:
     # worst case: every path still alive at the deepest level terminates
-    # with the largest possible trivial-trace factor N^m_total
-    return float((m_total - 1) ** (n_levels + 1)) * float(N) ** (m_total - n_levels - 1)
+    # with the largest possible trivial-trace factor N^m_total; a bound
+    # past the float range is inf, so a tol stop does not fire on it
+    try:
+        return float((m_total - 1) ** (n_levels + 1)) * float(N) ** (m_total - n_levels - 1)
+    except OverflowError:
+        return math.inf
 
 
 def evaluate_series(

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import importlib
 import json
@@ -5,6 +6,7 @@ import math
 import os
 import pkgutil
 import platform
+import re
 import shlex
 import subprocess
 import sys
@@ -24,8 +26,6 @@ from qexpander.cli import (
     build_parser,
     format_record,
     main,
-    merge_config,
-    parse_config_file,
     run_sweep,
     write_sweep_csv,
 )
@@ -57,6 +57,11 @@ MOVED_TO_TESTS = (
     "from_json_dict",
     "dumps",
     "loads",
+    "parse_config_file",
+    "merge_config",
+    "_FLAG_KEYS",
+    "_CONFIG_KEYS",
+    "_parse_int",
 )
 
 
@@ -72,6 +77,7 @@ def test_src_exports_resolve_and_hold_no_test_only_code():
         (sdengine.RationalInN, ("is_constant", "constant_value")),
         (sdengine.SeriesResult, ("exact_partial_total", "m_total", "N")),
         (SeededRng, ("stream",)),
+        (ExperimentConfig, ("output_dir",)),
     ):
         members = set(dir(cls)) | {f.name for f in dataclasses.fields(cls)}
         assert not members & set(names), cls.__name__
@@ -91,6 +97,21 @@ def test_readme_command_lines_parse():
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
         assert args.command == argv[0]
+
+
+def test_readme_flag_table_matches_the_parser():
+    # README's flag table lists, per command, exactly the flags its subparser takes
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    documented = {cmd.strip(" `").split()[0]: set(re.findall(r"--[a-z][a-z-]*", flags)) for cmd, flags in rows}
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        name: {opt for action in sub._actions if not isinstance(action, argparse._HelpAction)
+               for opt in action.option_strings}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == accepted
 
 
 def test_sweep_csv_header_and_determinism(tmp_path):
@@ -142,54 +163,19 @@ def test_sweep_weighted_construction(tmp_path):
     assert row[8] == "true"
 
 
-def test_config_file_merging(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\nN_list = 8,10\nD = 4\ntrials = 1\nmaster_seed = 9\n")
-    values = parse_config_file(cfg)
-    assert values["N_list"] == "8,10" and values["master_seed"] == "9"
-
-    class Args:
-        config = str(cfg)
-        construction = None
-        n_list = None
-        d = None
-        trials = 2  # CLI flag wins over the file
-        seed = None
-        out = None
-        m_max = None
-
-    config = merge_config(Args())
-    assert config.N_list == (8, 10)
-    assert config.trials == 2
-    assert config.master_seed == 9
-
-
-def test_config_file_rejects_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("unknown_key = 1\n")
-    with pytest.raises(ValidationError):
-        parse_config_file(cfg)
-    # collapse reads neither trials nor m_max and builds only hermitian channels
-    for line in ("trials = 2", "m_max = 20", "construction = weighted"):
-        cfg.write_text(f"N_list = 4,6\n{line}\n")
-        assert main(["collapse", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and captured.out == ""
-
-
 def test_config_validation():
     with pytest.raises(ValidationError):
-        ExperimentConfig("hermitian", (99,), 4, 1, 0, ".", 20)  # N over ceiling
+        ExperimentConfig("hermitian", (99,), 4, 1, 0, 20)  # N over ceiling
     with pytest.raises(ValidationError):
-        ExperimentConfig("hermitian", (8,), 3, 1, 0, ".", 20)  # odd D
+        ExperimentConfig("hermitian", (8,), 3, 1, 0, 20)  # odd D
     with pytest.raises(ValidationError):
-        ExperimentConfig("weird", (8,), 4, 1, 0, ".", 20)
+        ExperimentConfig("weird", (8,), 4, 1, 0, 20)
     with pytest.raises(ValidationError):
-        ExperimentConfig("hermitian", (8,), 4, 0, 0, ".", 20)  # no trials
+        ExperimentConfig("hermitian", (8,), 4, 0, 0, 20)  # no trials
     with pytest.raises(ValidationError):
-        ExperimentConfig("hermitian", (8,), 4, 1, 0, ".", MAX_WALK_LENGTH + 2)  # past the walk table
-    ExperimentConfig("hermitian", (8,), 4, 1, 0, ".", MAX_WALK_LENGTH)
-    ExperimentConfig("nonhermitian", (8,), 2, 1, 0, ".", 20)  # D=2 fine here
+        ExperimentConfig("hermitian", (8,), 4, 1, 0, MAX_WALK_LENGTH + 2)  # past the walk table
+    ExperimentConfig("hermitian", (8,), 4, 1, 0, MAX_WALK_LENGTH)
+    ExperimentConfig("nonhermitian", (8,), 2, 1, 0, 20)  # D=2 fine here
 
 
 @pytest.mark.parametrize("command", [["spectrum", "--out", "{tmp}"], ["moments"], ["edge"]])
@@ -238,6 +224,10 @@ def test_exit_code_validation_error(tmp_path, capsys):
         ["collapse", "--n-list", "6,8,6", "--out", "{tmp}"],
         ["sd", "eval", "tr(U1 U1') tr(U2 U2') tr(U3) tr(U3')", "--exact", "--n", "1" + "0" * 200],
         ["sd", "eval", "tr(U1 U1') tr(U2 U2') tr(U3) tr(U3')", "--series", "--n", "1" + "0" * 200],
+        ["sd", "eval", "tr(U1) tr(U1')", "--exact", "--samples", "500"],
+        ["sd", "eval", "tr(U1) tr(U1')", "--n", "4", "--allow-divergent"],
+        ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "4", "--levels", "3"],
+        ["sd", "eval", "tr(U1) tr(U1')", "--series", "--n", "16", "--seed", "2"],
     ],
 )
 def test_explicit_zero_is_validated_not_defaulted(argv, tmp_path, capsys):
@@ -279,6 +269,8 @@ def test_out_of_memory_exits_2_without_a_traceback():
         ["collapse", "--m-max", "20"],
         ["collapse", "--construction", "hermitian"],
         ["sweep", "--workers", "2"],
+        ["sweep", "--config", "run.cfg"],
+        ["collapse", "--config", "run.cfg"],
     ],
 )
 def test_unread_flags_are_rejected(argv, capsys):
@@ -404,6 +396,17 @@ def test_sd_eval_series(capsys):
     assert report["level_sums"][0] == "2"
 
 
+def test_sd_eval_series_at_huge_n_matches_exact(capsys):
+    # the bound overflows a float at levels 0 and 1 (N^3, N^2), while the
+    # value 2N and the bound where the series stops both fit
+    expr, n = "tr(U1 U1) tr(U1' U1') tr(U3 U3')", "1" + "0" * 200
+    assert main(["sd", "eval", expr, "--series", "--n", n, "--levels", "12"]) == 0
+    series = json.loads(capsys.readouterr().out)
+    assert main(["sd", "eval", expr, "--exact", "--n", n]) == 0
+    assert series["value"] == json.loads(capsys.readouterr().out)["value"] == 2e200
+    assert math.isfinite(series["truncation_bound"])
+
+
 def test_sd_eval_mc(capsys):
     assert main(["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "8",
                  "--samples", "1000", "--seed", "3"]) == 0
@@ -523,7 +526,7 @@ def test_run_sweep_records_errors_and_continues(monkeypatch, capsys):
         return real(chan, *a, **k)
 
     monkeypatch.setattr(cli_mod, "eigen_spectrum", flaky)
-    config = ExperimentConfig("hermitian", (8,), 4, 2, 0, ".", 20)
+    config = ExperimentConfig("hermitian", (8,), 4, 2, 0, 20)
     records = run_sweep(config)
     assert len(records) == 2
     assert records[0].error == "synthetic failure"
@@ -543,7 +546,7 @@ def test_build_channel_weighted_weights_paired():
 
 
 def test_write_sweep_csv_round_trip(tmp_path):
-    config = ExperimentConfig("hermitian", (8,), 4, 1, 0, ".", 20)
+    config = ExperimentConfig("hermitian", (8,), 4, 1, 0, 20)
     records = run_sweep(config)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(records, path)
