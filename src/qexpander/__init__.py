@@ -2,8 +2,8 @@
 
 Subpackages and modules:
 
-- matrixcore: seeded RNG streams, Haar sampling, sub-batches across CPUs, Hilbert-Schmidt norm
-- channel:    weighted unitary-Kraus CPTP maps (Hermitian / non-Hermitian / weighted)
+- matrixcore: seeded RNG streams, Haar sampling, sub-batches across CPUs
+- channel:    weighted unitary-Kraus CPTP maps and the one random-channel builder
 - spectrum:   real Hermitian-basis superoperator R, eigenvalues, lambda2, moments
 - cayley:     exact tree walk counts and the Alon-Boppana lower bound
 - sdengine:   symbolic evaluation of Haar expectations of trace products

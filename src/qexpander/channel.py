@@ -4,7 +4,8 @@ A channel acts as E(M) = sum_s P(s) U(s)† M U(s) with probabilities P(s)
 and unitaries U(s); the Kraus factors are A(s) = sqrt(P(s)) U(s). The
 Hermitian variant pairs each unitary with its adjoint, U(s + D/2) = U(s)†
 with P(s + D/2) = P(s), which makes the map self-adjoint under the
-Hilbert-Schmidt inner product.
+Hilbert-Schmidt inner product. build_channel draws the random channels the
+workbench studies, after check_construction has passed the request.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .matrixcore import (
     haar_unitary,
     unitarity_residual,
 )
+
+CONSTRUCTIONS = ("hermitian", "nonhermitian", "weighted")
+DEFAULT_DIM_CEILING = 64  # dense N^2 x N^2 work is impractical beyond this
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,62 +96,48 @@ class Channel:
                 raise ValidationError(f"need D >= 2 Kraus terms, got D={d}")
 
 
-def _adjoint_paired_haar(N: int, D: int, rng: SeededRng) -> np.ndarray:
-    """D/2 Haar unitaries followed by their adjoints, U(s + D/2) = U(s)†."""
-    half = D // 2
-    us = np.empty((D, N, N), dtype=complex)
-    for s in range(half):
-        us[s] = haar_unitary(N, rng)
-        us[s + half] = us[s].conj().T
-    return us
+def check_construction(construction: str, N: int, D: int) -> None:
+    """Raise ValidationError unless build_channel may draw this channel.
 
-
-def _check_paired_shape(construction: str, N: int, D: int) -> None:
-    if D % 2 != 0 or D < 4:
-        raise ValidationError(f"{construction} construction needs even D >= 4, got D={D}")
-    if N < 2:
-        raise ValidationError(f"need N >= 2, got N={N}")
-
-
-def build_hermitian_random(N: int, D: int, rng: SeededRng) -> Channel:
-    """Uniform-weight Hermitian channel: D/2 Haar unitaries plus their adjoints."""
-    _check_paired_shape("hermitian", N, D)
-    return Channel(
-        weights=np.full(D, 1.0 / D),
-        unitaries=_adjoint_paired_haar(N, D, rng),
-        hermitian=True,
-        seed=(rng.master_seed, rng.stream_index),
-    )
-
-
-def build_weighted_random(N: int, D: int, rng: SeededRng) -> Channel:
-    """Hermitian channel with random pair weights: D/2 Haar unitaries plus
-    their adjoints, pair s weighted by Gamma(1) draw g_s as g_s / (2 sum g).
-
-    The weights are drawn before the unitaries.
+    Every rule on what may be drawn lives here, so a caller can check a
+    whole request before its first draw.
     """
-    _check_paired_shape("weighted", N, D)
-    gam = rng.generator.gamma(1.0, size=D // 2)
-    w_half = gam / (2.0 * gam.sum())
-    return Channel(
-        weights=np.concatenate([w_half, w_half]),
-        unitaries=_adjoint_paired_haar(N, D, rng),
-        hermitian=True,
-        seed=(rng.master_seed, rng.stream_index),
-    )
+    if construction not in CONSTRUCTIONS:
+        raise ValidationError(f"construction must be one of {CONSTRUCTIONS}, got {construction!r}")
+    if not 2 <= N <= DEFAULT_DIM_CEILING:
+        raise ValidationError(f"N must lie in 2..{DEFAULT_DIM_CEILING} (the dense-solver ceiling), got N={N}")
+    if construction == "nonhermitian":
+        if D < 2:
+            raise ValidationError(f"nonhermitian construction needs D >= 2, got D={D}")
+    elif D % 2 != 0 or D < 4:
+        raise ValidationError(f"{construction} construction needs even D >= 4, got D={D}")
 
 
-def build_nonhermitian_random(N: int, D: int, rng: SeededRng) -> Channel:
-    """Uniform-weight channel from D independent Haar unitaries."""
-    if D < 2:
-        raise ValidationError(f"need D >= 2 independent unitaries, got D={D}")
-    if N < 2:
-        raise ValidationError(f"need N >= 2, got N={N}")
-    us = np.stack([haar_unitary(N, rng) for _ in range(D)])
+def build_channel(construction: str, N: int, D: int, rng: SeededRng) -> Channel:
+    """A random channel of N x N unitaries with D Kraus terms, drawn from
+    rng once check_construction passes.
+
+    - hermitian: uniform weights on D/2 Haar unitaries followed by their
+      adjoints, U(s + D/2) = U(s)†.
+    - weighted: the same unitaries, pair s weighted g_s / (2 sum g) by
+      Gamma(1) draws g_s, which are drawn before the unitaries.
+    - nonhermitian: uniform weights on D independent Haar unitaries.
+    """
+    check_construction(construction, N, D)
+    hermitian = construction != "nonhermitian"
+    if construction == "weighted":
+        gam = rng.generator.gamma(1.0, size=D // 2)
+        w_half = gam / (2.0 * gam.sum())
+        weights = np.concatenate([w_half, w_half])
+    else:
+        weights = np.full(D, 1.0 / D)
+    draws = [haar_unitary(N, rng) for _ in range(D // 2 if hermitian else D)]
+    if hermitian:
+        draws += [u.conj().T for u in draws]
     return Channel(
-        weights=np.full(D, 1.0 / D),
-        unitaries=us,
-        hermitian=False,
+        unitaries=np.stack(draws),
+        weights=weights,
+        hermitian=hermitian,
         seed=(rng.master_seed, rng.stream_index),
     )
 

@@ -20,23 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from .cayley import MAX_WALK_LENGTH, alon_boppana_lower_bound, walk_counts
-from .channel import Channel, build_hermitian_random, build_nonhermitian_random, build_weighted_random
+from .channel import CONSTRUCTIONS, build_channel, check_construction
 from .edgex import converse_check, random_projector, tanner_chain_check
 from .errors import NumericalError, QxError, ValidationError
 from .matrixcore import SeededRng, batch_workers
 from .sdengine import evaluate_exact, evaluate_series, monte_carlo_expectation, parse_trace_expr
 from .sdengine.rational import RationalInN
-from .spectrum import (
-    DEFAULT_DIM_CEILING,
-    SuperopSpectrum,
-    benchmark_values,
-    eigen_spectrum,
-    moment_table,
-    write_spectrum_csv,
-)
+from .spectrum import SuperopSpectrum, benchmark_values, eigen_spectrum, moment_table, write_spectrum_csv
 
 SWEEP_HEADER = "N,D,seed,construction,lambda2,lambda_H,lambda_nH,alon_boppana_lb,gap_ok,wall_ms"
-CONSTRUCTIONS = ("hermitian", "nonhermitian", "weighted")
 GAP_SLACK = 1e-9
 
 
@@ -50,24 +42,12 @@ class ExperimentConfig:
     m_max: int
 
     def __post_init__(self) -> None:
-        if self.construction not in CONSTRUCTIONS:
-            raise ValidationError(
-                f"construction must be one of {CONSTRUCTIONS}, got {self.construction!r}"
-            )
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if not self.N_list:
             raise ValidationError("N_list must not be empty")
         for n in self.N_list:
-            if not 2 <= n <= DEFAULT_DIM_CEILING:
-                raise ValidationError(f"every N must lie in 2..{DEFAULT_DIM_CEILING}, got {n}")
-        if self.construction in ("hermitian", "weighted"):
-            if self.D % 2 != 0 or self.D < 4:
-                raise ValidationError(
-                    f"{self.construction} construction needs even D >= 4, got D={self.D}"
-                )
-        elif self.D < 2:
-            raise ValidationError(f"nonhermitian construction needs D >= 2, got D={self.D}")
+            check_construction(self.construction, n, self.D)
         if self.m_max % 2 != 0 or not 2 <= self.m_max <= MAX_WALK_LENGTH:
             raise ValidationError(f"m_max must be even and lie in 2..{MAX_WALK_LENGTH}, got {self.m_max}")
         if self.master_seed < 0:  # SeededRng rejects it too, but only inside a sweep record
@@ -89,19 +69,6 @@ class ExperimentRecord:
     error: str | None = None
 
 
-def build_channel(construction: str, N: int, D: int, rng: SeededRng) -> Channel:
-    """A random channel; N is held to the dense ceiling before any draw."""
-    if N > DEFAULT_DIM_CEILING:
-        raise ValidationError(f"N={N} exceeds the dense-solver ceiling {DEFAULT_DIM_CEILING}")
-    if construction == "hermitian":
-        return build_hermitian_random(N, D, rng)
-    if construction == "nonhermitian":
-        return build_nonhermitian_random(N, D, rng)
-    if construction == "weighted":
-        return build_weighted_random(N, D, rng)
-    raise ValidationError(f"unknown construction {construction!r}")
-
-
 def _run_one(config: ExperimentConfig, n: int, stream_index: int) -> ExperimentRecord:
     bench = benchmark_values(config.D)
     start = time.perf_counter()
@@ -110,7 +77,7 @@ def _run_one(config: ExperimentConfig, n: int, stream_index: int) -> ExperimentR
         rng = SeededRng(config.master_seed, stream_index)
         chan = build_channel(config.construction, n, config.D, rng)
         lam2 = eigen_spectrum(chan).lambda2
-        if config.construction == "nonhermitian":
+        if not chan.hermitian:
             lb, gap_ok = math.nan, None
         else:
             lb = alon_boppana_lower_bound(n, config.D, config.m_max).value
@@ -207,15 +174,8 @@ def quantile_distance(
 def emit_collapse(
     spectra: dict[int, SuperopSpectrum], out_dir
 ) -> dict:
-    """Write collapse.csv (columns N,a_over_N2,eig) and collapse.svg.
-
-    Needs Hermitian spectra for at least two values of N.
-    """
-    if len(spectra) < 2:
-        raise ValidationError(f"collapse needs spectra for >= 2 values of N, got {len(spectra)}")
-    for n, spec in spectra.items():
-        if not spec.hermitian:
-            raise ValidationError(f"collapse needs hermitian spectra, N={n} is not")
+    """Write collapse.csv (columns N,a_over_N2,eig) and collapse.svg from
+    Hermitian spectra for at least two values of N."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     curves = {n: collapse_curve(spec) for n, spec in sorted(spectra.items())}
@@ -370,16 +330,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_collapse(args: argparse.Namespace) -> int:
-    # collapse reads neither trials nor m_max; 1 and 20 only pass validation
     n_list = _parse_int_list(args.n_list, "N list")
-    config = ExperimentConfig("hermitian", n_list, args.d, 1, args.seed, 20)
-    repeated = sorted(n for n, count in Counter(config.N_list).items() if count > 1)
+    repeated = sorted(n for n, count in Counter(n_list).items() if count > 1)
     if repeated:
         raise ValidationError(f"collapse draws one curve per N; N list repeats {repeated}")
+    if len(n_list) < 2:
+        raise ValidationError(f"collapse needs >= 2 values of N, got {len(n_list)}")
+    for n in n_list:
+        check_construction("hermitian", n, args.d)
     spectra: dict[int, SuperopSpectrum] = {}
-    for stream, n in enumerate(config.N_list):
-        rng = SeededRng(config.master_seed, stream)
-        chan = build_hermitian_random(n, config.D, rng)
+    for stream, n in enumerate(n_list):
+        chan = build_channel("hermitian", n, args.d, SeededRng(args.seed, stream))
         spectra[n] = eigen_spectrum(chan)
     report = emit_collapse(spectra, args.out)
     print(json.dumps(report, indent=2))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import Channel, apply
 from .errors import NumericalError, ValidationError
-from .matrixcore import SLACK_TOL, TRACE_RESIDUAL_TOL, SeededRng, complex_gaussian, hs_norm
+from .matrixcore import SLACK_TOL, TRACE_RESIDUAL_TOL, SeededRng, complex_gaussian
 from .spectrum import SuperopSpectrum, eigen_spectrum
 
 PROJECTOR_TOL = 1e-10
@@ -105,7 +105,7 @@ def tanner_chain_check(channel: Channel) -> ChainReport:
             f"second eigenvalue {lam2!r} is not positive; square the channel first"
         )
 
-    norm = hs_norm(x)
+    norm = math.sqrt(np.vdot(x, x).real)  # Hilbert-Schmidt norm
     trace_residual = abs(float(np.trace(x).real)) / norm
     if trace_residual > TRACE_RESIDUAL_TOL:
         raise NumericalError(f"second eigenvector trace residual {trace_residual:.3e}")

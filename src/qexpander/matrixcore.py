@@ -1,4 +1,4 @@
-"""Dense complex matrix support: seeded sampling and Hilbert-Schmidt tools.
+"""Dense complex matrix support: seeded sampling and the unitarity residual.
 
 Matrices are plain numpy arrays of dtype complex128. Every tolerance used
 anywhere in the workbench lives here so there is a single place to audit.
@@ -144,15 +144,3 @@ def unitarity_residual(u: np.ndarray) -> float:
     """max-entry |U†U - 1|; 0 for an exact unitary."""
     n = u.shape[-1]
     return float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(A†B)."""
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}; need equal square shapes")
-    # vdot conjugates its first argument and sums entrywise, which is tr(A†B)
-    return complex(np.vdot(a, b))
-
-
-def hs_norm(a: np.ndarray) -> float:
-    return float(np.sqrt(hs_inner(a, a).real))

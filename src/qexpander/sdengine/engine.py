@@ -39,7 +39,6 @@ class SdTerm:
 
     sign: int
     trivial_traces: int
-    split_count: int
     query: ExpectationQuery
 
 
@@ -55,34 +54,27 @@ def sd_step(query: ExpectationQuery) -> tuple[SdTerm, ...]:
     m1 = len(w)
     children: list[SdTerm] = []
 
-    def emit(sign: int, split: int, raw: list[Traces | tuple[int, ...]]) -> None:
+    def emit(sign: int, raw: list[Traces | tuple[int, ...]]) -> None:
         child, extracted = query_from_traces(raw)
-        children.append(
-            SdTerm(
-                sign=sign,
-                trivial_traces=extracted,
-                split_count=split,
-                query=child,
-            )
-        )
+        children.append(SdTerm(sign=sign, trivial_traces=extracted, query=child))
 
     for j in range(1, m1):
         if w[j] == pivot:
             # same letter in the pivot trace: split
-            emit(-1, 1, [w[:j], w[j:], *others])
+            emit(-1, [w[:j], w[j:], *others])
         elif w[j] == -pivot:
             # inverse letter in the pivot trace: split, pair deleted
-            emit(+1, 1, [w[1:j], w[j + 1 :], *others])
+            emit(+1, [w[1:j], w[j + 1 :], *others])
 
     for t_idx, v in enumerate(others):
         bystanders = others[:t_idx] + others[t_idx + 1 :]
         for j, s in enumerate(v):
             if s == pivot:
                 # same letter in another trace: merge, rotating v to start there
-                emit(-1, 0, [w + v[j:] + v[:j], *bystanders])
+                emit(-1, [w + v[j:] + v[:j], *bystanders])
             elif s == -pivot:
                 # inverse letter in another trace: merge, pair deleted
-                emit(+1, 0, [w[1:] + v[j + 1 :] + v[:j], *bystanders])
+                emit(+1, [w[1:] + v[j + 1 :] + v[:j], *bystanders])
 
     return tuple(children)
 
@@ -93,8 +85,7 @@ class LevelAudit:
 
     level: int
     term_count: int  # all children produced at this level
-    live_count: int  # children still carrying letters
-    terminated: dict[tuple[int, int, int], int]  # (p, q, sign) -> multiplicity
+    terminated: dict[tuple[int, int], int]  # (p, sign) -> multiplicity
 
 
 @dataclass(frozen=True)
@@ -126,7 +117,7 @@ def evaluate_series(
 ) -> SeriesResult:
     """Level-wise expansion with exact per-level sums at integer N.
 
-    Identical (query, p, q, sign) paths are aggregated with exact integer
+    Identical (query, p, sign) paths are aggregated with exact integer
     multiplicities, so the frontier stays small even when the raw term
     count grows like (m_total - 1)^n. Stops at n_max, when the truncation
     bound drops to tol, or when every path has terminated.
@@ -154,41 +145,31 @@ def evaluate_series(
             level_audits=(),
         )
 
-    frontier: dict[tuple[ExpectationQuery, int, int, int], int] = {(query, 0, 0, 1): 1}
+    frontier: dict[tuple[ExpectationQuery, int, int], int] = {(query, 0, 1): 1}
     level_sums: list[Fraction] = []
     audits: list[LevelAudit] = []
     level = 0
     bound = _truncation_bound(m_total, 0, N)
     while level < n_max and frontier:
         level += 1
-        new_frontier: dict[tuple[ExpectationQuery, int, int, int], int] = {}
-        terminated: dict[tuple[int, int, int], int] = {}
+        new_frontier: dict[tuple[ExpectationQuery, int, int], int] = {}
+        terminated: dict[tuple[int, int], int] = {}
         term_count = 0
-        for (state, p, q, sign), mult in frontier.items():
+        for (state, p, sign), mult in frontier.items():
             for child in sd_step(state):
-                csign = sign * child.sign
-                cp = p + child.trivial_traces
-                cq = q + child.split_count
+                key = (p + child.trivial_traces, sign * child.sign)
                 term_count += mult
                 if child.query.is_empty:
-                    key = (cp, cq, csign)
                     terminated[key] = terminated.get(key, 0) + mult
                 else:
-                    fkey = (child.query, cp, cq, csign)
+                    fkey = (child.query, *key)
                     new_frontier[fkey] = new_frontier.get(fkey, 0) + mult
         live = sum(new_frontier.values())
         level_sum = Fraction(0)
-        for (cp, cq, csign), mult in terminated.items():
+        for (cp, csign), mult in terminated.items():
             level_sum += csign * mult * Fraction(N**cp, N**level)
         level_sums.append(level_sum)
-        audits.append(
-            LevelAudit(
-                level=level,
-                term_count=term_count,
-                live_count=live,
-                terminated=terminated,
-            )
-        )
+        audits.append(LevelAudit(level=level, term_count=term_count, terminated=terminated))
         if live > node_budget:
             raise NumericalError(
                 f"level {level} holds {live} live terms, over the budget {node_budget}; "

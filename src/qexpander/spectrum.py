@@ -30,9 +30,6 @@ from .channel import Channel
 from .errors import NumericalError, ValidationError
 from .matrixcore import SPECTRAL_RADIUS_TOL
 
-DEFAULT_DIM_CEILING = 64  # dense N^2 x N^2 work is impractical beyond this
-
-
 def _diagonal_basis(n: int) -> np.ndarray:
     """H, whose row a is the diagonal of B_a: the Householder reflector
     I - 2 v v^T / (v^T v) with v = e_0 - (1, ..., 1)/sqrt(N), symmetric and
@@ -99,12 +96,9 @@ def real_superoperator(channel: Channel) -> np.ndarray:
     For a Hermitian channel the second half of the Kraus terms are the
     adjoints of the first (Channel enforces the pairing), so E = F + F*
     with F the first half at the pair's mean weight, and R = R_F + R_F^T:
-    half the work, and R comes out exactly symmetric. Every spectral and
-    moment path builds R here, so this is where N is held to the ceiling.
+    half the work, and R comes out exactly symmetric.
     """
     n = channel.dim
-    if n > DEFAULT_DIM_CEILING:
-        raise ValidationError(f"N={n} exceeds the dense-solver ceiling {DEFAULT_DIM_CEILING}")
     if channel.hermitian:
         half = channel.kraus_count // 2
         weights = (channel.weights[:half] + channel.weights[half:]) / 2.0
@@ -278,7 +272,6 @@ def write_spectrum_csv(spectrum: SuperopSpectrum, path) -> None:
 
 
 __all__ = [
-    "DEFAULT_DIM_CEILING",
     "BenchmarkConstants",
     "SuperopSpectrum",
     "benchmark_values",

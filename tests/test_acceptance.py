@@ -14,8 +14,8 @@ from conftest import record_verdict
 from oracle_superop import superoperator, vec
 from oracle_walks import enumerate_length_counts, return_count_upper_bound
 from qexpander.cayley import alon_boppana_lower_bound, walk_counts
-from qexpander.channel import apply, build_hermitian_random, build_nonhermitian_random
-from qexpander.cli import build_channel, collapse_curve, emit_collapse, quantile_distance
+from qexpander.channel import apply, build_channel
+from qexpander.cli import collapse_curve, emit_collapse, quantile_distance
 from qexpander.edgex import converse_check, random_projector, tanner_chain_check
 from qexpander.matrixcore import SeededRng
 from qexpander.sdengine import (
@@ -61,7 +61,7 @@ def herm50():
     start = time.perf_counter()
     rows = []
     for k in range(10):
-        chan = build_hermitian_random(50, 4, SeededRng(0, k))
+        chan = build_channel("hermitian", 50, 4, SeededRng(0, k))
         rows.append((k, chan, eigen_spectrum(chan)))
     return rows, time.perf_counter() - start
 
@@ -70,9 +70,9 @@ def herm50():
 def edge_channels():
     rows = []
     for k in range(5):
-        rows.append(build_hermitian_random(20, 4, SeededRng(3, k)))
+        rows.append(build_channel("hermitian", 20, 4, SeededRng(3, k)))
     for k in range(5):
-        rows.append(build_hermitian_random(30, 4, SeededRng(3, 5 + k)))
+        rows.append(build_channel("hermitian", 30, 4, SeededRng(3, 5 + k)))
     return rows
 
 
@@ -151,7 +151,7 @@ def test_criterion_4_sd_invariant_audit():
                 violations += 1
             if audit.level == 2 and audit.terminated:
                 violations += 1
-            for (p, _q, _sign), _mult in audit.terminated.items():
+            for (p, _sign), _mult in audit.terminated.items():
                 if p > (2 + audit.level) // 3:
                     violations += 1
     ok = violations == 0 and len(CORPUS) >= 8
@@ -216,7 +216,7 @@ def test_criterion_7_nonhermitian_bounds():
     worst = 0.0
     frob_ok = True
     for k in range(5):
-        chan = build_nonhermitian_random(50, 4, SeededRng(1, k))
+        chan = build_channel("nonhermitian", 50, 4, SeededRng(1, k))
         spec = eigen_spectrum(chan)
         worst = max(worst, spec.lambda2)
         for row in moment_table(chan, range(1, 7)):
@@ -246,8 +246,7 @@ def test_criterion_8_channel_contracts():
     assert len(cases) == 20
     worst = 0.0
     for n, d, herm, k in cases:
-        builder = build_hermitian_random if herm else build_nonhermitian_random
-        chan = builder(n, d, SeededRng(5, k))
+        chan = build_channel("hermitian" if herm else "nonhermitian", n, d, SeededRng(5, k))
         eye = np.eye(n, dtype=complex)
         g = SeededRng(5, 100 + k).generator
         m = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
@@ -302,7 +301,7 @@ def test_criterion_10_scaling_collapse(tmp_path, herm50):
     rows, _ = herm50
     spectra = {50: rows[0][2]}
     for k, n in ((0, 20), (1, 30)):
-        chan = build_hermitian_random(n, 4, SeededRng(4, k))
+        chan = build_channel("hermitian", n, 4, SeededRng(4, k))
         spectra[n] = eigen_spectrum(chan)
     emit_collapse(spectra, tmp_path)
     lines = (tmp_path / "collapse.csv").read_text().splitlines()[1:]

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from oracle_mc import haar_stack
-from qexpander.channel import Channel, apply, build_hermitian_random, build_nonhermitian_random
+from qexpander.channel import Channel, apply, build_channel
 from qexpander.errors import ValidationError
 from qexpander.matrixcore import SeededRng
 
 
 def test_hermitian_build_shapes_and_pairing():
-    chan = build_hermitian_random(8, 6, SeededRng(1))
+    chan = build_channel("hermitian", 8, 6, SeededRng(1))
     assert chan.dim == 8 and chan.kraus_count == 6 and chan.hermitian
     assert np.allclose(chan.weights, np.full(6, 1 / 6))
     for s in range(3):
@@ -17,21 +17,21 @@ def test_hermitian_build_shapes_and_pairing():
 
 def test_hermitian_needs_even_d_at_least_4():
     with pytest.raises(ValidationError):
-        build_hermitian_random(8, 3, SeededRng(1))
+        build_channel("hermitian", 8, 3, SeededRng(1))
     with pytest.raises(ValidationError):
-        build_hermitian_random(8, 2, SeededRng(1))
+        build_channel("hermitian", 8, 2, SeededRng(1))
 
 
 def test_nonhermitian_allows_d2():
-    chan = build_nonhermitian_random(8, 2, SeededRng(2))
+    chan = build_channel("nonhermitian", 8, 2, SeededRng(2))
     assert chan.kraus_count == 2 and not chan.hermitian
 
 
 def test_unital_and_trace_preserving():
     # uniform unitary mixtures fix the identity and preserve traces
     for chan in (
-        build_hermitian_random(10, 4, SeededRng(3)),
-        build_nonhermitian_random(10, 3, SeededRng(4)),
+        build_channel("hermitian", 10, 4, SeededRng(3)),
+        build_channel("nonhermitian", 10, 3, SeededRng(4)),
     ):
         eye = np.eye(10, dtype=complex)
         assert np.linalg.norm(apply(chan, eye) - eye) < 1e-12
@@ -41,7 +41,7 @@ def test_unital_and_trace_preserving():
 
 
 def test_apply_linearity():
-    chan = build_hermitian_random(6, 4, SeededRng(6))
+    chan = build_channel("hermitian", 6, 4, SeededRng(6))
     g = SeededRng(7).generator
     a = g.standard_normal((6, 6)) + 1j * g.standard_normal((6, 6))
     b = g.standard_normal((6, 6)) + 1j * g.standard_normal((6, 6))
@@ -51,7 +51,7 @@ def test_apply_linearity():
 
 
 def test_apply_hermiticity_preserved():
-    chan = build_hermitian_random(6, 4, SeededRng(8))
+    chan = build_channel("hermitian", 6, 4, SeededRng(8))
     g = SeededRng(9).generator
     h = g.standard_normal((6, 6))
     h = h + h.T
@@ -104,7 +104,7 @@ def test_weight_pairing_enforced_for_hermitian():
 
 
 def test_channel_arrays_read_only():
-    chan = build_hermitian_random(6, 4, SeededRng(13))
+    chan = build_channel("hermitian", 6, 4, SeededRng(13))
     with pytest.raises(ValueError):
         chan.unitaries[0, 0, 0] = 0.0
     with pytest.raises(ValueError):

@@ -19,10 +19,10 @@ import pytest
 import qexpander
 from qexpander import sdengine, spectrum
 from qexpander.cayley import MAX_WALK_LENGTH
+from qexpander.channel import build_channel
 from qexpander.cli import (
     ExperimentConfig,
     SWEEP_HEADER,
-    build_channel,
     build_parser,
     format_record,
     main,
@@ -31,6 +31,7 @@ from qexpander.cli import (
 )
 from qexpander.errors import NumericalError, ValidationError
 from qexpander.matrixcore import SeededRng
+from qexpander.sdengine.engine import LevelAudit, SdTerm
 
 
 def mask_wall_ms(text: str) -> list[str]:
@@ -62,6 +63,13 @@ MOVED_TO_TESTS = (
     "_FLAG_KEYS",
     "_CONFIG_KEYS",
     "_parse_int",
+    "build_hermitian_random",
+    "build_weighted_random",
+    "build_nonhermitian_random",
+    "_adjoint_paired_haar",
+    "_check_paired_shape",
+    "hs_inner",
+    "hs_norm",
 )
 
 
@@ -78,6 +86,8 @@ def test_src_exports_resolve_and_hold_no_test_only_code():
         (sdengine.SeriesResult, ("exact_partial_total", "m_total", "N")),
         (SeededRng, ("stream",)),
         (ExperimentConfig, ("output_dir",)),
+        (SdTerm, ("split_count",)),
+        (LevelAudit, ("live_count",)),
     ):
         members = set(dir(cls)) | {f.name for f in dataclasses.fields(cls)}
         assert not members & set(names), cls.__name__
@@ -178,15 +188,34 @@ def test_config_validation():
     ExperimentConfig("nonhermitian", (8,), 2, 1, 0, 20)  # D=2 fine here
 
 
-@pytest.mark.parametrize("command", [["spectrum", "--out", "{tmp}"], ["moments"], ["edge"]])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["spectrum", "--n", "65", "--out", "{tmp}"],
+        ["moments", "--n", "65"],
+        ["edge", "--n", "65"],
+        ["sweep", "--n-list", "20,65", "--out", "{tmp}"],
+        ["collapse", "--n-list", "20,65", "--out", "{tmp}"],
+        ["collapse", "--n-list", "6", "--out", "{tmp}"],
+        ["spectrum", "--construction", "hermitian", "--d", "5", "--out", "{tmp}"],
+        ["spectrum", "--construction", "weighted", "--d", "5", "--out", "{tmp}"],
+        ["spectrum", "--construction", "nonhermitian", "--d", "1", "--out", "{tmp}"],
+        ["sweep", "--construction", "weighted", "--n-list", "20,65", "--out", "{tmp}"],
+    ],
+)
 def test_over_ceiling_n_is_rejected_before_the_haar_draw(command, monkeypatch, tmp_path, capsys):
+    # every request that may not be drawn exits 2 before its first random
+    # number: no Haar unitary, no Gamma weight, no projector
     def no_draw(*args, **kwargs):
-        raise AssertionError("a unitary was drawn")
+        raise AssertionError("a random number was drawn")
 
-    monkeypatch.setattr("qexpander.channel.haar_unitary", no_draw)
-    argv = [command[0], "--n", "65", *(arg.format(tmp=tmp_path) for arg in command[1:])]
-    assert main(argv) == 2
-    assert "ceiling" in capsys.readouterr().err
+    monkeypatch.setattr(SeededRng, "generator", property(no_draw))
+    assert main([arg.format(tmp=tmp_path) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    if "65" in " ".join(command):
+        assert "ceiling" in captured.err
 
 
 def test_exit_code_validation_error(tmp_path, capsys):

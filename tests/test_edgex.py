@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qexpander.channel import Channel, apply, build_hermitian_random, build_nonhermitian_random
+from qexpander.channel import Channel, apply, build_channel
 from qexpander.edgex import assert_projector, converse_check, random_projector, tanner_chain_check
 from qexpander.errors import ValidationError
 from qexpander.matrixcore import SeededRng
@@ -45,7 +45,7 @@ def test_assert_projector_rejects_non_projector():
 
 
 def test_edge_ratio_range_and_identity():
-    chan = build_hermitian_random(12, 4, SeededRng(3))
+    chan = build_channel("hermitian", 12, 4, SeededRng(3))
     rng = SeededRng(4)
     for _ in range(10):
         rank = int(rng.generator.integers(1, 7))
@@ -58,7 +58,7 @@ def test_edge_ratio_range_and_identity():
 
 
 def test_converse_bound_holds_on_random_projectors():
-    chan = build_hermitian_random(14, 4, SeededRng(5))
+    chan = build_channel("hermitian", 14, 4, SeededRng(5))
     spec = eigen_spectrum(chan)
     rng = SeededRng(6)
     for _ in range(25):
@@ -70,7 +70,7 @@ def test_converse_bound_holds_on_random_projectors():
 
 def test_converse_computes_lambda2_when_omitted():
     # lambda2 is required: a caller without a spectrum solves it first
-    chan = build_hermitian_random(8, 4, SeededRng(7))
+    chan = build_channel("hermitian", 8, 4, SeededRng(7))
     p = random_projector(8, 2, SeededRng(8))
     with pytest.raises(TypeError):
         converse_check(chan, p)
@@ -87,14 +87,14 @@ def test_converse_identity_channel_tight():
 
 
 def test_converse_rejects_large_rank():
-    chan = build_hermitian_random(8, 4, SeededRng(10))
+    chan = build_channel("hermitian", 8, 4, SeededRng(10))
     p = random_projector(8, 5, SeededRng(11))  # rank > N/2
     with pytest.raises(ValidationError):
         converse_check(chan, p, 0.5)
 
 
 def test_converse_rejects_nonhermitian():
-    chan = build_nonhermitian_random(8, 3, SeededRng(12))
+    chan = build_channel("nonhermitian", 8, 3, SeededRng(12))
     p = random_projector(8, 2, SeededRng(13))
     with pytest.raises(ValidationError):
         converse_check(chan, p, 0.5)
@@ -102,7 +102,7 @@ def test_converse_rejects_nonhermitian():
 
 def test_chain_holds_on_random_channels():
     for seed in range(4):
-        chan = build_hermitian_random(16, 4, SeededRng(100 + seed))
+        chan = build_channel("hermitian", 16, 4, SeededRng(100 + seed))
         report = tanner_chain_check(chan)
         assert report.holds
         assert report.lhs <= report.rhs + 1e-8
@@ -138,7 +138,7 @@ def test_chain_rejects_nonpositive_second_eigenvalue():
 
 
 def test_chain_rejects_nonhermitian():
-    chan = build_nonhermitian_random(8, 3, SeededRng(14))
+    chan = build_channel("nonhermitian", 8, 3, SeededRng(14))
     with pytest.raises(ValidationError):
         tanner_chain_check(chan)
 
@@ -146,7 +146,7 @@ def test_chain_rejects_nonhermitian():
 def test_chain_does_not_depend_on_the_solver_eigenvector_sign(monkeypatch):
     # seed 4 at N=8: the second eigenvector has exactly N/2 positive
     # eigenvalues, so both orientations pass the chain's flip rule
-    chan = build_hermitian_random(8, 4, SeededRng(4))
+    chan = build_channel("hermitian", 8, 4, SeededRng(4))
     lam2, x = eigen_spectrum(chan, vectors=True).second_eigenpair
     assert 2 * int(np.sum(np.linalg.eigvalsh(x) > 0.0)) == 8
     lhs = tanner_chain_check(chan).lhs

@@ -8,8 +8,6 @@ from qexpander.matrixcore import (
     UNITARITY_TOL,
     complex_gaussian,
     haar_unitary,
-    hs_inner,
-    hs_norm,
     unitarity_residual,
 )
 
@@ -99,18 +97,3 @@ def test_assert_unitary_rejects_non_unitary():
     m[0, 0] = 1.5
     with pytest.raises(ValidationError):
         assert_unitary(m)
-
-
-def test_hs_inner_and_norm():
-    rng = SeededRng(29)
-    g = rng.generator
-    a = g.standard_normal((5, 5)) + 1j * g.standard_normal((5, 5))
-    b = g.standard_normal((5, 5)) + 1j * g.standard_normal((5, 5))
-    want = np.trace(a.conj().T @ b)
-    assert abs(hs_inner(a, b) - want) < 1e-12
-    assert abs(hs_norm(a) - np.linalg.norm(a, "fro")) < 1e-12
-
-
-def test_hs_inner_rejects_nonsquare():
-    with pytest.raises(ValidationError):
-        hs_inner(np.zeros((2, 3)), np.zeros((2, 3)))

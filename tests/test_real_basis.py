@@ -11,8 +11,7 @@ import pytest
 
 from oracle_mc import haar_stack
 from oracle_superop import hermitian_coords, superoperator
-from qexpander.channel import Channel, apply, build_hermitian_random, build_nonhermitian_random
-from qexpander.cli import build_channel
+from qexpander.channel import Channel, apply, build_channel
 from qexpander.edgex import tanner_chain_check
 from qexpander.errors import ValidationError
 from qexpander.matrixcore import SeededRng
@@ -35,7 +34,7 @@ def criterion_8_channels():
             cases.append((n, d, True, idx)); idx += 1
             cases.append((n, d, False, idx)); idx += 1
     return [
-        (build_hermitian_random if herm else build_nonhermitian_random)(n, d, SeededRng(5, k))
+        build_channel("hermitian" if herm else "nonhermitian", n, d, SeededRng(5, k))
         for n, d, herm, k in cases
     ]
 
@@ -112,14 +111,14 @@ def test_eigenvalues_match_complex_oracle(chan):
 
 def test_real_superoperator_exactly_symmetric_for_hermitian_channels():
     for chan in (
-        build_hermitian_random(9, 4, SeededRng(23)),
-        build_hermitian_random(7, 6, SeededRng(24)),
+        build_channel("hermitian", 9, 4, SeededRng(23)),
+        build_channel("hermitian", 7, 6, SeededRng(24)),
         build_channel("weighted", 8, 6, SeededRng(25)),
     ):
         r = real_superoperator(chan)
         assert r.dtype == np.float64 and r.shape == (chan.dim**2,) * 2
         assert np.array_equal(r, r.T)
-    r = real_superoperator(build_nonhermitian_random(6, 3, SeededRng(26)))
+    r = real_superoperator(build_channel("nonhermitian", 6, 3, SeededRng(26)))
     assert np.max(np.abs(r - r.T)) > 1e-3
 
 
@@ -146,8 +145,8 @@ def test_coordinate_round_trip():
 @pytest.mark.parametrize(
     "chan",
     [
-        build_hermitian_random(9, 4, SeededRng(34)),
-        build_nonhermitian_random(9, 3, SeededRng(35)),
+        build_channel("hermitian", 9, 4, SeededRng(34)),
+        build_channel("nonhermitian", 9, 3, SeededRng(35)),
         build_channel("weighted", 8, 6, SeededRng(36)),
         weighted_nonhermitian_channel(),
     ],
@@ -160,7 +159,7 @@ def test_real_superoperator_is_the_channel_on_coordinates(chan):
 
 
 def test_moments_match_complex_power_chain():
-    for chan in (build_hermitian_random(8, 4, SeededRng(38)), build_nonhermitian_random(7, 3, SeededRng(39))):
+    for chan in (build_channel("hermitian", 8, 4, SeededRng(38)), build_channel("nonhermitian", 7, 3, SeededRng(39))):
         for row in moment_table(chan, range(1, 7)):
             power = complex_power(chan, row.m)
             want_frob = float(np.linalg.norm(power, "fro") ** 2)
@@ -178,7 +177,7 @@ def complex_signed_lambda2(chan):
 
 @pytest.mark.parametrize(
     "chan",
-    [build_hermitian_random(n, 4, SeededRng(40, n)) for n in (6, 10, 16)]
+    [build_channel("hermitian", n, 4, SeededRng(40, n)) for n in (6, 10, 16)]
     + [build_channel("weighted", 10, 6, SeededRng(41)), identity_channel(6)],
 )
 def test_chain_second_eigenpair_matches_complex_eigh(chan):
@@ -194,4 +193,4 @@ def test_chain_second_eigenpair_matches_complex_eigh(chan):
 
 def test_eigenvectors_only_for_hermitian_channels():
     with pytest.raises(ValidationError):
-        eigen_spectrum(build_nonhermitian_random(4, 3, SeededRng(42)), vectors=True)
+        eigen_spectrum(build_channel("nonhermitian", 4, 3, SeededRng(42)), vectors=True)

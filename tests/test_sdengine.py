@@ -375,7 +375,7 @@ def test_series_p_bound_on_corpus():
         query = parse_trace_expr(expr).query
         result = evaluate_series(query, 16, n_max=9)
         for audit in result.level_audits:
-            for (p, _q, _sign), _mult in audit.terminated.items():
+            for (p, _sign), _mult in audit.terminated.items():
                 assert p <= (2 + audit.level) // 3, expr
 
 

@@ -3,11 +3,10 @@ import pytest
 
 from oracle_mc import haar_stack
 from oracle_superop import faithfulness_residual, superoperator, unvec, vec
-from qexpander.channel import Channel, apply, build_hermitian_random, build_nonhermitian_random
+from qexpander.channel import DEFAULT_DIM_CEILING, Channel, apply, build_channel
 from qexpander.errors import NumericalError, ValidationError
 from qexpander.matrixcore import SeededRng
 from qexpander.spectrum import (
-    DEFAULT_DIM_CEILING,
     MomentRow,
     benchmark_values,
     eigen_spectrum,
@@ -25,8 +24,8 @@ def test_vec_unvec_round_trip_column_major():
 
 
 def test_superoperator_matches_channel_action():
-    for seed, builder, d in ((1, build_hermitian_random, 4), (2, build_nonhermitian_random, 3)):
-        chan = builder(8, d, SeededRng(seed))
+    for seed, construction, d in ((1, "hermitian", 4), (2, "nonhermitian", 3)):
+        chan = build_channel(construction, 8, d, SeededRng(seed))
         s = superoperator(chan)
         g = SeededRng(seed + 10).generator
         m = g.standard_normal((8, 8)) + 1j * g.standard_normal((8, 8))
@@ -35,21 +34,21 @@ def test_superoperator_matches_channel_action():
 
 
 def test_superoperator_hermitian_iff_channel_hermitian():
-    h = superoperator(build_hermitian_random(6, 4, SeededRng(3)))
+    h = superoperator(build_channel("hermitian", 6, 4, SeededRng(3)))
     assert np.linalg.norm(h - h.conj().T) < 1e-12
-    n = superoperator(build_nonhermitian_random(6, 3, SeededRng(4)))
+    n = superoperator(build_channel("nonhermitian", 6, 3, SeededRng(4)))
     assert np.linalg.norm(n - n.conj().T) > 1e-3
 
 
 def test_unit_eigenvector_identity():
-    chan = build_hermitian_random(7, 4, SeededRng(5))
+    chan = build_channel("hermitian", 7, 4, SeededRng(5))
     s = superoperator(chan)
     v = vec(np.eye(7, dtype=complex)) / np.sqrt(7)
     assert np.linalg.norm(s @ v - v) < 1e-12
 
 
 def test_eigen_spectrum_hermitian_fields():
-    chan = build_hermitian_random(9, 4, SeededRng(6))
+    chan = build_channel("hermitian", 9, 4, SeededRng(6))
     spec = eigen_spectrum(chan)
     assert spec.hermitian and spec.dim == 9
     assert spec.eigenvalues.shape == (81,)
@@ -62,7 +61,7 @@ def test_eigen_spectrum_hermitian_fields():
 
 
 def test_eigen_spectrum_nonhermitian_sorted_by_modulus():
-    chan = build_nonhermitian_random(9, 3, SeededRng(7))
+    chan = build_channel("nonhermitian", 9, 3, SeededRng(7))
     spec = eigen_spectrum(chan)
     assert not spec.hermitian
     mods = np.abs(spec.eigenvalues)
@@ -80,14 +79,18 @@ def test_lambda2_removes_exactly_one_unit_eigenvalue():
     assert spec.eigenvalues.shape == (25,)
 
 
-def test_dim_ceiling_enforced():
-    chan = build_hermitian_random(DEFAULT_DIM_CEILING + 1, 4, SeededRng(8))
+def test_dim_ceiling_enforced(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random number was drawn")
+
+    rng = SeededRng(8)
+    monkeypatch.setattr(SeededRng, "generator", property(no_draw))
     with pytest.raises(ValidationError):
-        eigen_spectrum(chan)
+        build_channel("hermitian", DEFAULT_DIM_CEILING + 1, 4, rng)
 
 
 def test_moment_trace_matches_eigenvalue_power_sum():
-    chan = build_hermitian_random(8, 4, SeededRng(9))
+    chan = build_channel("hermitian", 8, 4, SeededRng(9))
     spec = eigen_spectrum(chan)
     for row in moment_table(chan, (2, 4, 6)):
         want = float(np.sum(spec.eigenvalues.real**row.m))
@@ -96,14 +99,14 @@ def test_moment_trace_matches_eigenvalue_power_sum():
 
 def test_moment_trace_rejects_odd_or_nonhermitian():
     # the trace route is Hermitian-only at even m; other rows carry no trace
-    (row,) = moment_table(build_hermitian_random(6, 4, SeededRng(10)), [3])
+    (row,) = moment_table(build_channel("hermitian", 6, 4, SeededRng(10)), [3])
     assert row.moment_trace is None and row.lambda2_estimate is None
-    (row,) = moment_table(build_nonhermitian_random(6, 3, SeededRng(11)), [2])
+    (row,) = moment_table(build_channel("nonhermitian", 6, 3, SeededRng(11)), [2])
     assert row.moment_trace is None and row.lambda2_estimate is None
 
 
 def test_estimate_lambda2_converges_from_above():
-    chan = build_hermitian_random(10, 4, SeededRng(12))
+    chan = build_channel("hermitian", 10, 4, SeededRng(12))
     spec = eigen_spectrum(chan)
     estimates = [row.lambda2_estimate for row in moment_table(chan, (4, 8, 12, 16))]
     # (tr S^m - 1)^(1/m) decreases toward |lambda_2| as m grows
@@ -113,7 +116,7 @@ def test_estimate_lambda2_converges_from_above():
 
 
 def test_frobenius_moment_identities():
-    chan = build_hermitian_random(8, 4, SeededRng(13))
+    chan = build_channel("hermitian", 8, 4, SeededRng(13))
     rows = {row.m: row for row in moment_table(chan, range(1, 7))}
     # hermitian S: tr((S^dag)^m S^m) = tr(S^(2m))
     for m in (1, 2, 3):
@@ -133,7 +136,7 @@ def test_benchmark_values():
 
 
 def test_spectrum_csv_schema(tmp_path):
-    chan = build_hermitian_random(5, 4, SeededRng(14))
+    chan = build_channel("hermitian", 5, 4, SeededRng(14))
     spec = eigen_spectrum(chan)
     path = tmp_path / "spectrum.csv"
     write_spectrum_csv(spec, path)
