@@ -1,4 +1,7 @@
-"""The trace-product rewriting recursion and its two symbolic evaluators.
+"""The trace-product rewriting recursion and its two symbolic evaluators:
+a level-wise series at integer N, and the exact rational function of N,
+rebuilt by interpolation from exact solves of the reachable system at
+integer N.
 
 One rewriting step picks the pivot letter (first letter of the first
 trace of the canonical form) and emits one child per matching letter, in
@@ -26,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ..errors import NumericalError, ValidationError
-from .rational import RAT_ONE, RAT_ZERO, RationalInN
+from .rational import RAT_ONE, RAT_ZERO, RationalInN, _interpolate
 from .words import ExpectationQuery, Traces, query_from_traces
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -208,10 +211,14 @@ def evaluate_exact(query: ExpectationQuery) -> RationalInN:
 
     The rewriting step never increases the total letter count, so the
     reachable canonical queries form a finite system, block-triangular in
-    the letter count. Blocks are solved in increasing count by exact
-    Gaussian elimination over rational functions; within a block, cyclic
-    dependencies (split followed by re-merge) are solved simultaneously.
-    An unbalanced query is exactly 0 and skips the budget and the solve.
+    the letter count. Within a block every coefficient is +-1/N, so block
+    b reads (N I - M_b) v = N rhs with M_b an integer matrix whose rows
+    have absolute sum at most m_total - 1: diagonally dominant, and so
+    nonsingular, at every integer N >= m_total. The system is solved
+    exactly at consecutive such N, and the query's rational function is
+    rebuilt from those values by Cauchy interpolation, checked at two
+    further points (`rational._interpolate`). An unbalanced query is
+    exactly 0 and skips the budget and the solve.
     """
     if query.is_unbalanced:
         return RAT_ZERO
@@ -221,61 +228,71 @@ def evaluate_exact(query: ExpectationQuery) -> RationalInN:
         raise ValidationError(
             f"m_total={query.m_total} exceeds the symbolic budget {DEFAULT_SYMBOLIC_BUDGET}"
         )
+    blocks = _assemble(query)
+    return _interpolate(lambda n: _solve_at(blocks, n)[query], query.m_total)
 
+
+def _assemble(query: ExpectationQuery) -> list[tuple[list[ExpectationQuery], list]]:
+    """The reachable system in increasing letter count, one block per
+    count. A query's row holds its same-block coefficients {column:
+    summed sign} and its (sign, trivial traces, child) terms below the
+    block, child None when empty."""
     groups: dict[int, list[ExpectationQuery]] = {}
     for q in _reachable(query):
         groups.setdefault(q.m_total, []).append(q)
-
-    solution: dict[ExpectationQuery, RationalInN] = {}
-    inv_n = RationalInN.n_power(-1)
+    blocks = []
     for count in sorted(groups):
         block = sorted(groups[count], key=lambda q: q.traces)
         index = {q: i for i, q in enumerate(block)}
-        size = len(block)
-        matrix = [[RAT_ZERO] * size for _ in range(size)]
-        rhs = [RAT_ZERO] * size
-        for i, q in enumerate(block):
-            matrix[i][i] = RAT_ONE
+        rows = []
+        for q in block:
+            inner: dict[int, int] = {}
+            lower = []
             for child in sd_step(q):
-                coeff = inv_n * RationalInN.n_power(child.trivial_traces)
-                if child.sign < 0:
-                    coeff = -coeff
                 cq = child.query
-                if cq.is_empty:
-                    rhs[i] = rhs[i] + coeff
-                elif cq.m_total < count:
-                    rhs[i] = rhs[i] + coeff * solution[cq]
+                if cq.is_empty or cq.m_total < count:
+                    lower.append((child.sign, child.trivial_traces, None if cq.is_empty else cq))
                 else:
+                    # a child keeping every letter deletes no pair and
+                    # extracts no tr(1), so its coefficient is sign/N
                     j = index[cq]
-                    matrix[i][j] = matrix[i][j] - coeff
-        values = _solve_exact(matrix, rhs, block)
-        for q, v in zip(block, values):
-            solution[q] = v
-
-    return solution[query]
+                    inner[j] = inner.get(j, 0) + child.sign
+            rows.append((inner, lower))
+        blocks.append((block, rows))
+    return blocks
 
 
-def _solve_exact(matrix, rhs, block) -> list[RationalInN]:
-    """Gaussian elimination over rational functions in N."""
-    size = len(rhs)
-    a = [row[:] for row in matrix]
-    b = rhs[:]
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if not a[r][col].is_zero()), None)
-        if pivot_row is None:
-            raise NumericalError(
-                f"singular system: zero pivot column for query {block[col].traces!r}"
-            )
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            b[col], b[pivot_row] = b[pivot_row], b[col]
-        inv = RAT_ONE / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        b[col] = b[col] * inv
-        for r in range(size):
-            if r == col or a[r][col].is_zero():
-                continue
-            factor = a[r][col]
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-            b[r] = b[r] - factor * b[col]
-    return b
+def _solve_at(blocks, n: int) -> dict[ExpectationQuery, Fraction]:
+    """Every query's value at the integer n >= m_total, block by block:
+    Gaussian elimination without pivoting on N v_i - sum_j M_ij v_j =
+    sum over lower children of sign * N^p * value, which diagonal
+    dominance keeps nonsingular."""
+    value: dict[ExpectationQuery, Fraction] = {}
+    for block, rows in blocks:
+        a = []
+        b = []
+        for i, (inner, lower) in enumerate(rows):
+            row = {j: Fraction(-s) for j, s in inner.items()}
+            row[i] = row.get(i, 0) + n
+            a.append(row)
+            b.append(sum(
+                (s * n**p * (1 if c is None else value[c]) for s, p, c in lower), Fraction(0)
+            ))
+        size = len(block)
+        for c in range(size):
+            pivot = a[c]
+            inv = 1 / Fraction(pivot[c])
+            for r in range(c + 1, size):
+                f = a[r].pop(c, 0)
+                if f:
+                    f *= inv
+                    row = a[r]
+                    for j, x in pivot.items():
+                        if j > c:
+                            row[j] = row.get(j, 0) - f * x
+                    b[r] -= f * b[c]
+        for c in range(size - 1, -1, -1):
+            acc = b[c] - sum(x * b[j] for j, x in a[c].items() if j > c)
+            b[c] = acc / a[c][c]
+            value[block[c]] = b[c]
+    return value

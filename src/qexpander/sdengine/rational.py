@@ -5,6 +5,10 @@ zeros. A RationalInN is stored reduced: numerator and denominator coprime
 and the denominator monic, so equality is plain field comparison. The
 canonical text form clears coefficient denominators to print integer
 polynomials p(N)/q(N).
+
+`_interpolate` rebuilds a rational function from its exact values at
+integer points, by Cauchy interpolation (von zur Gathen and Gerhard,
+Modern Computer Algebra, 3rd ed., 2013, section 5.8).
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Callable
+
+from ..errors import NumericalError
 
 Poly = tuple[Fraction, ...]
 
@@ -82,6 +89,71 @@ def _peval(a: Poly, x: Fraction) -> Fraction:
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def _cauchy(xs: list[int], ys: list[Fraction]) -> tuple[Poly, Poly]:
+    """The r/t of least deg r + deg t with r(x) = y t(x) and t(x) != 0 at
+    every data point, among the rows of the extended Euclidean algorithm
+    on prod(N - x) and the interpolating polynomial. Any rational function
+    of degree sum below len(xs) that fits the data is one of those rows
+    (von zur Gathen and Gerhard, Theorem 5.16)."""
+    # Newton divided differences, expanded into the monomial basis
+    coef = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    g = _ZERO
+    for x, c in zip(reversed(xs), reversed(coef)):
+        g = _padd(_pmul(g, (Fraction(-x), Fraction(1))), _trim((c,)))
+    m = _ONE
+    for x in xs:
+        m = _pmul(m, (Fraction(-x), Fraction(1)))
+    best = (g, _ONE)
+    r0, r1, t0, t1 = m, g, _ZERO, _ONE
+    while r1:
+        q, r = _pdivmod(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1)))
+        if r1 and len(r1) + len(t1) < len(best[0]) + len(best[1]):
+            if all(_peval(t1, Fraction(x)) for x in xs):
+                best = (r1, t1)
+    return best
+
+
+FAR_POINT = 10**6 + 3  # a second check far from the data points
+MAX_POINTS = 40  # data points one interpolant may use
+
+
+def _interpolate(value_at: Callable[[int], Fraction], start: int) -> "RationalInN":
+    """The rational function whose values at N = start, start + 1, ...
+    `value_at` returns. The Cauchy interpolant of the first n values is
+    accepted once it reproduces the value at the next point and at
+    FAR_POINT; otherwise that next point joins the data. Past MAX_POINTS
+    data points it raises NumericalError."""
+    xs = [start]
+    ys = [Fraction(value_at(start))]
+    far = None
+    while True:
+        num, den = _cauchy(xs, ys)
+        x = xs[-1] + 1
+        y = Fraction(value_at(x))
+        if _fits(num, den, x, y):
+            if far is None:
+                far = Fraction(value_at(FAR_POINT))
+            if _fits(num, den, FAR_POINT, far):
+                return RationalInN._make(num, den)
+        if len(xs) == MAX_POINTS:
+            raise NumericalError(
+                f"no rational function of N interpolating {MAX_POINTS} solved points "
+                f"(N = {start}..{x - 1}) reproduces the next point and N = {FAR_POINT}"
+            )
+        xs.append(x)
+        ys.append(y)
+
+
+def _fits(num: Poly, den: Poly, x: int, y: Fraction) -> bool:
+    d = _peval(den, Fraction(x))
+    return d != 0 and _peval(num, Fraction(x)) == y * d
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from ..errors import ValidationError
@@ -53,6 +54,18 @@ def _encode(word: Word, labels: dict[int, int], next_label: int) -> tuple[Word, 
     return tuple(out), labels
 
 
+def _reading(word: Word, labels: dict[int, int], index: int) -> tuple:
+    """(length, reading, index, turned word): `word` turned to the first
+    rotation whose reading is least, where the reading shows each
+    labelled generator as its label and every other letter as 0, so no
+    renaming of the unlabelled generators changes it."""
+    code = tuple(
+        (labels[abs(s)] if s > 0 else -labels[abs(s)]) if abs(s) in labels else 0 for s in word
+    )
+    r = min(range(len(word)), key=lambda r: code[r:] + code[:r])
+    return len(word), code[r:] + code[:r], index, word[r:] + word[:r]
+
+
 def canonical_traces(traces: Iterable[Word]) -> Traces:
     """Minimal encoding over generator renamings and global adjoint flips:
     the least, over all relabelings of the g generators by -g..-1 with
@@ -61,14 +74,17 @@ def canonical_traces(traces: Iterable[Word]) -> Traces:
     Built trace by trace, shortest first: the least greedy encoding
     (`_encode`) of any (trace, rotation) is the next trace, since no
     labeling that extends the current one encodes it lower. The search
-    branches only on ties, cuts a prefix above the best found, and keeps
-    one of the tied branches whose remaining traces read the same with the
-    unlabeled generators renamed by first appearance, as those end in the
-    same representative (McKay and Piperno, J. Symb. Comput. 60, 2014).
+    branches only on ties and cuts a prefix above the best found. Of the
+    branches anywhere in the search that share a prefix and whose
+    remaining traces, turned and sorted by a reading no renaming changes,
+    read the same with the unlabeled generators renamed by first
+    appearance, it keeps one, as those end in the same representative
+    (McKay and Piperno, J. Symb. Comput. 60, 2014).
     """
     ts = tuple(tuple(t) for t in traces)
     g = len({abs(s) for t in ts for s in t})
     best: Traces | None = None
+    seen: set[tuple[Traces, tuple[int, ...], Word]] = set()
     stack: list[tuple[Traces, dict[int, int], Traces]] = [((), {}, ts)]
     while stack:
         prefix, labels, rest = stack.pop()
@@ -89,17 +105,42 @@ def canonical_traces(traces: Iterable[Word]) -> Traces:
         }
         candidates = [(*_encode(word, labels, next_label), i) for word, i in rotations.items()]
         least = min(code for code, _, _ in candidates)
-        seen = set()
-        for code, extended, i in candidates:
-            if code != least:
-                continue
-            others = rest[:i] + rest[i + 1 :]
+        ties = [(extended, i) for code, extended, i in candidates if code == least]
+        prefix += (least,)
+        if len(ties) == 1:
+            ((extended, i),) = ties
+            stack.append((prefix, extended, rest[:i] + rest[i + 1 :]))
+            continue
+        # A tied branch's state is its remaining traces, each turned and
+        # sorted by `_reading`, then encoded with the unlabelled generators
+        # renamed by first appearance. Neither the turn nor the order
+        # changes when those generators are renamed, and only the traces
+        # sharing a generator with the tied trace read differently in its
+        # branch than under `labels`.
+        base = sorted(_reading(t, labels, j) for j, t in enumerate(rest))
+        holds: dict[int, set[int]] = {}
+        for j, t in enumerate(rest):
+            for s in t:
+                holds.setdefault(abs(s), set()).add(j)
+        private = False
+        for extended, i in ties:
+            moved = {i}.union(*(holds[abs(s)] for s in rest[i] if abs(s) not in labels))
+            if moved == {i}:
+                # its new generators occur in no other trace, so any two
+                # such ties are one renaming apart
+                if private:
+                    continue
+                private = True
+            keyed = [e for e in base if e[2] not in moved]
+            keyed += [_reading(rest[j], extended, j) for j in moved - {i}]
+            keyed.sort()
+            others = tuple(e[3] for e in keyed)
             # all ties share the prefix and so the next label
-            renamed, _ = _encode(sum(others, ()), extended, len(extended) - g)
-            state = (tuple(map(len, others)), renamed)
+            renamed, _ = _encode(tuple(chain.from_iterable(others)), extended, len(extended) - g)
+            state = (prefix, tuple(map(len, others)), renamed)
             if state not in seen:
                 seen.add(state)
-                stack.append((prefix + (least,), extended, others))
+                stack.append((prefix, extended, others))
     assert best is not None
     return best
 

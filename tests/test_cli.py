@@ -63,6 +63,7 @@ MOVED_TO_TESTS = (
     "_FLAG_KEYS",
     "_CONFIG_KEYS",
     "_parse_int",
+    "_solve_exact",
     "build_hermitian_random",
     "build_weighted_random",
     "build_nonhermitian_random",
@@ -468,6 +469,17 @@ def test_sd_eval_exact_over_the_letter_budget_exits_2_before_the_search(capsys):
     assert main(["sd", "eval", expr, "--exact", "--n", "16"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: m_total=14 exceeds the symbolic budget 10\n"
+    assert captured.out == ""
+
+
+def test_sd_eval_exact_past_the_interpolation_cap_exits_3(monkeypatch, capsys):
+    # 2/N^3 needs five interpolation points; past the cap it is a numerical failure
+    monkeypatch.setattr("qexpander.sdengine.rational.MAX_POINTS", 2)
+    expr = "tr(U1 U2 U3 U4 U1' U2' U3' U4') tr(U1) tr(U1')"
+    assert main(["sd", "eval", expr, "--exact", "--n", "16"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: no rational function of N")
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 

@@ -18,9 +18,11 @@ from qexpander.sdengine import (
     query_from_traces,
     sd_step,
 )
+import oracle_sd_exact
 from oracle_canonical import canonical_traces as brute_force_canonical
+from qexpander.sdengine import rational
 from qexpander.sdengine.engine import _reachable
-from qexpander.sdengine.rational import RAT_ONE, RAT_ZERO, RationalInN
+from qexpander.sdengine.rational import RAT_ONE, RAT_ZERO, RationalInN, _interpolate
 from qexpander.sdengine.words import canonical_traces
 
 # frozen regression corpus: 2-trace queries with verified constants.
@@ -336,6 +338,80 @@ def test_exact_letter_budget():
     query = parse_trace_expr("tr(U1 U2 U3 U4 U5 U6 U1' U2' U3' U4' U5' U6')").query
     with pytest.raises(ValidationError):
         evaluate_exact(query)
+
+
+def test_exact_matches_elimination_on_reachable_queries(reachable_queries):
+    # every balanced reachable query within the budget: the interpolated
+    # rational function is the one elimination over RationalInN gives
+    balanced = [q for q in reachable_queries if not q.is_unbalanced and q.m_total <= 10]
+    assert len(balanced) == 74
+    for query in balanced:
+        value, want = evaluate_exact(query), oracle_sd_exact.evaluate_exact(query)
+        assert value == want and str(value) == str(want), query.traces
+
+
+@st.composite
+def balanced_queries(draw):
+    # up to 3 generators, each letter as often as its adjoint, at most 8 letters
+    letters = []
+    for g in range(1, draw(st.integers(1, 3)) + 1):
+        letters += [g, -g] * draw(st.integers(0, 4 - len(letters) // 2))
+    letters = draw(st.permutations(letters))
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, len(letters) - 1)), max_size=3)))
+    bounds = [0, *cuts, len(letters)]
+    return query_from_traces([letters[a:b] for a, b in zip(bounds, bounds[1:]) if a < b])[0]
+
+
+@given(balanced_queries())
+@settings(max_examples=60, deadline=None)
+def test_exact_matches_elimination_on_random_balanced_queries(query):
+    value, want = evaluate_exact(query), oracle_sd_exact.evaluate_exact(query)
+    assert value == want and str(value) == str(want)
+
+
+def test_interpolation_rebuilds_rational_functions():
+    n = RationalInN.n_power(1)
+    one = RAT_ONE
+    cases = [
+        RAT_ZERO,
+        one,
+        RationalInN.from_int(2) / n,
+        RationalInN.from_int(2) * RationalInN.n_power(-3),
+        RationalInN.from_int(8) / (n * n - one),
+        (n + RationalInN.from_int(3)) / (n * n),
+    ]
+    for want in cases:
+        got = _interpolate(want.evaluate, 2)
+        assert got == want and str(got) == str(want), str(want)
+    # 1 at N = 2 and 3: the constant fits the next point, not the far one
+    got = _interpolate(lambda n: 1 + Fraction((n - 2) * (n - 3), n * n), 2)
+    assert str(got) == "(2*N^2 - 5*N + 6)/N^2"
+
+
+def test_interpolation_cap_raises(monkeypatch):
+    # 2/N^3 needs five points; with a cap of two no interpolant is accepted
+    monkeypatch.setattr(rational, "MAX_POINTS", 2)
+    with pytest.raises(NumericalError, match="2 solved points"):
+        _interpolate(lambda n: Fraction(2, n**3), 2)
+    assert str(_interpolate(lambda n: Fraction(n + 1), 2)) == "N + 1"
+
+
+def test_exact_solve_stays_off_rational_function_arithmetic(monkeypatch):
+    # elimination over RationalInN made thousands of reduced field
+    # operations on this 43-query system; the integer-N solves make none
+    query = parse_trace_expr("tr(U1 U2 U1' U2' U1) tr(U1' U2 U1 U2' U1')").query
+    assert len(_reachable(query)) == 43
+    calls = []
+    make = RationalInN._make
+
+    def counting(num, den):
+        calls.append(1)
+        return make(num, den)
+
+    monkeypatch.setattr(RationalInN, "_make", staticmethod(counting))
+    sd_step.cache_clear()
+    assert str(evaluate_exact(query)) == "1"
+    assert len(calls) <= 3
 
 
 # ---------------------------------------------------------------------------
