@@ -11,6 +11,7 @@ workbench studies, after check_construction has passed the request.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,10 @@ from .matrixcore import (
 )
 
 CONSTRUCTIONS = ("hermitian", "nonhermitian", "weighted")
-DEFAULT_DIM_CEILING = 64  # dense N^2 x N^2 work is impractical beyond this
+# the largest N per solver: dense N^2 x N^2 work is impractical beyond 64,
+# and the matrix-free Lanczos solve of a Hermitian lambda2 stops at 128
+DIM_CEILINGS = {"dense": 64, "lanczos": 128}
+DEFAULT_DIM_CEILING = DIM_CEILINGS["dense"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +53,14 @@ class Channel:
     @property
     def kraus_count(self) -> int:
         return self.unitaries.shape[0]
+
+    @cached_property
+    def _weighted_adjoints(self) -> np.ndarray:
+        """[P(1) U(1)†, ..., P(D) U(D)†] side by side, an N x DN matrix."""
+        n, d = self.dim, self.kraus_count
+        row = (self.weights[:, None, None] * self.unitaries.conj()).transpose(2, 0, 1).reshape(n, d * n)
+        row.flags.writeable = False
+        return row
 
     def __post_init__(self) -> None:
         ws = np.array(self.weights, dtype=float)
@@ -96,16 +108,18 @@ class Channel:
                 raise ValidationError(f"need D >= 2 Kraus terms, got D={d}")
 
 
-def check_construction(construction: str, N: int, D: int) -> None:
-    """Raise ValidationError unless build_channel may draw this channel.
+def check_construction(construction: str, N: int, D: int, solver: str = "dense") -> None:
+    """Raise ValidationError unless build_channel may draw this channel for
+    the solver that will take it ("dense" or "lanczos").
 
     Every rule on what may be drawn lives here, so a caller can check a
     whole request before its first draw.
     """
     if construction not in CONSTRUCTIONS:
         raise ValidationError(f"construction must be one of {CONSTRUCTIONS}, got {construction!r}")
-    if not 2 <= N <= DEFAULT_DIM_CEILING:
-        raise ValidationError(f"N must lie in 2..{DEFAULT_DIM_CEILING} (the dense-solver ceiling), got N={N}")
+    ceiling = DIM_CEILINGS[solver]
+    if not 2 <= N <= ceiling:
+        raise ValidationError(f"N must lie in 2..{ceiling} (the {solver}-solver ceiling), got N={N}")
     if construction == "nonhermitian":
         if D < 2:
             raise ValidationError(f"nonhermitian construction needs D >= 2, got D={D}")
@@ -113,9 +127,9 @@ def check_construction(construction: str, N: int, D: int) -> None:
         raise ValidationError(f"{construction} construction needs even D >= 4, got D={D}")
 
 
-def build_channel(construction: str, N: int, D: int, rng: SeededRng) -> Channel:
+def build_channel(construction: str, N: int, D: int, rng: SeededRng, solver: str = "dense") -> Channel:
     """A random channel of N x N unitaries with D Kraus terms, drawn from
-    rng once check_construction passes.
+    rng once check_construction passes for this solver.
 
     - hermitian: uniform weights on D/2 Haar unitaries followed by their
       adjoints, U(s + D/2) = U(s)†.
@@ -123,7 +137,7 @@ def build_channel(construction: str, N: int, D: int, rng: SeededRng) -> Channel:
       Gamma(1) draws g_s, which are drawn before the unitaries.
     - nonhermitian: uniform weights on D independent Haar unitaries.
     """
-    check_construction(construction, N, D)
+    check_construction(construction, N, D, solver)
     hermitian = construction != "nonhermitian"
     if construction == "weighted":
         gam = rng.generator.gamma(1.0, size=D // 2)
@@ -147,6 +161,7 @@ def apply(channel: Channel, m: np.ndarray) -> np.ndarray:
     n = channel.dim
     if m.shape[-2:] != (n, n):
         raise ValidationError(f"matrix shape {m.shape} does not match channel dimension {n}")
-    us = channel.unitaries
-    terms = us.conj().swapaxes(-1, -2) @ m[..., None, :, :] @ us  # (..., D, N, N)
-    return np.tensordot(channel.weights, terms, axes=(0, -3))
+    # the D products M U(s) stacked into one DN x N matrix, so that the sum
+    # over s is a single product with the weighted adjoints
+    terms = m[..., None, :, :] @ channel.unitaries  # (..., D, N, N)
+    return channel._weighted_adjoints @ terms.reshape(terms.shape[:-3] + (channel.kraus_count * n, n))

@@ -26,10 +26,22 @@ from .errors import NumericalError, QxError, ValidationError
 from .matrixcore import SeededRng, batch_workers
 from .sdengine import evaluate_exact, evaluate_series, monte_carlo_expectation, parse_trace_expr
 from .sdengine.rational import RationalInN
-from .spectrum import SuperopSpectrum, benchmark_values, eigen_spectrum, moment_table, write_spectrum_csv
+from .spectrum import (
+    SuperopSpectrum,
+    benchmark_values,
+    eigen_spectrum,
+    lanczos_lambda2,
+    moment_table,
+    write_spectrum_csv,
+)
 
 SWEEP_HEADER = "N,D,seed,construction,lambda2,lambda_H,lambda_nH,alon_boppana_lb,gap_ok,wall_ms"
 GAP_SLACK = 1e-9
+
+
+def _sweep_solver(construction: str) -> str:
+    """Hermitian sweeps solve lambda2 by Lanczos; general ones need the dense spectrum."""
+    return "dense" if construction == "nonhermitian" else "lanczos"
 
 
 @dataclass(frozen=True)
@@ -47,7 +59,7 @@ class ExperimentConfig:
         if not self.N_list:
             raise ValidationError("N_list must not be empty")
         for n in self.N_list:
-            check_construction(self.construction, n, self.D)
+            check_construction(self.construction, n, self.D, _sweep_solver(self.construction))
         if self.m_max % 2 != 0 or not 2 <= self.m_max <= MAX_WALK_LENGTH:
             raise ValidationError(f"m_max must be even and lie in 2..{MAX_WALK_LENGTH}, got {self.m_max}")
         if self.master_seed < 0:  # SeededRng rejects it too, but only inside a sweep record
@@ -67,19 +79,23 @@ class ExperimentRecord:
     gap_ok: bool | None  # None when the bound does not apply (nonhermitian)
     wall_ms: float
     error: str | None = None
+    solver: str | None = None  # the solver that produced lambda2
+    steps: int | None = None  # Lanczos steps, fallback included
 
 
 def _run_one(config: ExperimentConfig, n: int, stream_index: int) -> ExperimentRecord:
     bench = benchmark_values(config.D)
     start = time.perf_counter()
-    error = None
+    error = solver = steps = None
     try:
         rng = SeededRng(config.master_seed, stream_index)
-        chan = build_channel(config.construction, n, config.D, rng)
-        lam2 = eigen_spectrum(chan).lambda2
+        chan = build_channel(config.construction, n, config.D, rng, _sweep_solver(config.construction))
         if not chan.hermitian:
+            lam2, solver = eigen_spectrum(chan).lambda2, "dense"
             lb, gap_ok = math.nan, None
         else:
+            top = lanczos_lambda2(chan)
+            lam2, solver, steps = top.lambda2, top.solver, top.steps
             lb = alon_boppana_lower_bound(n, config.D, config.m_max).value
             gap_ok = lam2 >= lb - GAP_SLACK
     except QxError as exc:
@@ -96,6 +112,8 @@ def _run_one(config: ExperimentConfig, n: int, stream_index: int) -> ExperimentR
         gap_ok=gap_ok,
         wall_ms=(time.perf_counter() - start) * 1000.0,
         error=error,
+        solver=solver,
+        steps=steps,
     )
 
 
@@ -316,11 +334,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     csv_path = out / "sweep.csv"
     write_sweep_csv(records, csv_path)
     failed = [r for r in records if r.error is not None]
+    steps = [r.steps for r in records if r.steps is not None]
     print(
         json.dumps(
             {
                 "records": len(records),
                 "failed": len(failed),
+                "solvers": dict(Counter(r.solver for r in records if r.solver is not None)),
+                "max_steps": max(steps, default=None),
                 "files": [str(csv_path)],
             },
             indent=2,
@@ -453,7 +474,7 @@ def _cmd_edge(args: argparse.Namespace) -> int:
     n, seed = args.n, args.seed
     if args.projectors < 1:
         raise ValidationError(f"--projectors must be >= 1, got {args.projectors}")
-    chan = build_channel("hermitian", n, args.d, SeededRng(seed, 0))
+    chan = build_channel("hermitian", n, args.d, SeededRng(seed, 0), "lanczos")
     chain = tanner_chain_check(chan)
     lam2 = chain.spectrum.lambda2
     proj_rng = SeededRng(seed, 1)
@@ -468,6 +489,9 @@ def _cmd_edge(args: argparse.Namespace) -> int:
         "D": args.d,
         "seed": seed,
         "lambda2": lam2,
+        "solver": chain.spectrum.solver,
+        "steps": chain.spectrum.steps,
+        "residual": chain.spectrum.residual,
         "min_slack": min_slack,
         "chain": {"lhs": chain.lhs, "rhs": chain.rhs, "holds": chain.holds},
     }

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import Channel, apply
 from .errors import NumericalError, ValidationError
 from .matrixcore import SLACK_TOL, TRACE_RESIDUAL_TOL, SeededRng, complex_gaussian
-from .spectrum import SuperopSpectrum, eigen_spectrum
+from .spectrum import TopEigenpair, lanczos_lambda2
 
 PROJECTOR_TOL = 1e-10
 RANK_TOL = 1e-8
@@ -81,28 +81,28 @@ class ChainReport:
     rhs: float
     holds: bool
     trace_residual: float
-    spectrum: SuperopSpectrum  # the solve the eigenvector came from
+    spectrum: TopEigenpair  # the solve the eigenvector came from
 
 
 def tanner_chain_check(channel: Channel) -> ChainReport:
     """Build the nested projectors from the second eigenvector and check
     lhs <= sqrt(2 (1 - lambda2)) + 1e-8.
 
-    Requires the second eigenvalue (signed) to be positive; square the
-    channel first when it is not. The eigenvector comes from the spectrum
-    module's traceless block as a Hermitian matrix; its trace is still
+    Requires the second eigenvalue (signed) to be positive by more than
+    the solve's residual; square the channel first when it is not. The
+    eigenpair is the top of the traceless block from
+    spectrum.lanczos_lambda2, a Hermitian matrix; its trace is still
     checked as a safety net.
     """
     if not channel.hermitian:
         raise ValidationError("chain argument applies to hermitian channels")
     n = channel.dim
-    spec = eigen_spectrum(channel, vectors=True)
-    if spec.second_eigenpair is None:
-        raise ValidationError("chain argument needs N >= 2")
-    lam2, x = spec.second_eigenpair
-    if lam2 <= 0.0:
+    spec = lanczos_lambda2(channel)
+    lam2, x = spec.theta, spec.vector
+    if lam2 <= spec.residual:  # an eigenvalue lies within the residual of lam2
         raise ValidationError(
-            f"second eigenvalue {lam2!r} is not positive; square the channel first"
+            f"second eigenvalue {lam2!r} is not positive beyond its residual "
+            f"{spec.residual:.1e}; square the channel first"
         )
 
     norm = math.sqrt(np.vdot(x, x).real)  # Hilbert-Schmidt norm

@@ -16,6 +16,9 @@ Conventions fixed here once:
   R = [[R_00, 0], [0, R']] with R_00 = 1, up to rounding. The unit
   eigenvalue is R_00, and the second eigenvalue lambda2 is the largest
   modulus among the eigenvalues of the traceless block R' = R[1:, 1:].
+- eigen_spectrum solves R' densely for every eigenvalue;
+  lanczos_lambda2 finds only the extremes of R' for a Hermitian channel,
+  matrix-free through `apply`, and with them the top eigenvector.
 """
 
 from __future__ import annotations
@@ -26,9 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel
+from .channel import DEFAULT_DIM_CEILING, Channel, apply
 from .errors import NumericalError, ValidationError
 from .matrixcore import SPECTRAL_RADIUS_TOL
+
+LANCZOS_TOL = 1e-12  # stop once both extreme Ritz residual estimates are below
+LANCZOS_CHECK = 20  # Lanczos steps between solves of the tridiagonal matrix
+LANCZOS_BUDGET_SCALE = 26  # step budget per unit of ceil(N^(2/3))
+
 
 def _diagonal_basis(n: int) -> np.ndarray:
     """H, whose row a is the diagonal of B_a: the Householder reflector
@@ -42,16 +50,35 @@ def _diagonal_basis(n: int) -> np.ndarray:
     return h
 
 
+class _Basis:
+    """The basis B at one N: coordinates c(M) of Hermitian matrices and
+    the matrices sum_a c_a B_a, for one matrix or a stack."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.h = _diagonal_basis(n)
+        iu, ju = np.triu_indices(n, 1)
+        # flat positions in an N x N matrix: the diagonal, then (j, k) and (k, j) for j < k
+        self.diag, self.upper, self.lower = np.arange(n) * (n + 1), iu * n + ju, ju * n + iu
+
+    def matrix(self, c: np.ndarray) -> np.ndarray:
+        n, pairs = self.n, self.upper.size
+        m = np.zeros(c.shape[:-1] + (n * n,), dtype=complex)
+        m[..., self.diag] = c[..., :n] @ self.h  # H is symmetric
+        off = (c[..., n : n + pairs] + 1j * c[..., n + pairs :]) / math.sqrt(2.0)
+        m[..., self.upper] = off
+        m[..., self.lower] = off.conj()
+        return m.reshape(c.shape[:-1] + (n, n))
+
+    def coords(self, m: np.ndarray) -> np.ndarray:
+        flat = m.reshape(m.shape[:-2] + (self.n * self.n,))
+        off = math.sqrt(2.0) * flat[..., self.upper]
+        return np.concatenate([flat[..., self.diag].real @ self.h, off.real, off.imag], axis=-1)
+
+
 def hermitian_from_coords(c: np.ndarray, n: int) -> np.ndarray:
     """The Hermitian N x N matrix sum_a c_a B_a."""
-    iu, ju = np.triu_indices(n, 1)
-    pairs = iu.size
-    m = np.zeros((n, n), dtype=complex)
-    m[np.diag_indices(n)] = _diagonal_basis(n) @ c[:n]
-    off = (c[n : n + pairs] + 1j * c[n + pairs :]) / math.sqrt(2.0)
-    m[iu, ju] = off
-    m[ju, iu] = off.conj()
-    return m
+    return _Basis(n).matrix(c)
 
 
 def _image_coords(unitaries: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -118,9 +145,6 @@ class SuperopSpectrum:
     unit_eigvec_residual: float  # max |R[:, 0] - e_0|
     removed_eigenvalue: complex  # R_00, the unit eigenvalue of I/sqrt(N)
     spectral_radius: float
-    # (signed eigenvalue, unit-norm traceless Hermitian eigenvector) of the
-    # top of the traceless block; only from eigen_spectrum(vectors=True)
-    second_eigenpair: tuple[float, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.eigenvalues.shape != (self.dim * self.dim,):
@@ -129,25 +153,17 @@ class SuperopSpectrum:
             )
 
 
-def eigen_spectrum(channel: Channel, vectors: bool = False) -> SuperopSpectrum:
+def eigen_spectrum(channel: Channel) -> SuperopSpectrum:
     """Dense eigendecomposition of the traceless block R' = R[1:, 1:].
 
     Real eigvalsh for a Hermitian channel, real eigvals otherwise; the
-    spectrum is R_00 together with the eigenvalues of R'. With vectors=True
-    (Hermitian channels only) the solve is eigh and the spectrum carries
-    the top eigenpair of R', signed so that its largest-magnitude
-    coordinate is positive: the solver may return either sign, and the
-    eigenpair is then a function of the channel alone.
+    spectrum is R_00 together with the eigenvalues of R'.
     """
     n = channel.dim
-    if vectors and not channel.hermitian:
-        raise ValidationError("eigenvectors are computed for hermitian channels only")
     r = real_superoperator(channel)
     block = r[1:, 1:]  # a view: no second N^2 x N^2 array
     try:
-        if vectors:
-            rest, coords = np.linalg.eigh(block)
-        elif channel.hermitian:
+        if channel.hermitian:
             rest = np.linalg.eigvalsh(block)
         else:
             rest = np.linalg.eigvals(block)
@@ -168,13 +184,6 @@ def eigen_spectrum(channel: Channel, vectors: bool = False) -> SuperopSpectrum:
         )
     lam2 = float(np.max(np.abs(rest))) if rest.size else 0.0
 
-    second = None
-    if vectors and rest.size:
-        c = np.concatenate([[0.0], coords[:, -1]])  # eigh ascends; 0 on I/sqrt(N)
-        if c[np.argmax(np.abs(c))] < 0.0:
-            c = -c
-        second = (float(rest[-1]), hermitian_from_coords(c, n))
-
     return SuperopSpectrum(
         dim=n,
         eigenvalues=eigs,
@@ -183,7 +192,163 @@ def eigen_spectrum(channel: Channel, vectors: bool = False) -> SuperopSpectrum:
         unit_eigvec_residual=float(np.max(np.abs(r[:, 0] - np.eye(1, n * n)[0]))),  # e_0
         removed_eigenvalue=removed,
         spectral_radius=radius,
-        second_eigenpair=second,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class TopEigenpair:
+    """The extremes of the traceless block R' of a Hermitian channel."""
+
+    lambda2: float  # max(|theta_max|, |theta_min|)
+    theta: float  # theta_max, the largest eigenvalue of R'
+    vector: np.ndarray  # unit-norm traceless Hermitian eigenvector X of theta
+    steps: int  # Lanczos steps, one `apply` each
+    residual: float  # Hilbert-Schmidt norm of E(X) - theta X
+    solver: str  # "lanczos", or "dense" when the step budget ran out
+
+
+def lanczos_lambda2(channel: Channel) -> TopEigenpair:
+    """lambda2 and the top eigenpair of R' for a Hermitian channel, matrix-free.
+
+    Lanczos with full reorthogonalization (Parlett, *The Symmetric
+    Eigenvalue Problem*, SIAM 1998, ch. 13) on R' in the coordinates of
+    B: each step applies the channel once to one N x N matrix, so no
+    N^2 x N^2 array is built. The start vector is a fixed Gaussian
+    vector, so the solve draws nothing from any stream. Every
+    LANCZOS_CHECK steps the extreme eigenvalues of the tridiagonal
+    matrix T are solved, and the solve stops once both extreme Ritz pairs
+    have residual estimates beta_k |s_k| <= LANCZOS_TOL, or when the
+    Krylov space is invariant. The eigenvector is signed so that its
+    largest-magnitude coordinate is positive, which makes the pair a
+    function of the channel alone.
+
+    A solve still unconverged after LANCZOS_BUDGET_SCALE ceil(N^(2/3))
+    steps is finished densely up to N = DEFAULT_DIM_CEILING (eigvalsh of
+    R', then one inverse-iteration step from the top Ritz vector), and
+    raises NumericalError above it.
+    """
+    if not channel.hermitian:
+        raise ValidationError("the Lanczos solve applies to hermitian channels")
+    n = channel.dim
+    size = n * n - 1
+    if size < 1:
+        raise ValidationError("lambda2 needs N >= 2")
+    basis = _Basis(n)
+
+    def op(c: np.ndarray) -> np.ndarray:
+        w = basis.coords(apply(channel, basis.matrix(c)))
+        w[..., 0] = 0.0  # R' = R[1:, 1:]: drop the I/sqrt(N) coordinate
+        return w
+
+    # the steps a solve needs grow about as N^(2/3): 180 to 220 at N=30,
+    # 280 to 360 at N=64 on uniform Hermitian channels with D=4
+    limit = min(LANCZOS_BUDGET_SCALE * math.ceil(n ** (2.0 / 3.0)), size)
+    q = np.zeros((limit, n * n))  # Lanczos vectors, coordinate 0 kept at 0
+    start = np.random.default_rng(0).standard_normal(size)
+    q[0, 1:] = start / np.linalg.norm(start)
+    alpha: list[float] = []
+    beta: list[float] = []
+    k = 0
+    while True:
+        w = op(q[k])
+        alpha.append(float(q[k] @ w))
+        w -= alpha[-1] * q[k]
+        if k:
+            w -= beta[-1] * q[k - 1]
+        # classical Gram-Schmidt against every Lanczos vector, repeated
+        # only when it cancelled much of w (Daniel, Gragg, Kaufman and
+        # Stewart 1976)
+        before = np.linalg.norm(w)
+        w -= q[: k + 1].T @ (q[: k + 1] @ w)
+        b = float(np.linalg.norm(w))
+        if b < 0.5 * before:
+            w -= q[: k + 1].T @ (q[: k + 1] @ w)
+            b = float(np.linalg.norm(w))
+        k += 1
+        if k % LANCZOS_CHECK == 0 or k == limit or b <= LANCZOS_TOL:
+            thetas, vecs = _extreme_ritz(alpha, beta)
+            estimate = b * max(abs(v[-1]) for v in vecs)
+            if estimate <= LANCZOS_TOL:
+                break
+            if k == limit:
+                return _dense_top(channel, basis, q[:k].T @ vecs[1], k, estimate)
+        beta.append(b)
+        q[k] = w / b
+
+    lam2 = float(max(abs(thetas[0]), abs(thetas[1])))
+    return _top_pair(channel, basis, lam2, float(thetas[1]), q[:k].T @ vecs[1], k, "lanczos")
+
+
+def _extreme_ritz(alpha: list[float], beta: list[float]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The smallest and largest eigenvalues of the tridiagonal T with
+    diagonal alpha and off-diagonal beta, and their unit eigenvectors.
+
+    Each eigenvector comes from the recurrence (T - theta) s = 0 read from
+    the last row up. For an extreme eigenvalue the eigenvector decays
+    down the rows, so the recurrence runs in its growing, stable
+    direction; the rescaling keeps it finite.
+    """
+    k = len(alpha)
+    t = np.diag(alpha)
+    if k > 1:
+        t += np.diag(beta, 1) + np.diag(beta, -1)
+    thetas = np.linalg.eigvalsh(t)[[0, -1]]
+    vecs = []
+    for theta in map(float, thetas):
+        s = [0.0] * k
+        s[-1] = 1.0
+        if k > 1:
+            s[-2] = (theta - alpha[-1]) / beta[-1]
+        for j in range(k - 2, 0, -1):
+            s[j - 1] = ((theta - alpha[j]) * s[j] - beta[j] * s[j + 1]) / beta[j - 1]
+            if abs(s[j - 1]) > 1e150:
+                s = [v * 1e-150 for v in s]
+        v = np.array(s)
+        vecs.append(v / np.linalg.norm(v))
+    return thetas, vecs
+
+
+def _dense_top(
+    channel: Channel, basis: _Basis, ritz: np.ndarray, steps: int, estimate: float
+) -> TopEigenpair:
+    """Finish an unconverged Lanczos solve densely: eigvalsh of R' for
+    lambda2 and theta, and one inverse-iteration step from the top Ritz
+    vector for the eigenvector."""
+    n = channel.dim
+    if n > DEFAULT_DIM_CEILING:
+        raise NumericalError(
+            f"Lanczos did not converge in {steps} steps at N={n} (residual estimate "
+            f"{estimate:.1e} > {LANCZOS_TOL:.0e}); the dense fallback stops at N={DEFAULT_DIM_CEILING}"
+        )
+    block = real_superoperator(channel)[1:, 1:]
+    try:
+        eigs = np.linalg.eigvalsh(block)
+        theta = float(eigs[-1])
+        block[np.diag_indices(n * n - 1)] -= theta
+        x = np.concatenate([[0.0], np.linalg.solve(block, ritz[1:])])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"dense fallback failed (channel seed {channel.seed}): {exc}") from exc
+    lam2 = float(max(abs(eigs[0]), abs(eigs[-1])))
+    return _top_pair(channel, basis, lam2, theta, x / np.linalg.norm(x), steps, "dense")
+
+
+def _top_pair(
+    channel: Channel, basis: _Basis, lam2: float, theta: float, x: np.ndarray, steps: int, solver: str
+) -> TopEigenpair:
+    """The result for unit coordinates x of the top eigenvector, signed
+    so that the largest-magnitude coordinate is positive."""
+    if lam2 > 1.0 + SPECTRAL_RADIUS_TOL:
+        raise NumericalError(f"lambda2 {lam2!r} exceeds 1 (channel seed {channel.seed})")
+    if x[np.argmax(np.abs(x))] < 0.0:
+        x = -x
+    vector = basis.matrix(x)
+    return TopEigenpair(
+        lambda2=lam2,
+        theta=theta,
+        vector=vector,
+        steps=steps,
+        residual=float(np.linalg.norm(apply(channel, vector) - theta * vector)),
+        solver=solver,
     )
 
 
@@ -274,9 +439,11 @@ def write_spectrum_csv(spectrum: SuperopSpectrum, path) -> None:
 __all__ = [
     "BenchmarkConstants",
     "SuperopSpectrum",
+    "TopEigenpair",
     "benchmark_values",
     "eigen_spectrum",
     "hermitian_from_coords",
+    "lanczos_lambda2",
     "moment_table",
     "real_superoperator",
     "write_spectrum_csv",

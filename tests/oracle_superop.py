@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from qexpander.channel import Channel, apply
-from qexpander.spectrum import _diagonal_basis
+from qexpander.spectrum import TopEigenpair, _diagonal_basis, hermitian_from_coords, real_superoperator
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -49,3 +49,22 @@ def hermitian_coords(m: np.ndarray) -> np.ndarray:
     iu, ju = np.triu_indices(n, 1)
     off = math.sqrt(2.0) * m[iu, ju]
     return np.concatenate([_diagonal_basis(n) @ m.diagonal().real, off.real, off.imag])
+
+
+def dense_top_eigenpair(channel: Channel) -> TopEigenpair:
+    """lambda2 and the top eigenpair of R' = R[1:, 1:] from a dense eigh,
+    the vector signed so that its largest-magnitude coordinate is positive."""
+    rest, coords = np.linalg.eigh(real_superoperator(channel)[1:, 1:])
+    c = np.concatenate([[0.0], coords[:, -1]])  # eigh ascends; 0 on I/sqrt(N)
+    if c[np.argmax(np.abs(c))] < 0.0:
+        c = -c
+    x = hermitian_from_coords(c, channel.dim)
+    theta = float(rest[-1])
+    return TopEigenpair(
+        lambda2=float(np.max(np.abs(rest))),
+        theta=theta,
+        vector=x,
+        steps=0,
+        residual=float(np.linalg.norm(apply(channel, x) - theta * x)),
+        solver="eigh",
+    )

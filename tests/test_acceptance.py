@@ -8,7 +8,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from conftest import record_verdict
 from oracle_superop import superoperator, vec
@@ -52,28 +51,6 @@ CORPUS = [
     ("tr(U1 U2) tr(U2 U1)", "0"),
     ("tr(U1 U1 U2) tr(U2' U1' U1')", "1"),
 ]
-
-
-@pytest.fixture(scope="module")
-def herm50():
-    """Ten Hermitian channels at N=50, D=4 with their spectra and the
-    wall time spent producing them (criterion 1's runtime budget)."""
-    start = time.perf_counter()
-    rows = []
-    for k in range(10):
-        chan = build_channel("hermitian", 50, 4, SeededRng(0, k))
-        rows.append((k, chan, eigen_spectrum(chan)))
-    return rows, time.perf_counter() - start
-
-
-@pytest.fixture(scope="module")
-def edge_channels():
-    rows = []
-    for k in range(5):
-        rows.append(build_channel("hermitian", 20, 4, SeededRng(3, k)))
-    for k in range(5):
-        rows.append(build_channel("hermitian", 30, 4, SeededRng(3, 5 + k)))
-    return rows
 
 
 def test_criterion_1_lambda2_concentration(herm50):

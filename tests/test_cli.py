@@ -176,7 +176,9 @@ def test_sweep_weighted_construction(tmp_path):
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        ExperimentConfig("hermitian", (99,), 4, 1, 0, 20)  # N over ceiling
+        ExperimentConfig("hermitian", (129,), 4, 1, 0, 20)  # N over the Lanczos ceiling
+    with pytest.raises(ValidationError):
+        ExperimentConfig("nonhermitian", (65,), 4, 1, 0, 20)  # N over the dense ceiling
     with pytest.raises(ValidationError):
         ExperimentConfig("hermitian", (8,), 3, 1, 0, 20)  # odd D
     with pytest.raises(ValidationError):
@@ -194,14 +196,15 @@ def test_config_validation():
     [
         ["spectrum", "--n", "65", "--out", "{tmp}"],
         ["moments", "--n", "65"],
-        ["edge", "--n", "65"],
-        ["sweep", "--n-list", "20,65", "--out", "{tmp}"],
+        ["edge", "--n", "129"],
+        ["sweep", "--n-list", "20,129", "--out", "{tmp}"],
         ["collapse", "--n-list", "20,65", "--out", "{tmp}"],
         ["collapse", "--n-list", "6", "--out", "{tmp}"],
         ["spectrum", "--construction", "hermitian", "--d", "5", "--out", "{tmp}"],
         ["spectrum", "--construction", "weighted", "--d", "5", "--out", "{tmp}"],
         ["spectrum", "--construction", "nonhermitian", "--d", "1", "--out", "{tmp}"],
-        ["sweep", "--construction", "weighted", "--n-list", "20,65", "--out", "{tmp}"],
+        ["sweep", "--construction", "weighted", "--n-list", "20,129", "--out", "{tmp}"],
+        ["sweep", "--construction", "nonhermitian", "--n-list", "20,65", "--out", "{tmp}"],
     ],
 )
 def test_over_ceiling_n_is_rejected_before_the_haar_draw(command, monkeypatch, tmp_path, capsys):
@@ -215,8 +218,11 @@ def test_over_ceiling_n_is_rejected_before_the_haar_draw(command, monkeypatch, t
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
     assert captured.out == ""
-    if "65" in " ".join(command):
-        assert "ceiling" in captured.err
+    # the message names the ceiling of the solver the command runs
+    if re.search(r"\b65\b", " ".join(command)):
+        assert "2..64 (the dense-solver ceiling)" in captured.err
+    if re.search(r"\b129\b", " ".join(command)):
+        assert "2..128 (the lanczos-solver ceiling)" in captured.err
 
 
 def test_exit_code_validation_error(tmp_path, capsys):
@@ -551,6 +557,71 @@ def test_edge_command(capsys):
     assert report["min_slack"] >= -1e-8
     assert report["chain"]["holds"] is True
     assert report["chain"]["lhs"] <= report["chain"]["rhs"] + 1e-8
+    assert report["solver"] == "lanczos"
+    assert 0 < report["steps"] <= 99
+    assert report["residual"] <= 1e-12
+
+
+def test_edge_past_the_dense_ceiling_without_convergence_exits_3(monkeypatch, capsys):
+    # above N=64 there is no dense fallback: an unconverged solve is a numerical failure
+    monkeypatch.setattr(spectrum, "LANCZOS_BUDGET_SCALE", 1)
+    assert main(["edge", "--n", "65", "--projectors", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: Lanczos did not converge in 17 steps at N=65")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+def test_sweep_reports_solvers_and_steps(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert main(["sweep", "--n-list", "6,8", "--trials", "2", "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["solvers"] == {"lanczos": 4}
+    assert 0 < report["max_steps"] <= 63
+    assert (out / "sweep.csv").read_text().splitlines()[0] == SWEEP_HEADER
+    assert main(["sweep", "--n-list", "6", "--construction", "nonhermitian", "--d", "3",
+                 "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["solvers"] == {"dense": 1} and report["max_steps"] is None
+
+
+def test_hermitian_sweep_past_the_dense_ceiling(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert main(["sweep", "--n-list", "80", "--seed", "1", "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["failed"] == 0 and report["solvers"] == {"lanczos": 1}
+    row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert row[0] == "80" and row[8] == "true"
+    assert float(row[7]) <= float(row[4]) < 1.0
+
+
+def test_hermitian_sweep_and_edge_build_no_superoperator(monkeypatch, tmp_path, capsys):
+    real = spectrum.real_superoperator
+    calls = []
+
+    def counted(chan):
+        calls.append(chan.dim)
+        return real(chan)
+
+    monkeypatch.setattr(spectrum, "real_superoperator", counted)
+    assert main(["sweep", "--n-list", "6", "--construction", "weighted", "--out", str(tmp_path)]) == 0
+    assert main(["edge", "--n", "6", "--projectors", "2"]) == 0
+    assert calls == []
+    assert main(["sweep", "--n-list", "6", "--construction", "nonhermitian", "--out", str(tmp_path)]) == 0
+    assert calls == [6]
+
+
+def test_lanczos_commands_do_not_import_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "from qexpander.cli import main\n"
+        f"assert main(['sweep', '--n-list', '8', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert main(['edge', '--n', '8', '--projectors', '2']) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qexpander.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_run_sweep_records_errors_and_continues(monkeypatch, capsys):
@@ -558,7 +629,7 @@ def test_run_sweep_records_errors_and_continues(monkeypatch, capsys):
 
     import qexpander.cli as cli_mod
 
-    real = cli_mod.eigen_spectrum
+    real = cli_mod.lanczos_lambda2
 
     def flaky(chan, *a, **k):
         calls["n"] += 1
@@ -566,7 +637,7 @@ def test_run_sweep_records_errors_and_continues(monkeypatch, capsys):
             raise NumericalError("synthetic failure")
         return real(chan, *a, **k)
 
-    monkeypatch.setattr(cli_mod, "eigen_spectrum", flaky)
+    monkeypatch.setattr(cli_mod, "lanczos_lambda2", flaky)
     config = ExperimentConfig("hermitian", (8,), 4, 2, 0, 20)
     records = run_sweep(config)
     assert len(records) == 2

@@ -5,7 +5,8 @@ from qexpander.channel import Channel, apply, build_channel
 from qexpander.edgex import assert_projector, converse_check, random_projector, tanner_chain_check
 from qexpander.errors import ValidationError
 from qexpander.matrixcore import SeededRng
-from qexpander.spectrum import eigen_spectrum
+from qexpander import spectrum as spectrum_mod
+from qexpander.spectrum import eigen_spectrum, lanczos_lambda2
 
 
 def edge_ratio(channel: Channel, p: np.ndarray) -> float:
@@ -147,24 +148,24 @@ def test_chain_does_not_depend_on_the_solver_eigenvector_sign(monkeypatch):
     # seed 4 at N=8: the second eigenvector has exactly N/2 positive
     # eigenvalues, so both orientations pass the chain's flip rule
     chan = build_channel("hermitian", 8, 4, SeededRng(4))
-    lam2, x = eigen_spectrum(chan, vectors=True).second_eigenpair
+    top = lanczos_lambda2(chan)
+    lam2, x = top.theta, top.vector
     assert 2 * int(np.sum(np.linalg.eigvalsh(x) > 0.0)) == 8
     lhs = tanner_chain_check(chan).lhs
 
-    real_eigh = np.linalg.eigh
+    real_ritz = spectrum_mod._extreme_ritz
 
     calls = []
 
-    def negated_superop_eigh(a, *args, **kwargs):
-        eigs, vecs = real_eigh(a, *args, **kwargs)
-        if a.shape != (63, 63):  # the traceless block R[1:, 1:] at N=8
-            return eigs, vecs
-        calls.append(a.shape)
-        return eigs, -vecs
+    def negated_ritz(alpha, beta):
+        thetas, vecs = real_ritz(alpha, beta)
+        calls.append(len(alpha))
+        return thetas, [-v for v in vecs]
 
-    monkeypatch.setattr(np.linalg, "eigh", negated_superop_eigh)
-    lam2_neg, x_neg = eigen_spectrum(chan, vectors=True).second_eigenpair
-    assert calls  # the traceless block's solve was negated
-    assert lam2_neg == lam2
-    assert np.array_equal(x_neg, x)
+    # a Ritz vector of either sign, as a start vector of either sign gives
+    monkeypatch.setattr(spectrum_mod, "_extreme_ritz", negated_ritz)
+    top_neg = lanczos_lambda2(chan)
+    assert calls  # the tridiagonal solve's vectors were negated
+    assert top_neg.theta == lam2
+    assert np.array_equal(top_neg.vector, x)
     assert tanner_chain_check(chan).lhs == lhs
