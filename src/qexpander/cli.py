@@ -87,10 +87,11 @@ def _run_one(config: ExperimentConfig, n: int, stream_index: int) -> ExperimentR
     bench = benchmark_values(config.D)
     start = time.perf_counter()
     error = solver = steps = None
+    route = _sweep_solver(config.construction)
     try:
         rng = SeededRng(config.master_seed, stream_index)
-        chan = build_channel(config.construction, n, config.D, rng, _sweep_solver(config.construction))
-        if not chan.hermitian:
+        chan = build_channel(config.construction, n, config.D, rng, route)
+        if route == "dense":
             lam2, solver = eigen_spectrum(chan).lambda2, "dense"
             lb, gap_ok = math.nan, None
         else:
@@ -443,7 +444,6 @@ def _cmd_sd(args: argparse.Namespace) -> int:
                 n,
                 n_max=args.levels,
                 tol=args.tol,
-                node_budget=args.budget,
                 allow_divergent=args.allow_divergent,
             )
             scale = n**power
@@ -475,23 +475,23 @@ def _cmd_edge(args: argparse.Namespace) -> int:
     if args.projectors < 1:
         raise ValidationError(f"--projectors must be >= 1, got {args.projectors}")
     chan = build_channel("hermitian", n, args.d, SeededRng(seed, 0), "lanczos")
-    chain = tanner_chain_check(chan)
-    lam2 = chain.spectrum.lambda2
+    top = lanczos_lambda2(chan)
+    chain = tanner_chain_check(chan, top)
     proj_rng = SeededRng(seed, 1)
     min_slack = math.inf
     for _ in range(args.projectors):
         rank = int(proj_rng.generator.integers(1, n // 2 + 1))
         p = random_projector(n, rank, proj_rng)
-        _, slack = converse_check(chan, p, lambda2=lam2)
+        _, slack = converse_check(chan, p, lambda2=top.lambda2)
         min_slack = min(min_slack, slack)
     report = {
         "N": n,
         "D": args.d,
         "seed": seed,
-        "lambda2": lam2,
-        "solver": chain.spectrum.solver,
-        "steps": chain.spectrum.steps,
-        "residual": chain.spectrum.residual,
+        "lambda2": top.lambda2,
+        "solver": top.solver,
+        "steps": top.steps,
+        "residual": top.residual,
         "min_slack": min_slack,
         "chain": {"lhs": chain.lhs, "rhs": chain.rhs, "holds": chain.holds},
     }
@@ -571,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sd.add_argument("--levels", type=int, default=12, action=_ModeFlag, mode="series")
     p_sd.add_argument("--tol", type=float, default=1e-12, action=_ModeFlag, mode="series")
     p_sd.add_argument("--samples", type=int, default=10_000, action=_ModeFlag, mode="mc")
-    p_sd.add_argument("--budget", type=int, default=10_000_000, action=_ModeFlag, mode="series")
     p_sd.add_argument(
         "--allow-divergent", nargs=0, const=True, default=False, action=_ModeFlag, mode="series"
     )

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import Channel, apply
 from .errors import NumericalError, ValidationError
 from .matrixcore import SLACK_TOL, TRACE_RESIDUAL_TOL, SeededRng, complex_gaussian
-from .spectrum import TopEigenpair, lanczos_lambda2
+from .spectrum import TopEigenpair
 
 PROJECTOR_TOL = 1e-10
 RANK_TOL = 1e-8
@@ -81,23 +81,21 @@ class ChainReport:
     rhs: float
     holds: bool
     trace_residual: float
-    spectrum: TopEigenpair  # the solve the eigenvector came from
 
 
-def tanner_chain_check(channel: Channel) -> ChainReport:
+def tanner_chain_check(channel: Channel, spec: TopEigenpair) -> ChainReport:
     """Build the nested projectors from the second eigenvector and check
     lhs <= sqrt(2 (1 - lambda2)) + 1e-8.
 
     Requires the second eigenvalue (signed) to be positive by more than
-    the solve's residual; square the channel first when it is not. The
-    eigenpair is the top of the traceless block from
-    spectrum.lanczos_lambda2, a Hermitian matrix; its trace is still
+    the solve's residual; square the channel first when it is not. `spec`
+    is the channel's solved top eigenpair of the traceless block
+    (spectrum.lanczos_lambda2), a Hermitian matrix; its trace is still
     checked as a safety net.
     """
     if not channel.hermitian:
         raise ValidationError("chain argument applies to hermitian channels")
     n = channel.dim
-    spec = lanczos_lambda2(channel)
     lam2, x = spec.theta, spec.vector
     if lam2 <= spec.residual:  # an eigenvalue lies within the residual of lam2
         raise ValidationError(
@@ -138,5 +136,4 @@ def tanner_chain_check(channel: Channel) -> ChainReport:
         rhs=rhs,
         holds=lhs <= rhs + SLACK_TOL,
         trace_residual=trace_residual,
-        spectrum=spec,
     )

@@ -32,8 +32,12 @@ from ..errors import NumericalError, ValidationError
 from .rational import RAT_ONE, RAT_ZERO, RationalInN, _interpolate
 from .words import ExpectationQuery, Traces, query_from_traces
 
-DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_SYMBOLIC_BUDGET = 10  # max total letters for the exact solver
+# The series' two costs. Levels: any query of up to 10 letters at N=16
+# reaches tol 1e-12 within 96. States: one (query, p, sign) state with its
+# cached sd_step children holds about 2 KB, so 10^5 states are about 0.2 GB.
+SERIES_LEVEL_CEILING = 128
+SERIES_STATE_CEILING = 100_000
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,6 @@ def evaluate_series(
     N: int,
     n_max: int,
     tol: float = 0.0,
-    node_budget: int = DEFAULT_NODE_BUDGET,
     allow_divergent: bool = False,
 ) -> SeriesResult:
     """Level-wise expansion with exact per-level sums at integer N.
@@ -123,16 +126,18 @@ def evaluate_series(
     Identical (query, p, sign) paths are aggregated with exact integer
     multiplicities, so the frontier stays small even when the raw term
     count grows like (m_total - 1)^n. Stops at n_max, when the truncation
-    bound drops to tol, or when every path has terminated.
+    bound drops to tol, or when every path has terminated. n_max may not
+    exceed SERIES_LEVEL_CEILING, and a level holding more than
+    SERIES_STATE_CEILING distinct states raises NumericalError.
     """
     if N < 1:
         raise ValidationError(f"need N >= 1, got N={N}")
-    if n_max < 1:
-        raise ValidationError(f"need n_max >= 1, got n_max={n_max}")
+    if not 1 <= n_max <= SERIES_LEVEL_CEILING:
+        raise ValidationError(
+            f"need 1 <= n_max <= {SERIES_LEVEL_CEILING} (the series level ceiling), got n_max={n_max}"
+        )
     if not tol >= 0:  # also refuses NaN
         raise ValidationError(f"need tol >= 0, got tol={tol}")
-    if node_budget < 0:
-        raise ValidationError(f"need node_budget >= 0, got node_budget={node_budget}")
     m_total = query.m_total
     if m_total > N and not allow_divergent:
         raise ValidationError(
@@ -167,16 +172,15 @@ def evaluate_series(
                 else:
                     fkey = (child.query, *key)
                     new_frontier[fkey] = new_frontier.get(fkey, 0) + mult
-        live = sum(new_frontier.values())
         level_sum = Fraction(0)
         for (cp, csign), mult in terminated.items():
             level_sum += csign * mult * Fraction(N**cp, N**level)
         level_sums.append(level_sum)
         audits.append(LevelAudit(level=level, term_count=term_count, terminated=terminated))
-        if live > node_budget:
+        if len(new_frontier) > SERIES_STATE_CEILING:
             raise NumericalError(
-                f"level {level} holds {live} live terms, over the budget {node_budget}; "
-                "evaluate_exact avoids the level-wise blowup"
+                f"level {level} holds {len(new_frontier)} distinct states, over the "
+                f"ceiling {SERIES_STATE_CEILING}"
             )
         frontier = new_frontier
         bound = 0.0 if not frontier else _truncation_bound(m_total, level, N)

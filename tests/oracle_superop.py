@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from qexpander.channel import Channel, apply
-from qexpander.spectrum import TopEigenpair, _diagonal_basis, hermitian_from_coords, real_superoperator
+from qexpander.spectrum import TopEigenpair, _Basis, _diagonal_basis, real_superoperator
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -44,7 +44,7 @@ def faithfulness_residual(channel: Channel, s: np.ndarray, m: np.ndarray) -> flo
 
 def hermitian_coords(m: np.ndarray) -> np.ndarray:
     """c(M), the N^2 real coordinates of a Hermitian M in the basis B of
-    qexpander.spectrum: the inverse of `hermitian_from_coords`."""
+    qexpander.spectrum: the inverse of `_Basis(n).matrix`."""
     n = m.shape[0]
     iu, ju = np.triu_indices(n, 1)
     off = math.sqrt(2.0) * m[iu, ju]
@@ -58,7 +58,7 @@ def dense_top_eigenpair(channel: Channel) -> TopEigenpair:
     c = np.concatenate([[0.0], coords[:, -1]])  # eigh ascends; 0 on I/sqrt(N)
     if c[np.argmax(np.abs(c))] < 0.0:
         c = -c
-    x = hermitian_from_coords(c, channel.dim)
+    x = _Basis(channel.dim).matrix(c)
     theta = float(rest[-1])
     return TopEigenpair(
         lambda2=float(np.max(np.abs(rest))),

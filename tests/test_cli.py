@@ -71,6 +71,7 @@ MOVED_TO_TESTS = (
     "_check_paired_shape",
     "hs_inner",
     "hs_norm",
+    "hermitian_from_coords",
 )
 
 
@@ -123,6 +124,14 @@ def test_readme_flag_table_matches_the_parser():
         for name, sub in subparsers.choices.items()
     }
     assert documented == accepted
+    # each bracketed default is argparse's; text after ", " in the brackets is commentary
+    for cmd, flags in rows:
+        actions = {opt: a for a in subparsers.choices[cmd.strip(" `").split()[0]]._actions
+                   for opt in a.option_strings}
+        for flag, text in re.findall(r"`(--[a-z][a-z-]*)` \[([^\]]*)\]", flags):
+            action, text = actions[flag], text.split(", ")[0]
+            want = None if text == "stdout" else (action.type or str)(text)
+            assert action.default == want, (cmd, flag)
 
 
 def test_sweep_csv_header_and_determinism(tmp_path):
@@ -255,7 +264,7 @@ def test_exit_code_validation_error(tmp_path, capsys):
         ["sd", "eval", "tr(U1 U2 U1' U2')", "--exact", "--n", "-4"],
         ["sd", "eval", "tr(U1 U1 U1) tr(U1' U1' U1')", "--exact", "--n", "2"],
         ["sd", "eval", "tr(U1 U1) tr(U1' U1')", "--series", "--n", "16", "--tol", "nan"],
-        ["sd", "eval", "tr(U1) tr(U1')", "--series", "--n", "16", "--budget", "-1"],
+        ["sd", "eval", "tr(U1) tr(U1')", "--series", "--n", "16", "--levels", "129"],
         ["sweep", "--n-list", "4", "--d", "4", "--m-max", "200", "--out", "{tmp}"],
         ["collapse", "--n-list", "6,8,6", "--out", "{tmp}"],
         ["sd", "eval", "tr(U1 U1') tr(U2 U2') tr(U3) tr(U3')", "--exact", "--n", "1" + "0" * 200],
@@ -272,6 +281,8 @@ def test_explicit_zero_is_validated_not_defaulted(argv, tmp_path, capsys):
     assert any(line.startswith("error:") for line in captured.err.splitlines())
     assert "Traceback" not in captured.err + captured.out
     assert captured.out == ""
+    if argv[-2:] == ["--levels", "129"]:
+        assert captured.err == "error: need 1 <= n_max <= 128 (the series level ceiling), got n_max=129\n"
 
 
 def test_out_of_memory_exits_2_without_a_traceback():
@@ -307,6 +318,7 @@ def test_out_of_memory_exits_2_without_a_traceback():
         ["sweep", "--workers", "2"],
         ["sweep", "--config", "run.cfg"],
         ["collapse", "--config", "run.cfg"],
+        ["sd", "eval", "tr(U1) tr(U1')", "--series", "--n", "16", "--budget", "5"],
     ],
 )
 def test_unread_flags_are_rejected(argv, capsys):
@@ -323,11 +335,11 @@ def test_sd_action_must_be_eval(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_exit_code_numerical_error(capsys):
-    code = main(["sd", "eval", "tr(U1 U1 U1 U1) tr(U1' U1' U1' U1')",
-                 "--series", "--n", "16", "--budget", "5"])
+def test_exit_code_numerical_error(monkeypatch, capsys):
+    monkeypatch.setattr(sdengine.engine, "SERIES_STATE_CEILING", 5)
+    code = main(["sd", "eval", "tr(U1 U1 U1 U1) tr(U1' U1' U1' U1')", "--series", "--n", "16"])
     assert code == 3
-    assert "budget" in capsys.readouterr().err
+    assert "distinct states, over the ceiling 5" in capsys.readouterr().err
 
 
 def test_spectrum_command_outputs(tmp_path, capsys):
@@ -430,6 +442,23 @@ def test_sd_eval_series(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["value"] == pytest.approx(2.0)
     assert report["level_sums"][0] == "2"
+
+
+@pytest.mark.parametrize(
+    "expr, flags, exact",
+    [
+        # at most 7 distinct states per level, while the raw term count reaches 2.2e8
+        ("tr(U1 U1 U1 U1) tr(U1' U1' U1' U1')", ["--n", "16", "--levels", "16"], 4.0),
+        # at most 938 states at the default 12 levels, 3.7e7 raw terms at level 12
+        ("tr(U1 U2 U1 U2' U1' U2 U1' U2') tr(U2 U1 U2' U1 U2 U1' U2' U1')", ["--n", "17"], None),
+    ],
+)
+def test_sd_eval_series_is_bounded_by_states_not_raw_terms(expr, flags, exact, capsys):
+    assert main(["sd", "eval", expr, "--series", *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["levels_computed"] == (16 if "--levels" in flags else 12)
+    if exact is not None:
+        assert abs(report["value"] - exact) <= report["truncation_bound"]
 
 
 def test_sd_eval_series_at_huge_n_matches_exact(capsys):
@@ -551,8 +580,20 @@ def test_sd_eval_mc_reports_samples_and_threads(monkeypatch, capsys, samples, cp
     assert (callers == {threading.get_ident()}) == (threads == 1)
 
 
-def test_edge_command(capsys):
+def test_edge_command(monkeypatch, capsys):
+    solves = []
+    real = spectrum.lanczos_lambda2
+
+    def counted(chan):
+        solves.append(chan.dim)
+        return real(chan)
+
+    for info in pkgutil.walk_packages(qexpander.__path__, "qexpander."):
+        module = importlib.import_module(info.name)
+        if hasattr(module, "lanczos_lambda2"):
+            monkeypatch.setattr(module, "lanczos_lambda2", counted)
     assert main(["edge", "--n", "10", "--d", "4", "--seed", "2", "--projectors", "5"]) == 0
+    assert solves == [10]  # one solve serves lambda2, the report and the chain
     report = json.loads(capsys.readouterr().out)
     assert report["min_slack"] >= -1e-8
     assert report["chain"]["holds"] is True

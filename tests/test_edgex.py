@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,7 +106,7 @@ def test_converse_rejects_nonhermitian():
 def test_chain_holds_on_random_channels():
     for seed in range(4):
         chan = build_channel("hermitian", 16, 4, SeededRng(100 + seed))
-        report = tanner_chain_check(chan)
+        report = tanner_chain_check(chan, lanczos_lambda2(chan))
         assert report.holds
         assert report.lhs <= report.rhs + 1e-8
         assert report.trace_residual <= 1e-8
@@ -120,7 +122,8 @@ def test_chain_holds_on_random_channels():
 
 def test_chain_identity_channel_degenerate_spectrum():
     # every eigenvalue 1: lambda2 = 1, both sides collapse to zero
-    report = tanner_chain_check(identity_channel(8))
+    chan = identity_channel(8)
+    report = tanner_chain_check(chan, lanczos_lambda2(chan))
     assert report.holds
     assert abs(report.lambda2 - 1.0) < 1e-12
     assert report.rhs < 1e-6
@@ -134,14 +137,16 @@ def test_chain_rejects_nonpositive_second_eigenvalue():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
     chan = Channel(np.stack([x, y, x, y]), np.full(4, 0.25), hermitian=True)
+    top = lanczos_lambda2(chan)
     with pytest.raises(ValidationError):
-        tanner_chain_check(chan)
+        tanner_chain_check(chan, top)
 
 
 def test_chain_rejects_nonhermitian():
     chan = build_channel("nonhermitian", 8, 3, SeededRng(14))
-    with pytest.raises(ValidationError):
-        tanner_chain_check(chan)
+    top = lanczos_lambda2(build_channel("hermitian", 8, 4, SeededRng(14)))
+    with pytest.raises(ValidationError, match="hermitian channels"):
+        tanner_chain_check(chan, top)
 
 
 def test_chain_does_not_depend_on_the_solver_eigenvector_sign(monkeypatch):
@@ -151,7 +156,12 @@ def test_chain_does_not_depend_on_the_solver_eigenvector_sign(monkeypatch):
     top = lanczos_lambda2(chan)
     lam2, x = top.theta, top.vector
     assert 2 * int(np.sum(np.linalg.eigvalsh(x) > 0.0)) == 8
-    lhs = tanner_chain_check(chan).lhs
+    lhs = tanner_chain_check(chan, top).lhs
+    # both orientations pass the chain's flip rule and give different
+    # cut profiles, so the solver's sign rule is what makes lhs a
+    # function of the channel
+    negated = tanner_chain_check(chan, dataclasses.replace(top, vector=-x))
+    assert negated.holds and negated.lhs != lhs
 
     real_ritz = spectrum_mod._extreme_ritz
 
@@ -168,4 +178,4 @@ def test_chain_does_not_depend_on_the_solver_eigenvector_sign(monkeypatch):
     assert calls  # the tridiagonal solve's vectors were negated
     assert top_neg.theta == lam2
     assert np.array_equal(top_neg.vector, x)
-    assert tanner_chain_check(chan).lhs == lhs
+    assert tanner_chain_check(chan, top_neg).lhs == lhs

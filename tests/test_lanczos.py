@@ -12,7 +12,7 @@ import pytest
 
 from oracle_mc import haar_stack
 from oracle_superop import dense_top_eigenpair, hermitian_coords
-from qexpander import edgex, spectrum
+from qexpander import spectrum
 from qexpander.channel import Channel, build_channel
 from qexpander.edgex import tanner_chain_check
 from qexpander.matrixcore import SeededRng
@@ -29,13 +29,6 @@ def assert_matches_dense(chan, top):
     assert abs(top.theta - want.theta) <= LAMBDA2_AGREE
     assert np.max(np.abs(top.vector - want.vector)) <= VECTOR_AGREE
     return want
-
-
-def chain_lhs_with(monkeypatch, chan, top):
-    """The chain inequality's lhs when the solve returns `top`."""
-    with monkeypatch.context() as patch:
-        patch.setattr(edgex, "lanczos_lambda2", lambda _chan: top)
-        return tanner_chain_check(chan).lhs
 
 
 def test_lambda2_and_eigenpair_on_criterion_1_channels(herm50):
@@ -58,13 +51,13 @@ def test_lambda2_and_eigenpair_on_criterion_1_channels(herm50):
         assert c[np.argmax(np.abs(c))] > 0.0 and first - second > 2.0 * distance
 
 
-def test_lambda2_eigenpair_and_chain_on_criterion_9_channels(edge_channels, monkeypatch):
+def test_lambda2_eigenpair_and_chain_on_criterion_9_channels(edge_channels):
     for chan in edge_channels:
         top = lanczos_lambda2(chan)
         assert top.solver == "lanczos" and top.residual <= 1e-12
         want = assert_matches_dense(chan, top)
-        lhs = tanner_chain_check(chan).lhs
-        assert abs(lhs - chain_lhs_with(monkeypatch, chan, want)) <= LHS_AGREE
+        lhs = tanner_chain_check(chan, top).lhs
+        assert abs(lhs - tanner_chain_check(chan, want).lhs) <= LHS_AGREE
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -97,5 +90,5 @@ def test_clustered_channel_matches_dense_whichever_solver_ran(budget_scale, solv
     assert top.solver == solver
     assert top.residual <= 1e-12
     want = assert_matches_dense(chan, top)
-    lhs = tanner_chain_check(chan).lhs
-    assert abs(lhs - chain_lhs_with(monkeypatch, chan, want)) <= LHS_AGREE
+    lhs = tanner_chain_check(chan, top).lhs
+    assert abs(lhs - tanner_chain_check(chan, want).lhs) <= LHS_AGREE

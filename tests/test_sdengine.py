@@ -20,7 +20,7 @@ from qexpander.sdengine import (
 )
 import oracle_sd_exact
 from oracle_canonical import canonical_traces as brute_force_canonical
-from qexpander.sdengine import rational
+from qexpander.sdengine import engine, rational
 from qexpander.sdengine.engine import _reachable
 from qexpander.sdengine.rational import RAT_ONE, RAT_ZERO, RationalInN, _interpolate
 from qexpander.sdengine.words import canonical_traces
@@ -483,10 +483,22 @@ def test_series_requires_convergent_n():
     assert result.levels_computed >= 1
 
 
-def test_series_node_budget_raises():
+def test_series_node_budget_raises(monkeypatch):
+    # the 8-letter query holds 6 distinct states at level 4
+    monkeypatch.setattr(engine, "SERIES_STATE_CEILING", 5)
     query = parse_trace_expr("tr(U1 U1 U1 U1) tr(U1' U1' U1' U1')").query
     with pytest.raises(NumericalError):
-        evaluate_series(query, 16, n_max=10, node_budget=5)
+        evaluate_series(query, 16, n_max=10)
+
+
+def test_series_level_ceiling_is_checked_before_any_step(monkeypatch):
+    def no_step(query):
+        raise AssertionError("an expansion step ran")
+
+    monkeypatch.setattr(engine, "sd_step", no_step)
+    query = parse_trace_expr("tr(U1 U1) tr(U1' U1')").query
+    with pytest.raises(ValidationError, match="level ceiling"):
+        evaluate_series(query, 16, n_max=engine.SERIES_LEVEL_CEILING + 1)
 
 
 def test_series_empty_query():
