@@ -27,8 +27,9 @@ from .matrixcore import (
 
 CONSTRUCTIONS = ("hermitian", "nonhermitian", "weighted")
 # the largest N per solver: dense N^2 x N^2 work is impractical beyond 64,
-# and the matrix-free Lanczos solve of a Hermitian lambda2 stops at 128
-DIM_CEILINGS = {"dense": 64, "lanczos": 128}
+# and the matrix-free Krylov solves of lambda2 (Lanczos for a Hermitian
+# channel, Arnoldi for any other) stop at 128
+DIM_CEILINGS = {"dense": 64, "matrix-free": 128}
 DEFAULT_DIM_CEILING = DIM_CEILINGS["dense"]
 
 
@@ -110,7 +111,7 @@ class Channel:
 
 def check_construction(construction: str, N: int, D: int, solver: str = "dense") -> None:
     """Raise ValidationError unless build_channel may draw this channel for
-    the solver that will take it ("dense" or "lanczos").
+    the solver that will take it ("dense" or "matrix-free").
 
     Every rule on what may be drawn lives here, so a caller can check a
     whole request before its first draw.

@@ -28,6 +28,7 @@ from .sdengine import evaluate_exact, evaluate_series, monte_carlo_expectation, 
 from .sdengine.rational import RationalInN
 from .spectrum import (
     SuperopSpectrum,
+    arnoldi_lambda2,
     benchmark_values,
     eigen_spectrum,
     lanczos_lambda2,
@@ -37,11 +38,6 @@ from .spectrum import (
 
 SWEEP_HEADER = "N,D,seed,construction,lambda2,lambda_H,lambda_nH,alon_boppana_lb,gap_ok,wall_ms"
 GAP_SLACK = 1e-9
-
-
-def _sweep_solver(construction: str) -> str:
-    """Hermitian sweeps solve lambda2 by Lanczos; general ones need the dense spectrum."""
-    return "dense" if construction == "nonhermitian" else "lanczos"
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,7 @@ class ExperimentConfig:
         if not self.N_list:
             raise ValidationError("N_list must not be empty")
         for n in self.N_list:
-            check_construction(self.construction, n, self.D, _sweep_solver(self.construction))
+            check_construction(self.construction, n, self.D, "matrix-free")
         if self.m_max % 2 != 0 or not 2 <= self.m_max <= MAX_WALK_LENGTH:
             raise ValidationError(f"m_max must be even and lie in 2..{MAX_WALK_LENGTH}, got {self.m_max}")
         if self.master_seed < 0:  # SeededRng rejects it too, but only inside a sweep record
@@ -80,25 +76,24 @@ class ExperimentRecord:
     wall_ms: float
     error: str | None = None
     solver: str | None = None  # the solver that produced lambda2
-    steps: int | None = None  # Lanczos steps, fallback included
+    steps: int | None = None  # Lanczos or Arnoldi steps, fallback included
 
 
 def _run_one(config: ExperimentConfig, n: int, stream_index: int) -> ExperimentRecord:
     bench = benchmark_values(config.D)
     start = time.perf_counter()
     error = solver = steps = None
-    route = _sweep_solver(config.construction)
     try:
         rng = SeededRng(config.master_seed, stream_index)
-        chan = build_channel(config.construction, n, config.D, rng, route)
-        if route == "dense":
-            lam2, solver = eigen_spectrum(chan).lambda2, "dense"
-            lb, gap_ok = math.nan, None
-        else:
+        chan = build_channel(config.construction, n, config.D, rng, "matrix-free")
+        if chan.hermitian:
             top = lanczos_lambda2(chan)
-            lam2, solver, steps = top.lambda2, top.solver, top.steps
             lb = alon_boppana_lower_bound(n, config.D, config.m_max).value
-            gap_ok = lam2 >= lb - GAP_SLACK
+            gap_ok = top.lambda2 >= lb - GAP_SLACK
+        else:
+            top = arnoldi_lambda2(chan)
+            lb, gap_ok = math.nan, None
+        lam2, solver, steps = top.lambda2, top.solver, top.steps
     except QxError as exc:
         lam2, lb, gap_ok, error = math.nan, math.nan, None, str(exc)
     return ExperimentRecord(
@@ -474,7 +469,7 @@ def _cmd_edge(args: argparse.Namespace) -> int:
     n, seed = args.n, args.seed
     if args.projectors < 1:
         raise ValidationError(f"--projectors must be >= 1, got {args.projectors}")
-    chan = build_channel("hermitian", n, args.d, SeededRng(seed, 0), "lanczos")
+    chan = build_channel("hermitian", n, args.d, SeededRng(seed, 0), "matrix-free")
     top = lanczos_lambda2(chan)
     chain = tanner_chain_check(chan, top)
     proj_rng = SeededRng(seed, 1)

@@ -18,13 +18,16 @@ Conventions fixed here once:
   modulus among the eigenvalues of the traceless block R' = R[1:, 1:].
 - eigen_spectrum solves R' densely for every eigenvalue;
   lanczos_lambda2 finds only the extremes of R' for a Hermitian channel,
-  matrix-free through `apply`, and with them the top eigenvector.
+  matrix-free through `apply`, and with them the top eigenvector;
+  arnoldi_lambda2 finds only the largest modulus for any channel, the
+  same way.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,9 @@ from .matrixcore import SPECTRAL_RADIUS_TOL
 LANCZOS_TOL = 1e-12  # stop once both extreme Ritz residual estimates are below
 LANCZOS_CHECK = 20  # Lanczos steps between solves of the tridiagonal matrix
 LANCZOS_BUDGET_SCALE = 26  # step budget per unit of ceil(N^(2/3))
+ARNOLDI_TOL = 1e-12  # stop once the dominant Ritz residual estimate is below
+ARNOLDI_FIRST_CHECK = 20  # Arnoldi steps before the first solve of H
+ARNOLDI_BUDGET_SCALE = 16  # step budget per unit of N
 
 
 def _diagonal_basis(n: int) -> np.ndarray:
@@ -192,6 +198,28 @@ def eigen_spectrum(channel: Channel) -> SuperopSpectrum:
     )
 
 
+def _traceless_operator(channel: Channel) -> tuple[_Basis, Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """R' in the coordinates of B, applied through `apply` with no N^2 x N^2
+    array, and the unit start vector of both Krylov solves: a fixed
+    Gaussian vector, so a solve draws nothing from any stream. Coordinate
+    0, the I/sqrt(N) direction, is 0 in the start vector and in every
+    image, so the solves never leave the traceless block."""
+    n = channel.dim
+    if n < 2:
+        raise ValidationError("lambda2 needs N >= 2")
+    basis = _Basis(n)
+
+    def op(c: np.ndarray) -> np.ndarray:
+        w = basis.coords(apply(channel, basis.matrix(c)))
+        w[..., 0] = 0.0  # R' = R[1:, 1:]: drop the I/sqrt(N) coordinate
+        return w
+
+    start = np.zeros(n * n)
+    gauss = np.random.default_rng(0).standard_normal(n * n - 1)
+    start[1:] = gauss / np.linalg.norm(gauss)
+    return basis, op, start
+
+
 @dataclass(frozen=True, eq=False)
 class TopEigenpair:
     """The extremes of the traceless block R' of a Hermitian channel."""
@@ -227,22 +255,12 @@ def lanczos_lambda2(channel: Channel) -> TopEigenpair:
     if not channel.hermitian:
         raise ValidationError("the Lanczos solve applies to hermitian channels")
     n = channel.dim
-    size = n * n - 1
-    if size < 1:
-        raise ValidationError("lambda2 needs N >= 2")
-    basis = _Basis(n)
-
-    def op(c: np.ndarray) -> np.ndarray:
-        w = basis.coords(apply(channel, basis.matrix(c)))
-        w[..., 0] = 0.0  # R' = R[1:, 1:]: drop the I/sqrt(N) coordinate
-        return w
-
+    basis, op, start = _traceless_operator(channel)
     # the steps a solve needs grow about as N^(2/3): 180 to 220 at N=30,
     # 280 to 360 at N=64 on uniform Hermitian channels with D=4
-    limit = min(LANCZOS_BUDGET_SCALE * math.ceil(n ** (2.0 / 3.0)), size)
+    limit = min(LANCZOS_BUDGET_SCALE * math.ceil(n ** (2.0 / 3.0)), n * n - 1)
     q = np.zeros((limit, n * n))  # Lanczos vectors, coordinate 0 kept at 0
-    start = np.random.default_rng(0).standard_normal(size)
-    q[0, 1:] = start / np.linalg.norm(start)
+    q[0] = start
     alpha: list[float] = []
     beta: list[float] = []
     k = 0
@@ -349,6 +367,113 @@ def _top_pair(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class DominantEigenvalue:
+    """The largest-modulus eigenvalue of the traceless block R' of any channel."""
+
+    lambda2: float  # its modulus
+    steps: int  # Arnoldi steps, one `apply` each
+    estimate: float  # Ritz residual estimate h_{k+1,k} |e_k^T y| at the last check
+    solver: str  # "arnoldi", or "dense" when the step budget ran out
+
+
+def arnoldi_lambda2(channel: Channel) -> DominantEigenvalue:
+    """lambda2 of any channel, matrix-free.
+
+    Unrestarted Arnoldi (Saad, *Numerical Methods for Large Eigenvalue
+    Problems*, SIAM 2011, ch. 6) on R' in the coordinates of B, from the
+    start vector lanczos_lambda2 uses: each step applies the channel once
+    to one N x N matrix, orthogonalizes the image against the stored basis
+    by classical Gram-Schmidt, repeated under the rule lanczos_lambda2
+    uses, and stores the coefficients in the Hessenberg matrix H. At the
+    steps _next_check picks, the solve finds the largest-modulus Ritz
+    value theta of H with its unit eigenvector y, and stops once the
+    residual estimate h_{k+1,k} |e_k^T y| <= ARNOLDI_TOL, or when the
+    Krylov space is invariant; lambda2 is |theta|.
+
+    A solve still unconverged after ARNOLDI_BUDGET_SCALE N steps is
+    finished densely up to N = DEFAULT_DIM_CEILING (eigen_spectrum's
+    lambda2) and raises NumericalError above it.
+    """
+    n = channel.dim
+    _, op, start = _traceless_operator(channel)
+    # the estimate reaches ARNOLDI_TOL after about 10N steps on uniform
+    # channels with D=4 or 6 (261 to 298 at N=30, 1216 to 1281 at N=128)
+    # and 12N with D=2 (1530 at N=128). At N=128 the budget's basis
+    # reserves 2048 x 16384 doubles (268 MB) and a solve touches the rows
+    # it reaches; one run to the budget peaked at 531 MB RSS
+    limit = min(ARNOLDI_BUDGET_SCALE * n, n * n - 1)
+    q = np.zeros((limit, n * n))  # the Arnoldi basis, coordinate 0 kept at 0
+    q[0] = start
+    h = np.zeros((limit + 1, limit))
+    k, check, last = 0, ARNOLDI_FIRST_CHECK, None
+    while True:
+        w = op(q[k])
+        before = np.linalg.norm(w)
+        c = q[: k + 1] @ w
+        w -= q[: k + 1].T @ c
+        b = float(np.linalg.norm(w))
+        if b < 0.5 * before:
+            again = q[: k + 1] @ w
+            w -= q[: k + 1].T @ again
+            c += again
+            b = float(np.linalg.norm(w))
+        h[: k + 1, k] = c
+        h[k + 1, k] = b
+        k += 1
+        if k == check or k == limit or b <= ARNOLDI_TOL:
+            theta, estimate = _dominant_ritz(h[:k, :k], b, channel)
+            if estimate <= ARNOLDI_TOL:
+                break
+            if k == limit:
+                if n > DEFAULT_DIM_CEILING:
+                    raise NumericalError(
+                        f"Arnoldi did not converge in {k} steps at N={n} (residual estimate "
+                        f"{estimate:.1e} > {ARNOLDI_TOL:.0e}); the dense fallback stops at "
+                        f"N={DEFAULT_DIM_CEILING}"
+                    )
+                lam2 = eigen_spectrum(channel).lambda2
+                return DominantEigenvalue(lambda2=lam2, steps=k, estimate=estimate, solver="dense")
+            check, last = _next_check(k, estimate, last), (k, estimate)
+        q[k] = w / b
+
+    if theta > 1.0 + SPECTRAL_RADIUS_TOL:
+        raise NumericalError(f"lambda2 {theta!r} exceeds 1 (channel seed {channel.seed})")
+    return DominantEigenvalue(lambda2=theta, steps=k, estimate=estimate, solver="arnoldi")
+
+
+def _dominant_ritz(hk: np.ndarray, b: float, channel: Channel) -> tuple[float, float]:
+    """|theta| for the largest-modulus eigenvalue theta of the k x k
+    Hessenberg matrix, and its residual estimate b |e_k^T y| with y the
+    unit eigenvector."""
+    try:
+        vals, vecs = np.linalg.eig(hk)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Arnoldi Ritz solve failed (channel seed {channel.seed}): {exc}") from exc
+    i = int(np.argmax(np.abs(vals)))
+    return float(abs(vals[i])), b * float(abs(vecs[-1, i]))
+
+
+def _next_check(k: int, estimate: float, last: tuple[int, float] | None) -> int:
+    """The step of the next Ritz check after the one at step k.
+
+    Three quarters of the way to where the log-linear decay of the
+    estimate since the last check reaches ARNOLDI_TOL, but at least k/16
+    and at most k steps on (k when the estimate did not fall). The decay
+    speeds up as the Ritz value converges, so the extrapolation runs
+    long: on ten channels at N=20 to 50, three quarters of it gave the
+    checks a tenth less cost and half the overshoot of the full distance
+    (BENCH_arnoldi.json). Each check solves H in O(k^3), and the checks
+    are at least 17/16 apart in k, so all of them cost at most
+    1/(1 - (16/17)^3), about 5.9, times the last one.
+    """
+    ahead = k
+    if last is not None and estimate < last[1]:
+        rate = math.log(last[1] / estimate) / (k - last[0])  # e-folds per step
+        ahead = min(k, math.ceil(0.75 * math.log(estimate / ARNOLDI_TOL) / rate))
+    return k + max(ahead, math.ceil(k / 16))
+
+
 @dataclass(frozen=True)
 class MomentRow:
     """The moments of order m, read off one power R^m."""
@@ -435,8 +560,10 @@ def write_spectrum_csv(spectrum: SuperopSpectrum, path) -> None:
 
 __all__ = [
     "BenchmarkConstants",
+    "DominantEigenvalue",
     "SuperopSpectrum",
     "TopEigenpair",
+    "arnoldi_lambda2",
     "benchmark_values",
     "eigen_spectrum",
     "lanczos_lambda2",

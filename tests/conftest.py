@@ -46,3 +46,13 @@ def edge_channels():
     for k in range(5):
         rows.append(build_channel("hermitian", 30, 4, SeededRng(3, 5 + k)))
     return rows
+
+
+@pytest.fixture(scope="session")
+def nonherm50():
+    """Criterion 7's five general channels at N=50, D=4 with their dense spectra."""
+    rows = []
+    for k in range(5):
+        chan = build_channel("nonhermitian", 50, 4, SeededRng(1, k))
+        rows.append((chan, eigen_spectrum(chan)))
+    return rows

@@ -185,9 +185,9 @@ def test_sweep_weighted_construction(tmp_path):
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        ExperimentConfig("hermitian", (129,), 4, 1, 0, 20)  # N over the Lanczos ceiling
+        ExperimentConfig("hermitian", (129,), 4, 1, 0, 20)  # N over the matrix-free ceiling
     with pytest.raises(ValidationError):
-        ExperimentConfig("nonhermitian", (65,), 4, 1, 0, 20)  # N over the dense ceiling
+        ExperimentConfig("nonhermitian", (129,), 4, 1, 0, 20)  # the same ceiling
     with pytest.raises(ValidationError):
         ExperimentConfig("hermitian", (8,), 3, 1, 0, 20)  # odd D
     with pytest.raises(ValidationError):
@@ -213,7 +213,7 @@ def test_config_validation():
         ["spectrum", "--construction", "weighted", "--d", "5", "--out", "{tmp}"],
         ["spectrum", "--construction", "nonhermitian", "--d", "1", "--out", "{tmp}"],
         ["sweep", "--construction", "weighted", "--n-list", "20,129", "--out", "{tmp}"],
-        ["sweep", "--construction", "nonhermitian", "--n-list", "20,65", "--out", "{tmp}"],
+        ["sweep", "--construction", "nonhermitian", "--n-list", "20,129", "--out", "{tmp}"],
     ],
 )
 def test_over_ceiling_n_is_rejected_before_the_haar_draw(command, monkeypatch, tmp_path, capsys):
@@ -231,7 +231,7 @@ def test_over_ceiling_n_is_rejected_before_the_haar_draw(command, monkeypatch, t
     if re.search(r"\b65\b", " ".join(command)):
         assert "2..64 (the dense-solver ceiling)" in captured.err
     if re.search(r"\b129\b", " ".join(command)):
-        assert "2..128 (the lanczos-solver ceiling)" in captured.err
+        assert "2..128 (the matrix-free-solver ceiling)" in captured.err
 
 
 def test_exit_code_validation_error(tmp_path, capsys):
@@ -622,7 +622,7 @@ def test_sweep_reports_solvers_and_steps(tmp_path, capsys):
     assert main(["sweep", "--n-list", "6", "--construction", "nonhermitian", "--d", "3",
                  "--out", str(out)]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["solvers"] == {"dense": 1} and report["max_steps"] is None
+    assert report["solvers"] == {"arnoldi": 1} and 0 < report["max_steps"] <= 35
 
 
 def test_hermitian_sweep_past_the_dense_ceiling(tmp_path, capsys):
@@ -648,7 +648,7 @@ def test_hermitian_sweep_and_edge_build_no_superoperator(monkeypatch, tmp_path, 
     assert main(["edge", "--n", "6", "--projectors", "2"]) == 0
     assert calls == []
     assert main(["sweep", "--n-list", "6", "--construction", "nonhermitian", "--out", str(tmp_path)]) == 0
-    assert calls == [6]
+    assert calls == []
 
 
 def test_lanczos_commands_do_not_import_scipy(tmp_path):
@@ -657,6 +657,7 @@ def test_lanczos_commands_do_not_import_scipy(tmp_path):
         "from qexpander.cli import main\n"
         f"assert main(['sweep', '--n-list', '8', '--out', {str(tmp_path)!r}]) == 0\n"
         "assert main(['edge', '--n', '8', '--projectors', '2']) == 0\n"
+        f"assert main(['sweep', '--n-list', '8', '--construction', 'nonhermitian', '--out', {str(tmp_path)!r}]) == 0\n"
         "print('scipy' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(qexpander.__file__).parents[1])}
