@@ -27,8 +27,8 @@ from .matrixcore import (
 
 CONSTRUCTIONS = ("hermitian", "nonhermitian", "weighted")
 # the largest N per solver: dense N^2 x N^2 work is impractical beyond 64,
-# and the matrix-free Krylov solves of lambda2 (Lanczos for a Hermitian
-# channel, Arnoldi for any other) stop at 128
+# and the matrix-free Krylov solve of lambda2 (one loop for every channel,
+# whose 16N-step basis reserves 268 MB at N=128) stops at 128
 DIM_CEILINGS = {"dense": 64, "matrix-free": 128}
 DEFAULT_DIM_CEILING = DIM_CEILINGS["dense"]
 

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import Channel, apply
 from .errors import NumericalError, ValidationError
 from .matrixcore import SLACK_TOL, TRACE_RESIDUAL_TOL, SeededRng, complex_gaussian
-from .spectrum import TopEigenpair
+from .spectrum import KRYLOV_TOL, TopEigenpair
 
 PROJECTOR_TOL = 1e-10
 RANK_TOL = 1e-8
@@ -88,19 +88,21 @@ def tanner_chain_check(channel: Channel, spec: TopEigenpair) -> ChainReport:
     lhs <= sqrt(2 (1 - lambda2)) + 1e-8.
 
     Requires the second eigenvalue (signed) to be positive by more than
-    the solve's residual; square the channel first when it is not. `spec`
-    is the channel's solved top eigenpair of the traceless block
-    (spectrum.lanczos_lambda2), a Hermitian matrix; its trace is still
-    checked as a safety net.
+    the solve's residual and the solver tolerance; square the channel
+    first when it is not. `spec` is the channel's solved top eigenpair of
+    the traceless block (spectrum.lanczos_lambda2), a Hermitian matrix;
+    its trace is still checked as a safety net.
     """
     if not channel.hermitian:
         raise ValidationError("chain argument applies to hermitian channels")
     n = channel.dim
     lam2, x = spec.theta, spec.vector
-    if lam2 <= spec.residual:  # an eigenvalue lies within the residual of lam2
+    # an eigenvalue lies within the residual of lam2; the floor keeps a
+    # zero eigenvalue out, whose residual |theta| equals theta to rounding
+    if lam2 <= max(spec.residual, KRYLOV_TOL):
         raise ValidationError(
             f"second eigenvalue {lam2!r} is not positive beyond its residual "
-            f"{spec.residual:.1e}; square the channel first"
+            f"{spec.residual:.1e} and the solver tolerance {KRYLOV_TOL:.0e}; square the channel first"
         )
 
     norm = math.sqrt(np.vdot(x, x).real)  # Hilbert-Schmidt norm

@@ -16,11 +16,12 @@ Conventions fixed here once:
   R = [[R_00, 0], [0, R']] with R_00 = 1, up to rounding. The unit
   eigenvalue is R_00, and the second eigenvalue lambda2 is the largest
   modulus among the eigenvalues of the traceless block R' = R[1:, 1:].
-- eigen_spectrum solves R' densely for every eigenvalue;
-  lanczos_lambda2 finds only the extremes of R' for a Hermitian channel,
-  matrix-free through `apply`, and with them the top eigenvector;
-  arnoldi_lambda2 finds only the largest modulus for any channel, the
-  same way.
+- eigen_spectrum solves R' densely for every eigenvalue. One Krylov
+  solve (_krylov, Arnoldi matrix-free through `apply`) serves both
+  lambda2 entry points and differs only in its Ritz step:
+  lanczos_lambda2 takes the extremes of R' for a Hermitian channel, and
+  with them the top eigenvector; arnoldi_lambda2 takes the largest
+  modulus for any channel.
 """
 
 from __future__ import annotations
@@ -36,12 +37,9 @@ from .channel import DEFAULT_DIM_CEILING, Channel, apply
 from .errors import NumericalError, ValidationError
 from .matrixcore import SPECTRAL_RADIUS_TOL
 
-LANCZOS_TOL = 1e-12  # stop once both extreme Ritz residual estimates are below
-LANCZOS_CHECK = 20  # Lanczos steps between solves of the tridiagonal matrix
-LANCZOS_BUDGET_SCALE = 26  # step budget per unit of ceil(N^(2/3))
-ARNOLDI_TOL = 1e-12  # stop once the dominant Ritz residual estimate is below
-ARNOLDI_FIRST_CHECK = 20  # Arnoldi steps before the first solve of H
-ARNOLDI_BUDGET_SCALE = 16  # step budget per unit of N
+KRYLOV_TOL = 1e-12  # stop once the Ritz residual estimate is below
+KRYLOV_FIRST_CHECK = 20  # Krylov steps before the first solve of H
+KRYLOV_BUDGET_SCALE = 16  # step budget per unit of N
 
 
 def _diagonal_basis(n: int) -> np.ndarray:
@@ -200,10 +198,10 @@ def eigen_spectrum(channel: Channel) -> SuperopSpectrum:
 
 def _traceless_operator(channel: Channel) -> tuple[_Basis, Callable[[np.ndarray], np.ndarray], np.ndarray]:
     """R' in the coordinates of B, applied through `apply` with no N^2 x N^2
-    array, and the unit start vector of both Krylov solves: a fixed
+    array, and the unit start vector of the Krylov solve: a fixed
     Gaussian vector, so a solve draws nothing from any stream. Coordinate
     0, the I/sqrt(N) direction, is 0 in the start vector and in every
-    image, so the solves never leave the traceless block."""
+    image, so the solve never leaves the traceless block."""
     n = channel.dim
     if n < 2:
         raise ValidationError("lambda2 needs N >= 2")
@@ -218,6 +216,99 @@ def _traceless_operator(channel: Channel) -> tuple[_Basis, Callable[[np.ndarray]
     gauss = np.random.default_rng(0).standard_normal(n * n - 1)
     start[1:] = gauss / np.linalg.norm(gauss)
     return basis, op, start
+
+
+def _krylov(
+    channel: Channel, symmetric: bool
+) -> tuple[_Basis, np.ndarray, int, float, tuple[float, complex, np.ndarray]]:
+    """The Krylov solve behind lanczos_lambda2 (symmetric) and
+    arnoldi_lambda2.
+
+    Unrestarted Arnoldi (Saad, *Numerical Methods for Large Eigenvalue
+    Problems*, SIAM 2011, ch. 6) on R' in the coordinates of B: each step
+    applies the channel once to one N x N matrix, orthogonalizes the image
+    against the stored basis by classical Gram-Schmidt, repeated only when
+    the first pass cancelled much of it (Daniel, Gragg, Kaufman and
+    Stewart 1976), and stores the coefficients in the Hessenberg matrix H.
+    On R' of a Hermitian channel this is Lanczos with full
+    reorthogonalization. At the steps _next_check picks, _ritz_step solves
+    H, and the solve stops once the residual estimate is <= KRYLOV_TOL or
+    the Krylov space is invariant.
+
+    Returns the basis B, the Krylov vectors, the step count, the last
+    estimate and _ritz_step's (lambda2, theta, y). An estimate above
+    KRYLOV_TOL means the budget of KRYLOV_BUDGET_SCALE N steps ran out;
+    the caller finishes densely, and above N = DEFAULT_DIM_CEILING this
+    raises NumericalError instead.
+    """
+    n = channel.dim
+    basis, op, start = _traceless_operator(channel)
+    # the estimate reaches KRYLOV_TOL after about 10N steps on uniform
+    # general channels with D=4 or 6 (261 to 298 at N=30, 1216 to 1281 at
+    # N=128) and 12N with D=2 (1530 at N=128); Hermitian channels with
+    # D=4 take 170 to 211 at N=30. At N=128 the budget's basis reserves
+    # 2048 x 16384 doubles (268 MB) and a solve touches the rows it
+    # reaches; one run to the budget peaked at 531 MB RSS
+    limit = min(KRYLOV_BUDGET_SCALE * n, n * n - 1)
+    q = np.zeros((limit, n * n))  # the Krylov basis, coordinate 0 kept at 0
+    q[0] = start
+    h = np.zeros((limit + 1, limit))
+    k, check, last = 0, KRYLOV_FIRST_CHECK, None
+    while True:
+        w = op(q[k])
+        before = np.linalg.norm(w)
+        c = q[: k + 1] @ w
+        w -= q[: k + 1].T @ c
+        b = float(np.linalg.norm(w))
+        if b < 0.5 * before:
+            again = q[: k + 1] @ w
+            w -= q[: k + 1].T @ again
+            c += again
+            b = float(np.linalg.norm(w))
+        h[: k + 1, k] = c
+        h[k + 1, k] = b
+        k += 1
+        if k == check or k == limit or b <= KRYLOV_TOL:
+            estimate, ritz = _ritz_step(h[:k, :k], b, symmetric, channel)
+            if estimate <= KRYLOV_TOL:
+                break
+            if k == limit:
+                if n > DEFAULT_DIM_CEILING:
+                    raise NumericalError(
+                        f"{'Lanczos' if symmetric else 'Arnoldi'} did not converge in {k} steps "
+                        f"at N={n} (residual estimate {estimate:.1e} > {KRYLOV_TOL:.0e}); the "
+                        f"dense fallback stops at N={DEFAULT_DIM_CEILING}"
+                    )
+                break
+            check, last = _next_check(k, estimate, last), (k, estimate)
+        q[k] = w / b
+    return basis, q[:k], k, estimate, ritz
+
+
+def _ritz_step(
+    hk: np.ndarray, b: float, symmetric: bool, channel: Channel
+) -> tuple[float, tuple[float, complex, np.ndarray]]:
+    """The residual estimate and (lambda2, theta, y) from the k x k
+    Hessenberg matrix, y the unit eigenvector of theta.
+
+    Symmetric: eigh of H's lower triangle, which is the tridiagonal T
+    (above it H holds only reorthogonalization rounding); theta is the
+    largest eigenvalue, lambda2 the larger of |theta_min| and |theta_max|,
+    and the estimate the larger of the two extremes' b |e_k^T y|.
+    Otherwise: eig of H; theta is the largest-modulus eigenvalue,
+    lambda2 = |theta|, and the estimate b |e_k^T y|.
+    """
+    try:
+        if symmetric:
+            vals, vecs = np.linalg.eigh(hk, UPLO="L")
+            estimate = b * max(abs(vecs[-1, 0]), abs(vecs[-1, -1]))
+            lam2 = max(abs(vals[0]), abs(vals[-1]))
+            return float(estimate), (float(lam2), float(vals[-1]), vecs[:, -1])
+        vals, vecs = np.linalg.eig(hk)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Ritz solve failed (channel seed {channel.seed}): {exc}") from exc
+    i = int(np.argmax(np.abs(vals)))
+    return b * float(abs(vecs[-1, i])), (float(abs(vals[i])), vals[i], vecs[:, i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,106 +326,35 @@ class TopEigenpair:
 def lanczos_lambda2(channel: Channel) -> TopEigenpair:
     """lambda2 and the top eigenpair of R' for a Hermitian channel, matrix-free.
 
-    Lanczos with full reorthogonalization (Parlett, *The Symmetric
-    Eigenvalue Problem*, SIAM 1998, ch. 13) on R' in the coordinates of
-    B: each step applies the channel once to one N x N matrix, so no
-    N^2 x N^2 array is built. The start vector is a fixed Gaussian
-    vector, so the solve draws nothing from any stream. Every
-    LANCZOS_CHECK steps the extreme eigenvalues of the tridiagonal
-    matrix T are solved, and the solve stops once both extreme Ritz pairs
-    have residual estimates beta_k |s_k| <= LANCZOS_TOL, or when the
-    Krylov space is invariant. The eigenvector is signed so that its
+    The Krylov solve (_krylov) with the symmetric Ritz step: on R' of a
+    Hermitian channel it is Lanczos with full reorthogonalization
+    (Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 13), and
+    it stops once both extreme Ritz pairs have residual estimates
+    <= KRYLOV_TOL. The eigenvector is signed so that its
     largest-magnitude coordinate is positive, which makes the pair a
     function of the channel alone.
 
-    A solve still unconverged after LANCZOS_BUDGET_SCALE ceil(N^(2/3))
-    steps is finished densely up to N = DEFAULT_DIM_CEILING (eigvalsh of
-    R', then one inverse-iteration step from the top Ritz vector), and
-    raises NumericalError above it.
+    A solve still unconverged after KRYLOV_BUDGET_SCALE N steps is
+    finished densely up to N = DEFAULT_DIM_CEILING (eigvalsh of R', then
+    one inverse-iteration step from the top Ritz vector), and raises
+    NumericalError above it.
     """
     if not channel.hermitian:
         raise ValidationError("the Lanczos solve applies to hermitian channels")
-    n = channel.dim
-    basis, op, start = _traceless_operator(channel)
-    # the steps a solve needs grow about as N^(2/3): 180 to 220 at N=30,
-    # 280 to 360 at N=64 on uniform Hermitian channels with D=4
-    limit = min(LANCZOS_BUDGET_SCALE * math.ceil(n ** (2.0 / 3.0)), n * n - 1)
-    q = np.zeros((limit, n * n))  # Lanczos vectors, coordinate 0 kept at 0
-    q[0] = start
-    alpha: list[float] = []
-    beta: list[float] = []
-    k = 0
-    while True:
-        w = op(q[k])
-        alpha.append(float(q[k] @ w))
-        w -= alpha[-1] * q[k]
-        if k:
-            w -= beta[-1] * q[k - 1]
-        # classical Gram-Schmidt against every Lanczos vector, repeated
-        # only when it cancelled much of w (Daniel, Gragg, Kaufman and
-        # Stewart 1976)
-        before = np.linalg.norm(w)
-        w -= q[: k + 1].T @ (q[: k + 1] @ w)
-        b = float(np.linalg.norm(w))
-        if b < 0.5 * before:
-            w -= q[: k + 1].T @ (q[: k + 1] @ w)
-            b = float(np.linalg.norm(w))
-        k += 1
-        if k % LANCZOS_CHECK == 0 or k == limit or b <= LANCZOS_TOL:
-            thetas, vecs = _extreme_ritz(alpha, beta)
-            estimate = b * max(abs(v[-1]) for v in vecs)
-            if estimate <= LANCZOS_TOL:
-                break
-            if k == limit:
-                return _dense_top(channel, basis, q[:k].T @ vecs[1], k, estimate)
-        beta.append(b)
-        q[k] = w / b
-
-    lam2 = float(max(abs(thetas[0]), abs(thetas[1])))
-    return _top_pair(channel, basis, lam2, float(thetas[1]), q[:k].T @ vecs[1], k, "lanczos")
+    basis, q, steps, estimate, (lam2, theta, y) = _krylov(channel, symmetric=True)
+    # a strided y takes another BLAS kernel with another summation order:
+    # copy it, so that x depends on y's values alone, not on its layout
+    x = q.T @ np.ascontiguousarray(y)
+    if estimate > KRYLOV_TOL:
+        return _dense_top(channel, basis, x, steps)
+    return _top_pair(channel, basis, lam2, theta, x, steps, "lanczos")
 
 
-def _extreme_ritz(alpha: list[float], beta: list[float]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The smallest and largest eigenvalues of the tridiagonal T with
-    diagonal alpha and off-diagonal beta, and their unit eigenvectors.
-
-    Each eigenvector comes from the recurrence (T - theta) s = 0 read from
-    the last row up. For an extreme eigenvalue the eigenvector decays
-    down the rows, so the recurrence runs in its growing, stable
-    direction; the rescaling keeps it finite.
-    """
-    k = len(alpha)
-    t = np.diag(alpha)
-    if k > 1:
-        t += np.diag(beta, 1) + np.diag(beta, -1)
-    thetas = np.linalg.eigvalsh(t)[[0, -1]]
-    vecs = []
-    for theta in map(float, thetas):
-        s = [0.0] * k
-        s[-1] = 1.0
-        if k > 1:
-            s[-2] = (theta - alpha[-1]) / beta[-1]
-        for j in range(k - 2, 0, -1):
-            s[j - 1] = ((theta - alpha[j]) * s[j] - beta[j] * s[j + 1]) / beta[j - 1]
-            if abs(s[j - 1]) > 1e150:
-                s = [v * 1e-150 for v in s]
-        v = np.array(s)
-        vecs.append(v / np.linalg.norm(v))
-    return thetas, vecs
-
-
-def _dense_top(
-    channel: Channel, basis: _Basis, ritz: np.ndarray, steps: int, estimate: float
-) -> TopEigenpair:
+def _dense_top(channel: Channel, basis: _Basis, ritz: np.ndarray, steps: int) -> TopEigenpair:
     """Finish an unconverged Lanczos solve densely: eigvalsh of R' for
     lambda2 and theta, and one inverse-iteration step from the top Ritz
     vector for the eigenvector."""
     n = channel.dim
-    if n > DEFAULT_DIM_CEILING:
-        raise NumericalError(
-            f"Lanczos did not converge in {steps} steps at N={n} (residual estimate "
-            f"{estimate:.1e} > {LANCZOS_TOL:.0e}); the dense fallback stops at N={DEFAULT_DIM_CEILING}"
-        )
     block = real_superoperator(channel)[1:, 1:]
     try:
         eigs = np.linalg.eigvalsh(block)
@@ -380,85 +400,28 @@ class DominantEigenvalue:
 def arnoldi_lambda2(channel: Channel) -> DominantEigenvalue:
     """lambda2 of any channel, matrix-free.
 
-    Unrestarted Arnoldi (Saad, *Numerical Methods for Large Eigenvalue
-    Problems*, SIAM 2011, ch. 6) on R' in the coordinates of B, from the
-    start vector lanczos_lambda2 uses: each step applies the channel once
-    to one N x N matrix, orthogonalizes the image against the stored basis
-    by classical Gram-Schmidt, repeated under the rule lanczos_lambda2
-    uses, and stores the coefficients in the Hessenberg matrix H. At the
-    steps _next_check picks, the solve finds the largest-modulus Ritz
-    value theta of H with its unit eigenvector y, and stops once the
-    residual estimate h_{k+1,k} |e_k^T y| <= ARNOLDI_TOL, or when the
-    Krylov space is invariant; lambda2 is |theta|.
+    The Krylov solve (_krylov) with the general Ritz step: it stops once
+    the largest-modulus Ritz value theta has residual estimate
+    <= KRYLOV_TOL, and lambda2 is |theta|.
 
-    A solve still unconverged after ARNOLDI_BUDGET_SCALE N steps is
+    A solve still unconverged after KRYLOV_BUDGET_SCALE N steps is
     finished densely up to N = DEFAULT_DIM_CEILING (eigen_spectrum's
     lambda2) and raises NumericalError above it.
     """
-    n = channel.dim
-    _, op, start = _traceless_operator(channel)
-    # the estimate reaches ARNOLDI_TOL after about 10N steps on uniform
-    # channels with D=4 or 6 (261 to 298 at N=30, 1216 to 1281 at N=128)
-    # and 12N with D=2 (1530 at N=128). At N=128 the budget's basis
-    # reserves 2048 x 16384 doubles (268 MB) and a solve touches the rows
-    # it reaches; one run to the budget peaked at 531 MB RSS
-    limit = min(ARNOLDI_BUDGET_SCALE * n, n * n - 1)
-    q = np.zeros((limit, n * n))  # the Arnoldi basis, coordinate 0 kept at 0
-    q[0] = start
-    h = np.zeros((limit + 1, limit))
-    k, check, last = 0, ARNOLDI_FIRST_CHECK, None
-    while True:
-        w = op(q[k])
-        before = np.linalg.norm(w)
-        c = q[: k + 1] @ w
-        w -= q[: k + 1].T @ c
-        b = float(np.linalg.norm(w))
-        if b < 0.5 * before:
-            again = q[: k + 1] @ w
-            w -= q[: k + 1].T @ again
-            c += again
-            b = float(np.linalg.norm(w))
-        h[: k + 1, k] = c
-        h[k + 1, k] = b
-        k += 1
-        if k == check or k == limit or b <= ARNOLDI_TOL:
-            theta, estimate = _dominant_ritz(h[:k, :k], b, channel)
-            if estimate <= ARNOLDI_TOL:
-                break
-            if k == limit:
-                if n > DEFAULT_DIM_CEILING:
-                    raise NumericalError(
-                        f"Arnoldi did not converge in {k} steps at N={n} (residual estimate "
-                        f"{estimate:.1e} > {ARNOLDI_TOL:.0e}); the dense fallback stops at "
-                        f"N={DEFAULT_DIM_CEILING}"
-                    )
-                lam2 = eigen_spectrum(channel).lambda2
-                return DominantEigenvalue(lambda2=lam2, steps=k, estimate=estimate, solver="dense")
-            check, last = _next_check(k, estimate, last), (k, estimate)
-        q[k] = w / b
-
-    if theta > 1.0 + SPECTRAL_RADIUS_TOL:
-        raise NumericalError(f"lambda2 {theta!r} exceeds 1 (channel seed {channel.seed})")
-    return DominantEigenvalue(lambda2=theta, steps=k, estimate=estimate, solver="arnoldi")
-
-
-def _dominant_ritz(hk: np.ndarray, b: float, channel: Channel) -> tuple[float, float]:
-    """|theta| for the largest-modulus eigenvalue theta of the k x k
-    Hessenberg matrix, and its residual estimate b |e_k^T y| with y the
-    unit eigenvector."""
-    try:
-        vals, vecs = np.linalg.eig(hk)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Arnoldi Ritz solve failed (channel seed {channel.seed}): {exc}") from exc
-    i = int(np.argmax(np.abs(vals)))
-    return float(abs(vals[i])), b * float(abs(vecs[-1, i]))
+    _, _, steps, estimate, (lam2, _, _) = _krylov(channel, symmetric=False)
+    if estimate > KRYLOV_TOL:
+        lam2 = eigen_spectrum(channel).lambda2
+        return DominantEigenvalue(lambda2=lam2, steps=steps, estimate=estimate, solver="dense")
+    if lam2 > 1.0 + SPECTRAL_RADIUS_TOL:
+        raise NumericalError(f"lambda2 {lam2!r} exceeds 1 (channel seed {channel.seed})")
+    return DominantEigenvalue(lambda2=lam2, steps=steps, estimate=estimate, solver="arnoldi")
 
 
 def _next_check(k: int, estimate: float, last: tuple[int, float] | None) -> int:
     """The step of the next Ritz check after the one at step k.
 
     Three quarters of the way to where the log-linear decay of the
-    estimate since the last check reaches ARNOLDI_TOL, but at least k/16
+    estimate since the last check reaches KRYLOV_TOL, but at least k/16
     and at most k steps on (k when the estimate did not fall). The decay
     speeds up as the Ritz value converges, so the extrapolation runs
     long: on ten channels at N=20 to 50, three quarters of it gave the
@@ -470,7 +433,7 @@ def _next_check(k: int, estimate: float, last: tuple[int, float] | None) -> int:
     ahead = k
     if last is not None and estimate < last[1]:
         rate = math.log(last[1] / estimate) / (k - last[0])  # e-folds per step
-        ahead = min(k, math.ceil(0.75 * math.log(estimate / ARNOLDI_TOL) / rate))
+        ahead = min(k, math.ceil(0.75 * math.log(estimate / KRYLOV_TOL) / rate))
     return k + max(ahead, math.ceil(k / 16))
 
 

@@ -57,7 +57,7 @@ def test_hermitian_channel_agrees_with_lanczos():
 @pytest.mark.parametrize("budget_scale, solver", [(None, "arnoldi"), (1, "dense")])
 def test_matches_dense_whichever_solver_ran(budget_scale, solver, monkeypatch):
     if budget_scale is not None:  # N steps are too few: the dense fallback finishes
-        monkeypatch.setattr(spectrum, "ARNOLDI_BUDGET_SCALE", budget_scale)
+        monkeypatch.setattr(spectrum, "KRYLOV_BUDGET_SCALE", budget_scale)
     chan = build_channel("nonhermitian", 12, 3, SeededRng(91))
     dom = arnoldi_lambda2(chan)
     want = eigen_spectrum(chan).lambda2
@@ -69,14 +69,14 @@ def test_matches_dense_whichever_solver_ran(budget_scale, solver, monkeypatch):
 
 
 def test_unconverged_past_the_dense_ceiling_raises(monkeypatch):
-    monkeypatch.setattr(spectrum, "ARNOLDI_BUDGET_SCALE", 1)
+    monkeypatch.setattr(spectrum, "KRYLOV_BUDGET_SCALE", 1)
     chan = build_channel("nonhermitian", 65, 2, SeededRng(92), "matrix-free")
     with pytest.raises(NumericalError, match="Arnoldi did not converge in 65 steps at N=65"):
         arnoldi_lambda2(chan)
 
 
 def test_unconverged_sweep_record_fails_and_the_sweep_continues(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(spectrum, "ARNOLDI_BUDGET_SCALE", 1)
+    monkeypatch.setattr(spectrum, "KRYLOV_BUDGET_SCALE", 1)
     argv = ["sweep", "--n-list", "65,8", "--d", "2", "--construction", "nonhermitian", "--out", str(tmp_path)]
     assert main(argv) == 0
     captured = capsys.readouterr()

@@ -605,10 +605,10 @@ def test_edge_command(monkeypatch, capsys):
 
 def test_edge_past_the_dense_ceiling_without_convergence_exits_3(monkeypatch, capsys):
     # above N=64 there is no dense fallback: an unconverged solve is a numerical failure
-    monkeypatch.setattr(spectrum, "LANCZOS_BUDGET_SCALE", 1)
+    monkeypatch.setattr(spectrum, "KRYLOV_BUDGET_SCALE", 1)
     assert main(["edge", "--n", "65", "--projectors", "1"]) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith("numerical failure: Lanczos did not converge in 17 steps at N=65")
+    assert captured.err.startswith("numerical failure: Lanczos did not converge in 65 steps at N=65")
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 

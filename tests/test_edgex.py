@@ -132,14 +132,29 @@ def test_chain_identity_channel_degenerate_spectrum():
     assert report.trace_residual <= 1e-14
 
 
-def test_chain_rejects_nonpositive_second_eigenvalue():
-    # two-Pauli mixture on N=2: superoperator eigenvalues {1, 0, 0, -1}
+def two_pauli_channel() -> Channel:
+    """The two-Pauli mixture on N=2: superoperator eigenvalues {1, 0, 0, -1}."""
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    chan = Channel(np.stack([x, y, x, y]), np.full(4, 0.25), hermitian=True)
+    return Channel(np.stack([x, y, x, y]), np.full(4, 0.25), hermitian=True)
+
+
+def test_chain_rejects_nonpositive_second_eigenvalue():
+    chan = two_pauli_channel()
     top = lanczos_lambda2(chan)
     with pytest.raises(ValidationError):
         tanner_chain_check(chan, top)
+
+
+def test_chain_rejects_a_zero_eigenvalue_just_above_its_residual():
+    # at theta = 0 the residual |E(X) - theta X| is |theta| to the last
+    # bit, so theta may come out one ulp above it
+    chan = two_pauli_channel()
+    top = lanczos_lambda2(chan)
+    assert top.residual < 1e-15
+    nudged = dataclasses.replace(top, theta=float(np.nextafter(top.residual, 1.0)))
+    with pytest.raises(ValidationError, match="not positive beyond"):
+        tanner_chain_check(chan, nudged)
 
 
 def test_chain_rejects_nonhermitian():
@@ -163,17 +178,17 @@ def test_chain_does_not_depend_on_the_solver_eigenvector_sign(monkeypatch):
     negated = tanner_chain_check(chan, dataclasses.replace(top, vector=-x))
     assert negated.holds and negated.lhs != lhs
 
-    real_ritz = spectrum_mod._extreme_ritz
+    real_ritz = spectrum_mod._ritz_step
 
     calls = []
 
-    def negated_ritz(alpha, beta):
-        thetas, vecs = real_ritz(alpha, beta)
-        calls.append(len(alpha))
-        return thetas, [-v for v in vecs]
+    def negated_ritz(hk, b, symmetric, channel):
+        estimate, (value, theta, y) = real_ritz(hk, b, symmetric, channel)
+        calls.append(len(hk))
+        return estimate, (value, theta, -y)
 
     # a Ritz vector of either sign, as a start vector of either sign gives
-    monkeypatch.setattr(spectrum_mod, "_extreme_ritz", negated_ritz)
+    monkeypatch.setattr(spectrum_mod, "_ritz_step", negated_ritz)
     top_neg = lanczos_lambda2(chan)
     assert calls  # the tridiagonal solve's vectors were negated
     assert top_neg.theta == lam2

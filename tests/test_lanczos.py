@@ -84,7 +84,7 @@ def clustered_channel():
 @pytest.mark.parametrize("budget_scale, solver", [(None, "lanczos"), (1, "dense")])
 def test_clustered_channel_matches_dense_whichever_solver_ran(budget_scale, solver, monkeypatch):
     if budget_scale is not None:  # too few steps: the dense fallback finishes
-        monkeypatch.setattr(spectrum, "LANCZOS_BUDGET_SCALE", budget_scale)
+        monkeypatch.setattr(spectrum, "KRYLOV_BUDGET_SCALE", budget_scale)
     chan = clustered_channel()
     top = lanczos_lambda2(chan)
     assert top.solver == solver
