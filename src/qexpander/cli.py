@@ -590,7 +590,12 @@ def _release_free_heap() -> None:
     whether a later solve fits into them or grows the heap depends on the
     fragmentation earlier commands left. Trimming after each command makes
     a command's resident set not depend on what ran before it in the same
-    process; within a command the allocator reuses its heap as usual.
+    process. Within a command, free() itself hands back the top of a heap
+    once the free space there passes the trim threshold (twice the mmap
+    threshold, which rises to the largest block freed), and the next
+    allocation faults those pages in again: before `_haar_fill` sliced its
+    QR, each generator of an N=32 Monte-Carlo estimate did so with three
+    4 MB temporaries, about 200k minor faults per 10^4 samples.
     """
     if sys.platform.startswith("linux"):
         trim = getattr(ctypes.CDLL(None), "malloc_trim", None)

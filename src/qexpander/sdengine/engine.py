@@ -38,6 +38,10 @@ DEFAULT_SYMBOLIC_BUDGET = 10  # max total letters for the exact solver
 # cached sd_step children holds about 2 KB, so 10^5 states are about 0.2 GB.
 SERIES_LEVEL_CEILING = 128
 SERIES_STATE_CEILING = 100_000
+# Queries whose sd_step children stay cached, least recently used out
+# first. At about 2 KB an entry that is 32 MB; one benchmark pass of the
+# SD commands uses 77 entries, and a solve that needs more recomputes.
+SD_STEP_CACHE_SIZE = 2**14
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class SdTerm:
     query: ExpectationQuery
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SD_STEP_CACHE_SIZE)
 def sd_step(query: ExpectationQuery) -> tuple[SdTerm, ...]:
     """All children of one rewriting step at the canonical pivot."""
     if query.is_empty:

@@ -5,13 +5,15 @@ routes to agree. The samples split into sub-batches of 256. Sub-batch b
 draws its unitaries from child stream b of the seed, spawned on the
 calling thread, and one task does all of its work: for each generator in
 sorted order, the draw and the phase-fixed QR into a (256, N, N) stack of
-its own, then the words with batched matmuls. The tasks run on one thread
-per CPU. A stream belongs to a sub-batch, not to a thread, so a seed gives
-the same estimate bit for bit on any number of CPUs. Memory is one
-sub-batch per thread plus 16 bytes per sample: a thread holds a
-16·256·N² byte stack per generator (4 MB at N=32) and the temporaries of
-one QR or one word product, about 21 MB at N=32 with two generators. The
-number of generators has no limit; N has the ceiling MC_DIM_CEILING.
+its own, then the traces, one batched product per class of rotations and
+inverses. The tasks run on one thread per CPU. A stream belongs to a
+sub-batch, not to a thread, so a seed gives the same estimate bit for bit
+on any number of CPUs. Memory is one sub-batch per thread plus 16 bytes
+per sample: a thread holds a 16·256·N² byte stack per generator (4 MB at
+N=32) and the temporaries of one QR slice or one word product, about
+12.5 MB at N=32 with two generators (traced peak of 4096 samples on one
+thread). The number of generators has no limit; N has the ceiling
+MC_DIM_CEILING.
 """
 
 from __future__ import annotations
@@ -27,19 +29,54 @@ from .words import ExpectationQuery
 MC_DIM_CEILING = 128  # one sub-batch then holds 64 MB per generator
 
 
-def _batched_adjoint(u: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(u, -1, -2))
+def _representative(word: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
+    """The word the kernel multiplies for tr(word), and whether tr(word) is
+    the conjugate of its trace.
+
+    tr is the same on every rotation of a word, and tr(w^-1) = conj(tr(w)),
+    so any rotation of the word or of its inverse will do. The pick is the
+    same for the whole class: fewest adjoint letters before the last, then
+    a plain last letter, then the smallest tuple.
+    """
+    inverse = tuple(-s for s in reversed(word))
+    rotations = [(w[i:] + w[:i], conj) for w, conj in ((word, False), (inverse, True)) for i in range(len(w))]
+    return min(rotations, key=lambda c: (sum(s < 0 for s in c[0][:-1]), c[0][-1] < 0, c[0]))
 
 
 def _trace_product(stacks: dict[int, np.ndarray], query: ExpectationQuery) -> np.ndarray:
+    """prod over the query's traces of tr(word), per sample of the stacks.
+
+    Each class of rotations and inverses is multiplied once. The last
+    letter closes the trace with an O(N^2) contraction instead of a matmul;
+    a contiguous adjoint stack is made only for an adjoint letter before it.
+    """
     batch = next(iter(stacks.values())).shape[0]
+    adjoints: dict[int, np.ndarray] = {}
+
+    def letter(s: int) -> np.ndarray:
+        if s > 0:
+            return stacks[s]
+        if -s not in adjoints:
+            adjoints[-s] = np.conjugate(np.swapaxes(stacks[-s], -1, -2), out=np.empty_like(stacks[-s]))
+        return adjoints[-s]
+
+    traces: dict[tuple[int, ...], np.ndarray] = {}
     values = np.ones(batch, dtype=complex)
     for word in query.traces:
-        prod = None
-        for s in word:
-            mat = stacks[s] if s > 0 else _batched_adjoint(stacks[-s])
-            prod = mat if prod is None else prod @ mat
-        values *= np.einsum("kii->k", prod)
+        rep, conj = _representative(word)
+        if rep not in traces:
+            *head, last = rep
+            if not head:  # a one-letter class is picked plain
+                traces[rep] = np.einsum("kii->k", stacks[last])
+            else:
+                prod = letter(head[0])
+                for s in head[1:]:
+                    prod = prod @ letter(s)
+                if last > 0:
+                    traces[rep] = np.einsum("kij,kji->k", prod, stacks[last])
+                else:  # tr(P U^H) = sum_ij P_ij conj(U_ij)
+                    traces[rep] = np.vecdot(stacks[-last].reshape(batch, -1), prod.reshape(batch, -1))
+        values *= np.conj(traces[rep]) if conj else traces[rep]
     return values
 
 

@@ -6,9 +6,10 @@ sub-batch b takes child stream b spawned from the seed. Per sub-batch and
 generator, in sorted order: fresh complex Gaussians (real and imaginary
 parts interleaved, unscaled, since the result does not change when Z is
 scaled by a positive number), one stacked QR with the R-diagonal phase fix
-(Mezzadri, Notices AMS 54, 2007), then the words multiplied on the whole
-sub-batch. The package must reproduce its estimates bit for bit, whatever
-its worker count.
+(Mezzadri, Notices AMS 54, 2007), then every word multiplied out letter by
+letter on the whole sub-batch. The package must reproduce its Haar draws
+bit for bit, and its estimates within the tolerance tests/test_mc.py
+states, whatever its worker count.
 """
 
 from __future__ import annotations

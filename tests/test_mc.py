@@ -1,14 +1,20 @@
 """The threaded Monte-Carlo path against the serial oracle.
 
-Estimates must be bit-identical (`==`, not approx) to tests/oracle_mc.py
-for every sample count and generator count, and must not depend on the
-number of worker threads.
+Haar stacks must be bit-identical (`==`, not approx) to tests/oracle_mc.py
+for any stack size. The trace kernel multiplies one rotation of each
+class of a word, its rotations and its inverse, and closes the trace with
+a contraction, so its rounding differs from the oracle's plain products:
+per-sample trace products must agree within TRACE_TOL, and the mean and
+standard error within MC_TOL, for every sample count and generator count.
+Estimates must not depend on the number of worker threads at all.
 """
 
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import oracle_mc
@@ -20,11 +26,75 @@ from test_acceptance import CORPUS
 
 TWO_GENERATORS = "tr(U1 U1 U2) tr(U2' U1' U1')"
 THREE_GENERATORS = "tr(U1 U2 U3 U1' U2' U3')"
-MC_PEAK_BOUND_MB = 64.0  # traced peak of one N=32, 4096-sample, 2-generator run
+MC_PEAK_BOUND_MB = 40.0  # traced peak of one N=32, 4096-sample, 2-generator run
+# Over the 25 estimates checked below, 7 moved from the oracle's, by at most
+# 4.4e-16, and per-sample trace products by at most 2.9e-14.
+MC_TOL = 1e-13
+TRACE_TOL = 1e-12
 
 
 def _query(expr: str):
     return parse_trace_expr(expr).query
+
+
+def _assert_close(got, want):
+    assert abs(got[0] - want[0]) <= MC_TOL and abs(got[1] - want[1]) <= MC_TOL, (got, want)
+
+
+def _stacks(query, n: int, count: int, seed: int) -> dict:
+    gen = np.random.default_rng(seed)
+    gens = sorted({abs(s) for t in query.traces for s in t})
+    return {g: matrixcore._haar_fill(np.empty((count, n, n), dtype=complex), gen) for g in gens}
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_haar_stacks_equal_the_oracle_bit_for_bit(n):
+    per_slice = matrixcore._QR_SLICE_BYTES // (16 * n * n)
+    # a full sub-batch, a one-matrix sub-batch and one matrix past a QR slice
+    for count in (matrixcore._SUB_BATCH, 1, per_slice + 1):
+        got = matrixcore._haar_fill(np.empty((count, n, n), dtype=complex), np.random.default_rng(count))
+        want = oracle_mc._haar(np.random.default_rng(count), count, n)
+        assert got.tobytes() == want.tobytes(), count
+
+
+KERNEL_CASES = [
+    TWO_GENERATORS,  # a word and its inverse
+    "tr(U1 U2 U2) tr(U2 U1 U2)",  # a rotated repeat
+    "tr(U1 U2') tr(U1 U2')",  # one word twice
+    "tr(U1) tr(U1')",
+    "tr(U1' U2' U1' U1')",  # all adjoint
+    "tr(U1 U2 U1' U2')",
+    THREE_GENERATORS + " tr(U3 U1) tr(U2)",
+]
+
+
+@pytest.mark.parametrize("expr", KERNEL_CASES)
+def test_trace_kernel_matches_the_oracle_per_sample(expr):
+    query = _query(expr)
+    stacks = _stacks(query, 16, 300, 5)
+    got = mc._trace_product(stacks, query)
+    assert np.max(np.abs(got - oracle_mc.trace_product(stacks, query))) <= TRACE_TOL
+
+
+def test_trace_kernel_on_a_word_holding_an_inverse_pair():
+    # not cyclically reduced, so no ExpectationQuery holds it; the kernel
+    # reads only the traces
+    words = SimpleNamespace(traces=((1, -1, 2), (2, 1, -1, -2, -2)))
+    stacks = _stacks(words, 12, 40, 6)
+    got = mc._trace_product(stacks, words)
+    assert np.max(np.abs(got - oracle_mc.trace_product(stacks, words))) <= TRACE_TOL
+
+
+@pytest.mark.parametrize("word", [(1,), (-1,), (1, 1, 2), (-2, -1, -1), (1, 2, -1, -2), (1, -2, 3, 2, -3)])
+def test_a_class_has_one_representative(word):
+    inverse = tuple(-s for s in reversed(word))
+    picks = {mc._representative(w[i:] + w[:i]) for w in (word, inverse) for i in range(len(w))}
+    # one word for the class, taken plain for one side and conjugated for the other
+    assert {conj for _, conj in picks} == {False, True}
+    (rep,) = {rep for rep, _ in picks}
+    # a class with a plain word needs no adjoint stack
+    if all(s > 0 for s in word) or all(s < 0 for s in word):
+        assert all(s > 0 for s in rep)
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -34,21 +104,21 @@ def test_criterion_5_corpus_matches_the_oracle(n):
         query = _query(expr)
         rng = (6, 2 * checks + (n == 32))
         got = monte_carlo_expectation(query, n, 2049, SeededRng(*rng))
-        assert got == oracle_mc.expectation(query, n, 2049, SeededRng(*rng)), expr
+        _assert_close(got, oracle_mc.expectation(query, n, 2049, SeededRng(*rng)))
 
 
 @pytest.mark.parametrize("samples", [100, 257, 2047, 2049, 10_000])
 def test_partial_chunks_and_sub_batches_match_the_oracle(samples):
     query = _query(TWO_GENERATORS)
     got = monte_carlo_expectation(query, 16, samples, SeededRng(8, samples))
-    assert got == oracle_mc.expectation(query, 16, samples, SeededRng(8, samples))
+    _assert_close(got, oracle_mc.expectation(query, 16, samples, SeededRng(8, samples)))
 
 
 @pytest.mark.parametrize("expr", ["tr(U1 U1) tr(U1' U1')", THREE_GENERATORS])
 def test_one_and_three_generators_match_the_oracle(expr):
     query = _query(expr)
     got = monte_carlo_expectation(query, 12, 2600, SeededRng(4))
-    assert got == oracle_mc.expectation(query, 12, 2600, SeededRng(4))
+    _assert_close(got, oracle_mc.expectation(query, 12, 2600, SeededRng(4)))
 
 
 def test_estimates_do_not_depend_on_the_worker_count(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 from fractions import Fraction
@@ -297,6 +298,22 @@ def test_sd_step_children_canonical():
     for child in sd_step(query):
         if not child.query.is_empty:
             assert child.query.traces == canonical_traces(child.query.traces)
+
+
+def test_sd_step_cache_is_bounded_and_eviction_keeps_the_value(monkeypatch):
+    assert sd_step.cache_info().maxsize == engine.SD_STEP_CACHE_SIZE
+    # 43 reachable queries through a cache of 8: entries are evicted and
+    # recomputed while the system is assembled
+    query = parse_trace_expr("tr(U1 U2 U1' U2' U1) tr(U1' U2 U1 U2' U1')").query
+    sd_step.cache_clear()
+    want = evaluate_exact(query)
+    bounded = functools.lru_cache(maxsize=8)(sd_step.__wrapped__)
+    monkeypatch.setattr(engine, "sd_step", bounded)
+    got = evaluate_exact(query)
+    info = bounded.cache_info()
+    assert info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
