@@ -75,7 +75,7 @@ def _trace_product(stacks: dict[int, np.ndarray], query: ExpectationQuery) -> np
                 if last > 0:
                     traces[rep] = np.einsum("kij,kji->k", prod, stacks[last])
                 else:  # tr(P U^H) = sum_ij P_ij conj(U_ij)
-                    traces[rep] = np.vecdot(stacks[-last].reshape(batch, -1), prod.reshape(batch, -1))
+                    traces[rep] = np.einsum("kij,kij->k", prod, np.conj(stacks[-last]))
         values *= np.conj(traces[rep]) if conj else traces[rep]
     return values
 
