@@ -1,9 +1,9 @@
 """The threaded Monte-Carlo path against the serial oracle.
 
 Haar stacks must be bit-identical (`==`, not approx) to tests/oracle_mc.py
-for any stack size. The trace kernel multiplies one rotation of each
-class of a word, its rotations and its inverse, and closes the trace with
-a contraction, so its rounding differs from the oracle's plain products:
+for any stack size. The trace kernel multiplies out one word per class (a
+word's rotations and those of its inverse) and closes the trace with a
+contraction, so its rounding differs from the oracle's plain products:
 per-sample trace products must agree within TRACE_TOL, and the mean and
 standard error within MC_TOL, for every sample count and generator count.
 Estimates must not depend on the number of worker threads at all.
@@ -63,26 +63,23 @@ KERNEL_CASES = [
     "tr(U1 U2') tr(U1 U2')",  # one word twice
     "tr(U1) tr(U1')",
     "tr(U1' U2' U1' U1')",  # all adjoint
-    "tr(U1 U2 U1' U2')",
+    "tr(U1 U2 U1' U2')",  # holds U1 and U1'
     THREE_GENERATORS + " tr(U3 U1) tr(U2)",
 ]
 
 
-@pytest.mark.parametrize("expr", KERNEL_CASES)
-def test_trace_kernel_matches_the_oracle_per_sample(expr):
-    query = _query(expr)
+@pytest.mark.parametrize(
+    "query",
+    [_query(expr) for expr in KERNEL_CASES]
+    # adjacent U1 U1', which no cyclically reduced query holds; the kernel
+    # reads only the traces
+    + [SimpleNamespace(traces=((1, -1, 2), (2, 1, -1, -2, -2)))],
+    ids=KERNEL_CASES + ["tr(U1 U1' U2) tr(U2 U1 U1' U2' U2')"],
+)
+def test_trace_kernel_matches_the_oracle_per_sample(query):
     stacks = _stacks(query, 16, 300, 5)
     got = mc._trace_product(stacks, query)
     assert np.max(np.abs(got - oracle_mc.trace_product(stacks, query))) <= TRACE_TOL
-
-
-def test_trace_kernel_on_a_word_holding_an_inverse_pair():
-    # not cyclically reduced, so no ExpectationQuery holds it; the kernel
-    # reads only the traces
-    words = SimpleNamespace(traces=((1, -1, 2), (2, 1, -1, -2, -2)))
-    stacks = _stacks(words, 12, 40, 6)
-    got = mc._trace_product(stacks, words)
-    assert np.max(np.abs(got - oracle_mc.trace_product(stacks, words))) <= TRACE_TOL
 
 
 @pytest.mark.parametrize("word", [(1,), (-1,), (1, 1, 2), (-2, -1, -1), (1, 2, -1, -2), (1, -2, 3, 2, -3)])
