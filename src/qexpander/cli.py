@@ -23,7 +23,7 @@ from .cayley import MAX_WALK_LENGTH, alon_boppana_lower_bound, walk_counts
 from .channel import CONSTRUCTIONS, build_channel, check_construction
 from .edgex import converse_check, random_projector, tanner_chain_check
 from .errors import NumericalError, QxError, ValidationError
-from .matrixcore import SeededRng, batch_workers
+from .matrixcore import SeededRng, batch_blas_threads, batch_workers
 from .sdengine import evaluate_exact, evaluate_series, monte_carlo_expectation, parse_trace_expr
 from .sdengine.rational import RationalInN
 from .spectrum import (
@@ -461,6 +461,7 @@ def _cmd_sd(args: argparse.Namespace) -> int:
         report["stderr"] = stderr * scale
         report["samples"] = args.samples
         report["threads"] = 1 if parsed.query.is_empty else batch_workers(args.samples)
+        report["blas_threads"] = batch_blas_threads()
     print(json.dumps(report, indent=2))
     return 0
 
@@ -593,9 +594,11 @@ def _release_free_heap() -> None:
     process. Within a command, free() itself hands back the top of a heap
     once the free space there passes the trim threshold (twice the mmap
     threshold, which rises to the largest block freed), and the next
-    allocation faults those pages in again: before `_haar_fill` sliced its
-    QR, each generator of an N=32 Monte-Carlo estimate did so with three
-    4 MB temporaries, about 200k minor faults per 10^4 samples.
+    allocation faults those pages in again. An N=32, 10^4-sample
+    Monte-Carlo estimate in the benchmark's op sequence took about 200k
+    minor faults while each generator's QR made three 4 MB temporaries,
+    59k once the QR was sliced but each sub-batch still had fresh stacks,
+    and 0.6k-2.4k with each thread's stacks reused across its sub-batches.
     """
     if sys.platform.startswith("linux"):
         trim = getattr(ctypes.CDLL(None), "malloc_trim", None)

@@ -6,9 +6,12 @@ anywhere in the workbench lives here so there is a single place to audit.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -24,20 +27,22 @@ SPECTRAL_RADIUS_TOL = 1e-8
 TRACE_RESIDUAL_TOL = 1e-8  # tracelessness of the second eigenvector
 SLACK_TOL = 1e-8          # one-sided slack on the edge inequalities
 
-# Matrices per task when per-matrix work is split across the CPUs. LAPACK,
-# matmul and einsum give each matrix a result that does not depend on the
-# batch it is in, so this size and the worker count never change a value.
+# Matrices per task when per-matrix work is split across the CPUs. The
+# tasks are cut from the item count alone, so the worker count never
+# changes a value. At one BLAS thread count LAPACK and matmul give each
+# matrix the same bits in any batch; einsum need not (at N=128 it rounds
+# a one-matrix stack, which it reads as one flat array, differently).
 _SUB_BATCH = 256
 
 # Bytes of the stack `_haar_fill` hands to one np.linalg.qr call (16
-# matrices at N=32, 64 at N=16, one from N=128). The QR allocates three
-# temporaries the size of its input: the copy it factors, Q and R. At 4 MB
-# each (a whole N=32 sub-batch) glibc returns them at the heap top after
-# every generator and faults them in again for the next. With 256 KB
-# slices the four arrays stay in a 2 MB L2. Measured on a 2-CPU Xeon with
-# OpenBLAS 0.3.31: one 256-matrix fill takes 22 ms at N=32 and 6.5 ms at
-# N=16, against 28 and 7.2 ms unsliced, and an N=32, 10^4-sample estimate
-# in the benchmark's op sequence takes 59k minor faults, against 170k-250k.
+# matrices at N=32, 64 at N=16, one from N=128), and of the slice of its
+# last generator the Monte-Carlo sampler draws, orthonormalizes and traces
+# at a time. The QR allocates three temporaries the size of its input: the
+# copy it factors, Q and R. At 4 MB each (a whole N=32 sub-batch) glibc
+# returns them at the heap top after every generator and faults them in
+# again for the next. With 256 KB slices the four arrays stay in a 2 MB
+# L2. Measured on a 2-CPU Xeon with OpenBLAS 0.3.31: one 256-matrix fill
+# takes 22 ms at N=32 and 6.5 ms at N=16, against 28 and 7.2 ms unsliced.
 _QR_SLICE_BYTES = 256 * 2**10
 
 
@@ -100,10 +105,15 @@ def _haar_fill(z: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     when Z is scaled by a positive number.
     """
     gen.standard_normal(out=z.view(np.float64))
-    step = max(1, _QR_SLICE_BYTES // (z.itemsize * z.shape[-1] * z.shape[-2]))
+    step = _qr_slice_len(z.shape[-1])
     for lo in range(0, len(z), step):
         _phase_fixed_q(z[lo : lo + step], out=z[lo : lo + step])
     return z
+
+
+def _qr_slice_len(n: int) -> int:
+    """Complex n-by-n matrices in one `_QR_SLICE_BYTES` slice (at least one)."""
+    return max(1, _QR_SLICE_BYTES // (16 * n * n))
 
 
 def _phase_fixed_q(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -128,12 +138,20 @@ def batch_workers(count: int) -> int:
 
 def map_batches(fn: Callable[[int, int, np.random.Generator], object], count: int, rng: SeededRng) -> None:
     """Call fn(lo, hi, gen) on consecutive _SUB_BATCH slices of range(count),
-    on `batch_workers(count)` threads (inline when that is 1).
+    on `batch_workers(count)` threads (inline when that is 1), with BLAS on
+    `batch_blas_threads()` threads.
 
     `gen` is the slice's own random stream: slice b gets child b of rng's
     generator, spawned on the calling thread before any call. A stream
     belongs to a slice, not to a thread, so what fn draws does not depend
     on the thread count or on the order the slices run in.
+
+    For the whole call OpenBLAS runs on one thread, and its thread count is
+    restored afterwards. The calls are the one level of threads: BLAS
+    threads under them would contend with the pool for the CPUs, and a
+    threaded zgemm or QR rounds differently from a serial one (at N=128
+    with OpenBLAS 0.3.31, not at N=64), which would make fn's results
+    depend on the BLAS setting.
 
     Each call must write only its own slice, and must not call a public
     function: the benchmark tracer wraps those with one span stack that all
@@ -142,16 +160,66 @@ def map_batches(fn: Callable[[int, int, np.random.Generator], object], count: in
     bounds = [(lo, min(lo + _SUB_BATCH, count)) for lo in range(0, count, _SUB_BATCH)]
     children = rng.generator.spawn(len(bounds))
     workers = batch_workers(count)
-    if workers == 1:
-        for (lo, hi), gen in zip(bounds, children):
-            fn(lo, hi, gen)
-        return
-    # imported here: concurrent.futures pulls in logging, which would add
-    # about 8 ms to every command's start-up
-    from concurrent.futures import ThreadPoolExecutor
+    with _one_blas_thread():
+        if workers == 1:
+            for (lo, hi), gen in zip(bounds, children):
+                fn(lo, hi, gen)
+            return
+        # imported here: concurrent.futures pulls in logging, which would add
+        # about 8 ms to every command's start-up
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(fn, *zip(*bounds), children))
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fn, *zip(*bounds), children))
+
+
+def batch_blas_threads() -> int | None:
+    """BLAS threads `map_batches` runs with: 1, or None when the loaded BLAS
+    has no thread setter and keeps its own count."""
+    return None if _blas_thread_calls() is None else 1
+
+
+@functools.cache
+def _blas_thread_calls() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The loaded OpenBLAS's (get, set) of its thread count, or None.
+
+    The symbols are looked up in the library itself, under the plain names
+    and the `64_`-suffixed and `scipy_openblas` ones numpy wheels export.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:  # no /proc outside Linux
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file is gone
+            continue
+        for prefix in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def unitarity_residual(u: np.ndarray) -> float:

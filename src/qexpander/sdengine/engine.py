@@ -108,12 +108,13 @@ class SeriesResult:
     level_audits: tuple[LevelAudit, ...]
 
 
-def _truncation_bound(m_total: int, n_levels: int, N: int) -> float:
-    # worst case: every path still alive at the deepest level terminates
-    # with the largest possible trivial-trace factor N^m_total; a bound
-    # past the float range is inf, so a tol stop does not fire on it
+def _truncation_bound(frontier: dict[tuple[ExpectationQuery, int, int], int], level: int, N: int) -> float:
+    # what the frontier still owes: a state (q, p, sign) reached by mult
+    # paths is worth sign * mult * N^(p - level) E[q], and |E[q]| <= N^t for
+    # a query of t traces, since |tr U_w| <= N; a bound past the float range
+    # is inf, so a tol stop does not fire on it
     try:
-        return float((m_total - 1) ** (n_levels + 1)) * float(N) ** (m_total - n_levels - 1)
+        return math.fsum(mult * float(N) ** (p - level + len(q.traces)) for (q, p, _), mult in frontier.items())
     except OverflowError:
         return math.inf
 
@@ -129,8 +130,10 @@ def evaluate_series(
 
     Identical (query, p, sign) paths are aggregated with exact integer
     multiplicities, so the frontier stays small even when the raw term
-    count grows like (m_total - 1)^n. Stops at n_max, when the truncation
-    bound drops to tol, or when every path has terminated. n_max may not
+    count grows like (m_total - 1)^n. The truncation bound is what the
+    states still alive can add: the sum over them of mult * N^(p - level
+    + t), t the state's trace count. Stops at n_max, when the bound drops
+    to tol, or when every path has terminated. n_max may not
     exceed SERIES_LEVEL_CEILING, and a level holding more than
     SERIES_STATE_CEILING distinct states raises NumericalError.
     """
@@ -161,7 +164,7 @@ def evaluate_series(
     level_sums: list[Fraction] = []
     audits: list[LevelAudit] = []
     level = 0
-    bound = _truncation_bound(m_total, 0, N)
+    bound = _truncation_bound(frontier, 0, N)
     while level < n_max and frontier:
         level += 1
         new_frontier: dict[tuple[ExpectationQuery, int, int], int] = {}
@@ -187,7 +190,7 @@ def evaluate_series(
                 f"ceiling {SERIES_STATE_CEILING}"
             )
         frontier = new_frontier
-        bound = 0.0 if not frontier else _truncation_bound(m_total, level, N)
+        bound = _truncation_bound(frontier, level, N)
         if bound <= tol:
             break
 

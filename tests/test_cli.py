@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import qexpander
-from qexpander import sdengine, spectrum
+from qexpander import matrixcore, sdengine, spectrum
 from qexpander.cayley import MAX_WALK_LENGTH
 from qexpander.channel import build_channel
 from qexpander.cli import (
@@ -462,7 +462,7 @@ def test_sd_eval_series_is_bounded_by_states_not_raw_terms(expr, flags, exact, c
 
 
 def test_sd_eval_series_at_huge_n_matches_exact(capsys):
-    # the bound overflows a float at levels 0 and 1 (N^3, N^2), while the
+    # the bound overflows a float at levels 0 and 1 (N^2 each), while the
     # value 2N and the bound where the series stops both fit
     expr, n = "tr(U1 U1) tr(U1' U1') tr(U3 U3')", "1" + "0" * 200
     assert main(["sd", "eval", expr, "--series", "--n", n, "--levels", "12"]) == 0
@@ -577,6 +577,7 @@ def test_sd_eval_mc_reports_samples_and_threads(monkeypatch, capsys, samples, cp
                  "--samples", str(samples), "--seed", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["samples"], report["threads"]) == (samples, threads)
+    assert report["blas_threads"] == (None if matrixcore._blas_thread_calls() is None else 1)
     assert (callers == {threading.get_ident()}) == (threads == 1)
 
 

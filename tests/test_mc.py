@@ -6,18 +6,24 @@ word's rotations and those of its inverse) and closes the trace with a
 contraction, so its rounding differs from the oracle's plain products:
 per-sample trace products must agree within TRACE_TOL, and the mean and
 standard error within MC_TOL, for every sample count and generator count.
-Estimates must not depend on the number of worker threads at all.
+Estimates must not depend on the number of worker threads or on the
+BLAS thread count at all.
 """
 
+import json
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracle_mc
+import qexpander
 from qexpander import matrixcore
 from qexpander.matrixcore import SeededRng
 from qexpander.sdengine import monte_carlo_expectation, parse_trace_expr
@@ -26,7 +32,13 @@ from test_acceptance import CORPUS
 
 TWO_GENERATORS = "tr(U1 U1 U2) tr(U2' U1' U1')"
 THREE_GENERATORS = "tr(U1 U2 U3 U1' U2' U3')"
-MC_PEAK_BOUND_MB = 40.0  # traced peak of one N=32, 4096-sample, 2-generator run
+# Traced peaks with two threads, each holding a whole stack per generator
+# but the last and one slice of the last: 10.2 MB for one N=32,
+# 4096-sample, 2-generator run and 66.5 MB for one N=64, 1024-sample,
+# 3-generator run (21-24 and 224 MB with a whole stack per generator).
+# The bounds leave 40% and 20%.
+MC_PEAK_BOUND_MB = 14.0
+MC_PEAK_BOUND_3_GEN_N64_MB = 80.0
 # Over the 25 estimates checked below, 7 moved from the oracle's, by at most
 # 4.4e-16, and per-sample trace products by at most 2.9e-14.
 MC_TOL = 1e-13
@@ -78,7 +90,7 @@ KERNEL_CASES = [
 )
 def test_trace_kernel_matches_the_oracle_per_sample(query):
     stacks = _stacks(query, 16, 300, 5)
-    got = mc._trace_product(stacks, query)
+    got = mc._trace_product(stacks, mc._trace_plan(query.traces))
     assert np.max(np.abs(got - oracle_mc.trace_product(stacks, query))) <= TRACE_TOL
 
 
@@ -104,18 +116,29 @@ def test_criterion_5_corpus_matches_the_oracle(n):
         _assert_close(got, oracle_mc.expectation(query, n, 2049, SeededRng(*rng)))
 
 
-@pytest.mark.parametrize("samples", [100, 257, 2047, 2049, 10_000])
-def test_partial_chunks_and_sub_batches_match_the_oracle(samples):
+@pytest.mark.parametrize(
+    "n, samples",
+    [pytest.param(16, samples, id=str(samples)) for samples in (100, 257, 2047, 2049, 10_000)]
+    # 256 + 17 at N=32 ends a sub-batch one matrix into its second QR
+    # slice; at N=128 a slice holds one matrix
+    + [pytest.param(32, 256 + 17, id="N32-273"), pytest.param(128, 100, id="N128-100")],
+)
+def test_partial_chunks_and_sub_batches_match_the_oracle(n, samples):
     query = _query(TWO_GENERATORS)
-    got = monte_carlo_expectation(query, 16, samples, SeededRng(8, samples))
-    _assert_close(got, oracle_mc.expectation(query, 16, samples, SeededRng(8, samples)))
+    got = monte_carlo_expectation(query, n, samples, SeededRng(8, samples))
+    _assert_close(got, oracle_mc.expectation(query, n, samples, SeededRng(8, samples)))
 
 
-@pytest.mark.parametrize("expr", ["tr(U1 U1) tr(U1' U1')", THREE_GENERATORS])
-def test_one_and_three_generators_match_the_oracle(expr):
+@pytest.mark.parametrize(
+    "expr, n",
+    [pytest.param(expr, 12, id=expr) for expr in ("tr(U1 U1) tr(U1' U1')", THREE_GENERATORS)]
+    + [pytest.param("tr(U1 U1) tr(U1' U1')", 32, id="tr(U1 U1) tr(U1' U1')-N32")],
+)
+def test_one_and_three_generators_match_the_oracle(expr, n):
+    # with one generator every draw is streamed slice by slice
     query = _query(expr)
-    got = monte_carlo_expectation(query, 12, 2600, SeededRng(4))
-    _assert_close(got, oracle_mc.expectation(query, 12, 2600, SeededRng(4)))
+    got = monte_carlo_expectation(query, n, 2600, SeededRng(4))
+    _assert_close(got, oracle_mc.expectation(query, n, 2600, SeededRng(4)))
 
 
 def test_estimates_do_not_depend_on_the_worker_count(monkeypatch):
@@ -144,14 +167,63 @@ def test_estimates_do_not_depend_on_the_worker_count(monkeypatch):
     assert results[1] == results[3]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blas_runs_on_one_thread_under_map_batches_and_is_restored(monkeypatch, workers):
+    calls = matrixcore._blas_thread_calls()
+    if calls is None:
+        pytest.skip("the loaded BLAS has no thread setter")
+    get, _ = calls
+    monkeypatch.setattr(matrixcore, "worker_count", lambda: workers)
+    before = get()
+    seen = set()
+
+    def fn(lo, hi, gen):
+        seen.add(get())
+        if lo == 512:
+            raise RuntimeError("the last sub-batch fails")
+
+    with pytest.raises(RuntimeError):
+        matrixcore.map_batches(fn, 600, SeededRng(0))
+    assert seen == {1} and get() == before
+
+
+def test_estimates_do_not_depend_on_the_blas_thread_count():
+    # at N=128 a threaded QR or zgemm rounds differently from a serial one;
+    # the sampler runs BLAS on one thread whatever the environment asks for
+    argv = ["sd", "eval", TWO_GENERATORS, "--mc", "--n", "128", "--samples", "100"]
+    estimates = set()
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(qexpander.__file__).parents[1]),
+            "OPENBLAS_NUM_THREADS": threads,
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "qexpander", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        estimates.add((report["estimate"], report["stderr"]))
+    assert len(estimates) == 1, estimates
+
+
 def test_memory_stays_under_the_bound(monkeypatch):
     # every thread holds one sub-batch, so fix the count
     monkeypatch.setattr(matrixcore, "worker_count", lambda: 2)
-    query = _query(TWO_GENERATORS)
-    tracemalloc.start()
-    try:
-        monte_carlo_expectation(query, 32, 4096, SeededRng(1))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / 2**20 < MC_PEAK_BOUND_MB
+    # the first pooled call imports concurrent.futures, which is not the
+    # sampler's memory
+    monte_carlo_expectation(_query("tr(U1) tr(U1')"), 2, 300, SeededRng(0))
+    for expr, n, samples, bound_mb in (
+        (TWO_GENERATORS, 32, 4096, MC_PEAK_BOUND_MB),
+        (THREE_GENERATORS, 64, 1024, MC_PEAK_BOUND_3_GEN_N64_MB),
+    ):
+        tracemalloc.start()
+        try:
+            monte_carlo_expectation(_query(expr), n, samples, SeededRng(1))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 < bound_mb, expr
+        # no thread's buffers outlive the call: what is left is under the
+        # 16 bytes per sample of the sample array, far under one QR slice
+        assert current <= 16 * samples, expr

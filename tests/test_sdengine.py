@@ -482,8 +482,20 @@ def test_series_term_count_bound():
 def test_series_truncation_bound_formula():
     query = parse_trace_expr("tr(U1 U1) tr(U1' U1')").query
     result = evaluate_series(query, 16, n_max=2, tol=0.0)
-    # (m_total-1)^(n+1) N^(m_total-n-1) with m_total=4, n=2: 27 * 16
-    assert result.truncation_bound == pytest.approx(27 * 16.0)
+    # level 2 leaves tr(U1 U1) tr(U1' U1') once and tr(U1) tr(U1') twice,
+    # each with p = 0 and two traces: sum of mult N^(p - 2 + 2) = 1 + 2
+    assert result.truncation_bound == 3.0
+
+
+@pytest.mark.parametrize("n", [11, 16])
+def test_series_bound_holds_at_every_level_on_the_corpus(n):
+    for expr, want in CORPUS:
+        query = parse_trace_expr(expr).query
+        for levels in range(1, 13):
+            result = evaluate_series(query, n, n_max=levels, tol=0.0)
+            # exact: the level sums are Fractions, and a float compares exactly
+            assert abs(Fraction(want) - sum(result.level_sums, Fraction(0))) <= result.truncation_bound, (
+                expr, levels)
 
 
 def test_series_tol_stops_early():
