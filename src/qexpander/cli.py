@@ -315,6 +315,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "unit_eigvec_residual": spec.unit_eigvec_residual,
         "spectral_radius": spec.spectral_radius,
         "removed_eigenvalue": [spec.removed_eigenvalue.real, spec.removed_eigenvalue.imag],
+        "solver": spec.solver,
+        "stage_s": spec.stage_s,
         "files": [str(csv_path)],
     }
     print(json.dumps(report, indent=2))
@@ -360,6 +362,7 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
         chan = build_channel("hermitian", n, args.d, SeededRng(args.seed, stream))
         spectra[n] = eigen_spectrum(chan)
     report = emit_collapse(spectra, args.out)
+    report["solver"] = spectra[n_list[0]].solver  # one solver per process: its lookup is cached
     print(json.dumps(report, indent=2))
     return 0
 
@@ -586,15 +589,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _release_free_heap() -> None:
     """Hand the C heap's free pages back to the system (glibc malloc_trim).
 
-    glibc keeps freed blocks of up to 32 MiB, such as the N^2 x N^2 arrays
-    (6.5 MB at N=30, 20 MB at N=40), resident in its heap for reuse, and
-    whether a later solve fits into them or grows the heap depends on the
-    fragmentation earlier commands left. Trimming after each command makes
-    a command's resident set not depend on what ran before it in the same
-    process. Within a command, free() itself hands back the top of a heap
-    once the free space there passes the trim threshold (twice the mmap
-    threshold, which rises to the largest block freed), and the next
-    allocation faults those pages in again. An N=32, 10^4-sample
+    glibc keeps freed blocks of up to 32 MiB resident in its heap for
+    reuse, such as R, the one N^2 x N^2 array of a dense solve (6.5 MB at
+    N=30, 20 MB at N=40; from N=46, 34 MiB, it is mmapped and unmapped on
+    its own), and whether a later solve fits into them or grows the heap
+    depends on the fragmentation earlier commands left. Trimming after
+    each command makes a command's resident set not depend on what ran
+    before it in the same process. Within a command, free() itself hands
+    back the top of a heap once the free space there passes the trim
+    threshold (twice the mmap threshold, which rises to the largest block
+    freed), and the next allocation faults those pages in again. An N=32, 10^4-sample
     Monte-Carlo estimate in the benchmark's op sequence took about 200k
     minor faults while each generator's QR made three 4 MB temporaries,
     59k once the QR was sliced but each sub-batch still had fresh stacks,

@@ -181,29 +181,48 @@ def batch_blas_threads() -> int | None:
 
 @functools.cache
 def _blas_thread_calls() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The loaded OpenBLAS's (get, set) of its thread count, or None.
+    """The loaded OpenBLAS's (get, set) of its thread count, or None."""
+    found = _openblas_symbols("openblas_get_num_threads", "openblas_set_num_threads")
+    if found is None:
+        return None
+    (get, put), _ = found
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
-    The symbols are looked up in the library itself, under the plain names
-    and the `64_`-suffixed and `scipy_openblas` ones numpy wheels export.
-    """
+
+@functools.cache
+def _openblas_libraries() -> tuple[ctypes.CDLL, ...]:
+    """The OpenBLAS libraries mapped into this process (none outside Linux)."""
     try:
         with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
     except OSError:  # no /proc outside Linux
-        return None
-    for path in libs:
+        return ()
+    libs = []
+    for path in paths:
         try:
-            lib = ctypes.CDLL(path)
+            libs.append(ctypes.CDLL(path))
         except OSError:  # a mapping whose file is gone
             continue
-        for prefix in ("openblas", "scipy_openblas"):
-            for suffix in ("", "64_"):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    return get, put
+    return tuple(libs)
+
+
+def _openblas_symbols(*names: str) -> tuple[list, type] | None:
+    """The named functions of the loaded OpenBLAS and its LAPACK integer
+    type, or None when no loaded library exports all of them.
+
+    Each name is looked up plain and with the `64_` suffix and `scipy_`
+    prefix that numpy's wheels use, all names under one spelling; the
+    `64_` names take and return 64-bit LAPACK integers. The caller sets
+    each function's argtypes.
+    """
+    for lib in _openblas_libraries():
+        for prefix in ("", "scipy_"):
+            for suffix, integer in (("", ctypes.c_int), ("64_", ctypes.c_int64)):
+                funcs = [getattr(lib, f"{prefix}{name}{suffix}", None) for name in names]
+                if None not in funcs:
+                    return funcs, integer
     return None
 
 

@@ -135,7 +135,8 @@ def evaluate_series(
     + t), t the state's trace count. Stops at n_max, when the bound drops
     to tol, or when every path has terminated. n_max may not
     exceed SERIES_LEVEL_CEILING, and a level holding more than
-    SERIES_STATE_CEILING distinct states raises NumericalError.
+    SERIES_STATE_CEILING distinct states raises NumericalError. An empty
+    query (1) and an unbalanced one (0) return exactly, with no level.
     """
     if N < 1:
         raise ValidationError(f"need N >= 1, got N={N}")
@@ -151,10 +152,10 @@ def evaluate_series(
             f"m_total={m_total} exceeds N={N}: series convergence is not guaranteed "
             "(pass allow_divergent=True, or --allow-divergent on the command line, to force)"
         )
-    if query.is_empty:
+    if query.is_empty or query.is_unbalanced:  # exactly 1, exactly 0
         return SeriesResult(
             level_sums=(),
-            partial_total=1.0,
+            partial_total=0.0 if query.is_unbalanced else 1.0,
             truncation_bound=0.0,
             levels_computed=0,
             level_audits=(),

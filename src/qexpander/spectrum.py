@@ -16,9 +16,15 @@ Conventions fixed here once:
   R = [[R_00, 0], [0, R']] with R_00 = 1, up to rounding. The unit
   eigenvalue is R_00, and the second eigenvalue lambda2 is the largest
   modulus among the eigenvalues of the traceless block R' = R[1:, 1:].
-- eigen_spectrum solves R' densely for every eigenvalue. One Krylov
-  solve (_krylov, Arnoldi matrix-free through `apply`) serves both
-  lambda2 entry points and differs only in its Ritz step:
+- eigen_spectrum solves R' densely for every eigenvalue, in the one
+  8N^4-byte buffer that holds R: real_superoperator builds R in place, and
+  the loaded OpenBLAS's LAPACKE_dsyevd or LAPACKE_dgeev overwrites R'
+  with its factorization where it stands (column-major with leading
+  dimension N^2 from &R[1, 1], the matrix np.linalg would have copied R'
+  into), so the eigenvalues are the bits np.linalg gives. Where no
+  LAPACKE symbols are found (another BLAS), np.linalg solves a copy of R'.
+  One Krylov solve (_krylov, Arnoldi matrix-free through `apply`) serves
+  both lambda2 entry points and differs only in its Ritz step:
   lanczos_lambda2 takes the extremes of R' for a Hermitian channel, and
   with them the top eigenvector; arnoldi_lambda2 takes the largest
   modulus for any channel.
@@ -27,7 +33,10 @@ Conventions fixed here once:
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import math
+import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -35,11 +44,13 @@ import numpy as np
 
 from .channel import DEFAULT_DIM_CEILING, Channel, apply
 from .errors import NumericalError, ValidationError
-from .matrixcore import SPECTRAL_RADIUS_TOL
+from .matrixcore import SPECTRAL_RADIUS_TOL, _openblas_symbols
 
 KRYLOV_TOL = 1e-12  # stop once the Ritz residual estimate is below
 KRYLOV_FIRST_CHECK = 20  # Krylov steps before the first solve of H
 KRYLOV_BUDGET_SCALE = 16  # step budget per unit of N
+_TILE = 256  # rows and columns of the tiles R is symmetrized in: two 512 KB tiles fit in L2
+_LAPACK_COL_MAJOR = 102  # LAPACKE's matrix_layout for column-major arrays
 
 
 def _diagonal_basis(n: int) -> np.ndarray:
@@ -119,20 +130,38 @@ def _image_coords(unitaries: np.ndarray, weights: np.ndarray, n: int) -> np.ndar
 
 
 def real_superoperator(channel: Channel) -> np.ndarray:
-    """R, the real N^2 x N^2 matrix of E in the Hermitian basis B.
+    """R, the real N^2 x N^2 matrix of E in the Hermitian basis B, in one
+    8N^4-byte buffer (50 MB at N=50).
 
     For a Hermitian channel the second half of the Kraus terms are the
     adjoints of the first (Channel enforces the pairing), so E = F + F*
     with F the first half at the pair's mean weight, and R = R_F + R_F^T:
-    half the work, and R comes out exactly symmetric.
+    half the work, and R comes out exactly symmetric. R_F^T is added in
+    place, so R is C-contiguous with the bits of R_F + R_F^T. Otherwise R
+    is the transpose of _image_coords's buffer: a Fortran-ordered view.
     """
     n = channel.dim
     if channel.hermitian:
         half = channel.kraus_count // 2
         weights = (channel.weights[:half] + channel.weights[half:]) / 2.0
-        rt = _image_coords(channel.unitaries[:half], weights, n)
-        return rt + rt.T
+        return _symmetrize(_image_coords(channel.unitaries[:half], weights, n))
     return _image_coords(channel.unitaries, channel.weights, n).T
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """Overwrite the square array a with a + a^T, and return it.
+
+    Tile by tile: tile (I, J), I <= J, becomes s = a[I, J] + a[J, I]^T and
+    tile (J, I) becomes s^T. Addition commutes, so both halves hold the
+    bits of a + a^T and the result is exactly symmetric.
+    """
+    m = a.shape[0]
+    for i in range(0, m, _TILE):
+        for j in range(i, m, _TILE):
+            upper, lower = a[i : i + _TILE, j : j + _TILE], a[j : j + _TILE, i : i + _TILE]
+            upper += lower.T  # on the diagonal numpy reads a copy of the overlap
+            lower[...] = upper.T
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +175,8 @@ class SuperopSpectrum:
     unit_eigvec_residual: float  # max |R[:, 0] - e_0|
     removed_eigenvalue: complex  # R_00, the unit eigenvalue of I/sqrt(N)
     spectral_radius: float
+    solver: str  # "lapack": R' solved in place; "numpy": np.linalg on a copy of R'
+    stage_s: dict[str, float]  # wall seconds: "build" (R) and "solve" (R')
 
     def __post_init__(self) -> None:
         if self.eigenvalues.shape != (self.dim * self.dim,):
@@ -157,23 +188,21 @@ class SuperopSpectrum:
 def eigen_spectrum(channel: Channel) -> SuperopSpectrum:
     """Dense eigendecomposition of the traceless block R' = R[1:, 1:].
 
-    Real eigvalsh for a Hermitian channel, real eigvals otherwise; the
-    spectrum is R_00 together with the eigenvalues of R'.
+    Symmetric (dsyevd) for a Hermitian channel, general (dgeev)
+    otherwise; the spectrum is R_00 together with the eigenvalues of R'.
+    R is built once, in one N^2 x N^2 buffer, and R' is solved inside it
+    (see _traceless_eigenvalues): at N=50 the call holds one 50 MB array,
+    not two. R_00 and column 0 are read before the solve overwrites R'.
     """
     n = channel.dim
+    start = time.perf_counter()
     r = real_superoperator(channel)
-    block = r[1:, 1:]  # a view: no second N^2 x N^2 array
-    try:
-        if channel.hermitian:
-            rest = np.linalg.eigvalsh(block)
-        else:
-            rest = np.linalg.eigvals(block)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigensolver failed to converge (channel seed {channel.seed}): {exc}"
-        ) from exc
-
+    built = time.perf_counter()
     removed = complex(r[0, 0])
+    residual = float(np.max(np.abs(r[:, 0] - np.eye(1, n * n)[0])))  # against e_0
+    rest, solver = _traceless_eigenvalues(r, channel)
+    solved = time.perf_counter()
+
     eigs = np.concatenate([[removed], rest.astype(complex)])
     key = -eigs.real if channel.hermitian else -np.abs(eigs)
     eigs = eigs[np.argsort(key, kind="stable")]
@@ -190,10 +219,74 @@ def eigen_spectrum(channel: Channel) -> SuperopSpectrum:
         eigenvalues=eigs,
         hermitian=channel.hermitian,
         lambda2=lam2,
-        unit_eigvec_residual=float(np.max(np.abs(r[:, 0] - np.eye(1, n * n)[0]))),  # e_0
+        unit_eigvec_residual=residual,
         removed_eigenvalue=removed,
         spectral_radius=radius,
+        solver=solver,
+        stage_s={"build": built - start, "solve": solved - built},
     )
+
+
+@functools.cache
+def _lapacke_eigensolvers() -> tuple[Callable[..., int], Callable[..., int]] | None:
+    """LAPACKE_dsyevd and LAPACKE_dgeev of the loaded OpenBLAS, or None."""
+    found = _openblas_symbols("LAPACKE_dsyevd", "LAPACKE_dgeev")
+    if found is None:
+        return None
+    (syevd, geev), lapack_int = found
+    ptr, char = ctypes.c_void_p, ctypes.c_char
+    syevd.argtypes = [ctypes.c_int, char, char, lapack_int, ptr, lapack_int, ptr]
+    geev.argtypes = [ctypes.c_int, char, char, lapack_int, ptr, lapack_int, ptr, ptr] + [ptr, lapack_int] * 2
+    syevd.restype = geev.restype = lapack_int
+    return syevd, geev
+
+
+def _traceless_eigenvalues(r: np.ndarray, channel: Channel) -> tuple[np.ndarray, str]:
+    """The eigenvalues of R' = R[1:, 1:] and the solver that found them,
+    "lapack" or "numpy". The "lapack" solve destroys R'.
+
+    LAPACKE_dsyevd (no vectors, lower triangle) or LAPACKE_dgeev (no
+    vectors) runs column-major on the m x m matrix at &R[1, 1] with
+    leading dimension N^2 = m + 1. R is Fortran-ordered for a general
+    channel, so that matrix is R' itself; a Hermitian R is C-ordered and
+    symmetric, so it is R'^T = R'. Either way LAPACK sees what
+    np.linalg.eigvalsh or eigvals would copy R' into, and LAPACKE queries
+    the same optimal workspace, so the eigenvalues carry the same bits.
+    As np.linalg.eigvals does, real output is returned when no eigenvalue
+    has an imaginary part. Without the LAPACKE pair, np.linalg solves R'.
+    """
+    lapack = _lapacke_eigensolvers()
+    if lapack is None:
+        block = r[1:, 1:]
+        try:
+            rest = np.linalg.eigvalsh(block) if channel.hermitian else np.linalg.eigvals(block)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"eigensolver failed to converge (channel seed {channel.seed}): {exc}"
+            ) from exc
+        return rest, "numpy"
+    syevd, geev = lapack
+    if r.dtype != np.float64 or not (r.flags.f_contiguous or channel.hermitian and r.flags.c_contiguous):
+        raise ValueError("R must be float64 in Fortran order, or in C order when it is symmetric")
+    m = r.shape[0] - 1
+    corner = r.ctypes.data + (m + 2) * r.itemsize  # &R[1, 1] in either order
+    wr = np.empty(m)
+    if channel.hermitian:
+        info = syevd(_LAPACK_COL_MAJOR, b"N", b"L", m, corner, m + 1, wr.ctypes.data)
+        rest = wr
+    else:
+        wi = np.empty(m)
+        no_vectors = (None, 1, None, 1)  # VL, LDVL, VR, LDVR
+        info = geev(_LAPACK_COL_MAJOR, b"N", b"N", m, corner, m + 1, wr.ctypes.data, wi.ctypes.data, *no_vectors)
+        rest = wr
+        if wi.any():
+            rest = np.empty(m, dtype=complex)
+            rest.real, rest.imag = wr, wi
+    if info != 0:
+        raise NumericalError(
+            f"eigensolver failed to converge (channel seed {channel.seed}): LAPACK info {info}"
+        )
+    return rest, "lapack"
 
 
 def _traceless_operator(channel: Channel) -> tuple[_Basis, Callable[[np.ndarray], np.ndarray], np.ndarray]:

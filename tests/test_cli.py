@@ -350,6 +350,9 @@ def test_spectrum_command_outputs(tmp_path, capsys):
     assert abs(report["spectral_radius"] - 1.0) < 1e-10
     removed_re, removed_im = report["removed_eigenvalue"]
     assert abs(removed_re - 1.0) < 1e-10 and removed_im == 0.0
+    assert report["solver"] == ("numpy" if spectrum._lapacke_eigensolvers() is None else "lapack")
+    assert set(report["stage_s"]) == {"build", "solve"}
+    assert all(seconds >= 0.0 for seconds in report["stage_s"].values())
     lines = (tmp_path / "spectrum.csv").read_text().splitlines()
     assert lines[0] == "rank,a_over_N2,eig_re,eig_im,eig_abs"
     assert len(lines) == 1 + 64
@@ -360,6 +363,7 @@ def test_collapse_command_outputs(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert "8-12" in report["quantile_distances"]
+    assert report["solver"] == ("numpy" if spectrum._lapacke_eigensolvers() is None else "lapack")
     lines = (tmp_path / "collapse.csv").read_text().splitlines()
     assert lines[0] == "N,a_over_N2,eig"
     assert len(lines) == 1 + 64 + 144
@@ -459,6 +463,14 @@ def test_sd_eval_series_is_bounded_by_states_not_raw_terms(expr, flags, exact, c
     assert report["levels_computed"] == (16 if "--levels" in flags else 12)
     if exact is not None:
         assert abs(report["value"] - exact) <= report["truncation_bound"]
+
+
+@pytest.mark.parametrize("expr", ["tr(U1) tr(U1)", "tr(U1 U2) tr(U2 U1)"])
+def test_sd_eval_series_of_an_unbalanced_query_runs_no_level(expr, capsys):
+    assert main(["sd", "eval", expr, "--series", "--n", "16"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["value"] == 0.0 and report["truncation_bound"] == 0.0
+    assert report["levels_computed"] == 0 and report["level_sums"] == []
 
 
 def test_sd_eval_series_at_huge_n_matches_exact(capsys):
@@ -720,7 +732,7 @@ def test_command_leaves_no_freed_heap_resident(tmp_path, capsys):
             "--out", str(tmp_path)]
     assert main(argv) == 0
     # freeing a 30 MiB block raises glibc's mmap threshold past one 6.5 MB R,
-    # so the next command's R and solver copy come from the heap
+    # so the next command's R comes from the heap
     big = np.ones(30 * 2**20 // 8)
     del big
     before = rss_mb()

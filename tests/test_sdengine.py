@@ -498,6 +498,16 @@ def test_series_bound_holds_at_every_level_on_the_corpus(n):
                 expr, levels)
 
 
+@pytest.mark.parametrize("expr", ["tr(U1) tr(U1)", "tr(U1 U2) tr(U2 U1)"])
+def test_series_returns_zero_at_once_for_an_unbalanced_query(expr):
+    result = evaluate_series(parse_trace_expr(expr).query, 16, n_max=12)
+    assert result.level_sums == () and result.level_audits == ()
+    assert result.partial_total == 0.0 and result.truncation_bound == 0.0
+    assert result.levels_computed == 0
+    with pytest.raises(ValidationError):  # validation still comes first
+        evaluate_series(parse_trace_expr(expr).query, 16, n_max=0)
+
+
 def test_series_tol_stops_early():
     query = parse_trace_expr("tr(U1) tr(U1')").query
     result = evaluate_series(query, 32, n_max=40, tol=1e30)

@@ -1,9 +1,18 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qexpander
 from oracle_mc import haar_stack
 from oracle_superop import faithfulness_residual, superoperator, unvec, vec
+from qexpander import spectrum
 from qexpander.channel import DEFAULT_DIM_CEILING, Channel, apply, build_channel
+from qexpander.cli import main
 from qexpander.errors import NumericalError, ValidationError
 from qexpander.matrixcore import SeededRng
 from qexpander.spectrum import (
@@ -11,6 +20,7 @@ from qexpander.spectrum import (
     benchmark_values,
     eigen_spectrum,
     moment_table,
+    real_superoperator,
     write_spectrum_csv,
 )
 
@@ -163,3 +173,92 @@ def test_estimate_rejects_moment_at_most_one():
     row = MomentRow(m=2, moment_trace=0.5, frobenius_moment=1.0)
     with pytest.raises(NumericalError):
         row.lambda2_estimate
+
+
+# ---------------------------------------------------------------------------
+# R built and solved in one buffer
+
+
+def _numpy_bundles_openblas() -> bool:
+    config = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    return config.get("name") == "scipy-openblas"
+
+
+@pytest.mark.parametrize(
+    "construction, n, seed",
+    [
+        ("hermitian", 20, (4, 0)),  # criterion 10's N=20 and N=30 curves
+        ("hermitian", 30, (4, 1)),
+        ("hermitian", 50, (0, 0)),  # criterion 1's first channel, criterion 10's N=50 curve
+        ("weighted", 30, (4, 2)),
+        ("nonhermitian", 30, (1, 0)),  # criterion 7's seeds at smaller N
+        ("nonhermitian", 40, (1, 1)),
+    ],
+)
+def test_in_place_eigenvalues_are_the_bits_of_np_linalg(construction, n, seed, monkeypatch):
+    chan = build_channel(construction, n, 4, SeededRng(*seed))
+    block = real_superoperator(chan)[1:, 1:].copy()
+    want = np.linalg.eigvalsh(block) if chan.hermitian else np.linalg.eigvals(block)
+    lapack = "lapack" if spectrum._lapacke_eigensolvers() is not None else "numpy"
+    for expected_solver in (lapack, "numpy"):
+        if expected_solver == "numpy":
+            monkeypatch.setattr(spectrum, "_lapacke_eigensolvers", lambda: None)
+        got, solver = spectrum._traceless_eigenvalues(real_superoperator(chan), chan)
+        assert solver == expected_solver
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 17, 50])  # N^2 = 4, 289 and 2500: one partial tile, and several
+def test_in_place_build_is_the_bits_of_rt_plus_its_transpose(n):
+    chan = build_channel("hermitian", n, 4, SeededRng(2))
+    half = chan.kraus_count // 2
+    weights = (chan.weights[:half] + chan.weights[half:]) / 2.0
+    rt = spectrum._image_coords(chan.unitaries[:half], weights, n)
+    r = real_superoperator(chan)
+    assert r.flags.c_contiguous and r.tobytes() == (rt + rt.T).tobytes()
+    assert np.array_equal(r, r.T)
+
+
+def test_one_dense_solve_holds_one_copy_of_r():
+    # Peak resident set (VmHWM) of one Hermitian N=40 eigen_spectrum in a
+    # fresh process, above the resident set (VmRSS) before the call.
+    # ru_maxrss would not do: a child started from a large process can
+    # inherit that process's peak, and imports can leave a peak above the
+    # resident set. R is 20.5 MB. Solved in place this measured 23.3 MB;
+    # with R' copied for np.linalg 42.8 MB, and with R built as rt + rt.T
+    # 41.6 MB. The bound, 1.5 R, sits between them.
+    if spectrum._lapacke_eigensolvers() is None:
+        pytest.skip("no LAPACKE symbols in the loaded BLAS: R' is solved on a copy")
+    script = (
+        "from qexpander.channel import build_channel\n"
+        "from qexpander.matrixcore import SeededRng\n"
+        "from qexpander.spectrum import eigen_spectrum\n"
+        "def status_kb(key):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith(key + ':'))\n"
+        "chan = build_channel('hermitian', 40, 4, SeededRng(1))\n"
+        "live = status_kb('VmRSS')\n"
+        "eigen_spectrum(chan)\n"
+        "print((status_kb('VmHWM') - live) * 1024)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qexpander.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 1.5 * 8 * 40**4
+
+
+@pytest.mark.parametrize("construction", ["hermitian", "nonhermitian"])
+def test_lapack_failure_ends_with_exit_3(construction, monkeypatch, tmp_path, capsys):
+    def no_convergence(*args):
+        return 1  # INFO > 0
+
+    monkeypatch.setattr(spectrum, "_lapacke_eigensolvers", lambda: (no_convergence, no_convergence))
+    assert main(["spectrum", "--construction", construction, "--n", "6", "--out", str(tmp_path)]) == 3
+    assert "LAPACK info 1" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not _numpy_bundles_openblas(), reason="numpy is not built with its bundled OpenBLAS")
+def test_bundled_openblas_exports_the_lapacke_pair(tmp_path, capsys):
+    assert spectrum._lapacke_eigensolvers() is not None
+    assert main(["spectrum", "--n", "4", "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["solver"] == "lapack"
