@@ -590,12 +590,13 @@ def _release_free_heap() -> None:
     """Hand the C heap's free pages back to the system (glibc malloc_trim).
 
     glibc keeps freed blocks of up to 32 MiB resident in its heap for
-    reuse, such as R, the one N^2 x N^2 array of a dense solve (6.5 MB at
-    N=30, 20 MB at N=40; from N=46, 34 MiB, it is mmapped and unmapped on
-    its own), and whether a later solve fits into them or grows the heap
-    depends on the fragmentation earlier commands left. Trimming after
-    each command makes a command's resident set not depend on what ran
-    before it in the same process. Within a command, free() itself hands
+    reuse, such as a Krylov basis or the Monte-Carlo stacks, and whether a
+    later command fits into them or grows the heap depends on the
+    fragmentation earlier commands left. (The dense solve's R is mapped on
+    its own and its build's temporaries stay under 128 KiB, so it never
+    leaves large blocks there.) Trimming after each command makes a
+    command's resident set not depend on what ran before it in the same
+    process. Within a command, free() itself hands
     back the top of a heap once the free space there passes the trim
     threshold (twice the mmap threshold, which rises to the largest block
     freed), and the next allocation faults those pages in again. An N=32, 10^4-sample

@@ -16,13 +16,14 @@ Conventions fixed here once:
   R = [[R_00, 0], [0, R']] with R_00 = 1, up to rounding. The unit
   eigenvalue is R_00, and the second eigenvalue lambda2 is the largest
   modulus among the eigenvalues of the traceless block R' = R[1:, 1:].
-- eigen_spectrum solves R' densely for every eigenvalue, in the one
-  8N^4-byte buffer that holds R: real_superoperator builds R in place, and
-  the loaded OpenBLAS's LAPACKE_dsyevd or LAPACKE_dgeev overwrites R'
-  with its factorization where it stands (column-major with leading
-  dimension N^2 from &R[1, 1], the matrix np.linalg would have copied R'
-  into), so the eigenvalues are the bits np.linalg gives. Where no
-  LAPACKE symbols are found (another BLAS), np.linalg solves a copy of R'.
+- eigen_spectrum solves R' densely for every eigenvalue inside R's own
+  N^2 x N^2 mapping, of which a Hermitian R writes only the row tails
+  (about 4N^4 bytes and page waste), a general R all 8N^4 bytes. The
+  loaded OpenBLAS's LAPACKE_dsyevd (lower triangle) or LAPACKE_dgeev
+  overwrites R' where it stands (column-major with leading dimension N^2
+  from &R[1, 1], the matrix np.linalg would have copied R' into), so the
+  eigenvalues are the bits np.linalg gives. Where no LAPACKE symbols are
+  found (another BLAS), np.linalg solves a copy of R'.
   One Krylov solve (_krylov, Arnoldi matrix-free through `apply`) serves
   both lambda2 entry points and differs only in its Ritz step:
   lanczos_lambda2 takes the extremes of R' for a Hermitian channel, and
@@ -36,8 +37,9 @@ import csv
 import ctypes
 import functools
 import math
+import mmap
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +51,8 @@ from .matrixcore import SPECTRAL_RADIUS_TOL, _openblas_symbols
 KRYLOV_TOL = 1e-12  # stop once the Ritz residual estimate is below
 KRYLOV_FIRST_CHECK = 20  # Krylov steps before the first solve of H
 KRYLOV_BUDGET_SCALE = 16  # step budget per unit of N
-_TILE = 256  # rows and columns of the tiles R is symmetrized in: two 512 KB tiles fit in L2
+_CHUNK_BYTES = 120 * 1024  # bound on each Kraus sum of the R build: under glibc's 128 KiB mmap threshold
+_ZGEMM_ALIGN = 8  # a multiple of the column blocks of OpenBLAS's zgemm kernels
 _LAPACK_COL_MAJOR = 102  # LAPACKE's matrix_layout for column-major arrays
 
 
@@ -91,37 +94,74 @@ class _Basis:
         return np.concatenate([flat[..., self.diag].real @ self.h, off.real, off.imag], axis=-1)
 
 
-def _image_coords(unitaries: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """The transpose of R for F(M) = sum_s w_s U_s† M U_s: row b is c(F(B_b)).
+def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array of zeros in its own anonymous mapping of 4 KB pages,
+    unmapped with the array; a page is resident once written. numpy's own
+    arrays of 4 MB or more ask for 2 MB hugepages, which a half-written R
+    would fault in whole, and smaller ones come from a heap whose state
+    earlier commands left. A failed mapping raises MemoryError."""
+    size = math.prod(shape) * 8
+    try:
+        buf = mmap.mmap(-1, size)
+    except OSError as exc:
+        raise MemoryError(f"cannot map {size} bytes: {exc}") from exc
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(shape)
 
-    One Kraus sum per input row j gives Y_k = F(E_jk) for all k >= j at
-    once, since F(E_jk)[p, q] = sum_s w_s conj(U_s[j, p]) U_s[k, q]. With
-    F(E_kj) = F(E_jk)†, the images of the basis elements built from E_jk
-    are sqrt(2) Herm(Y_k) and sqrt(2) Herm(i Y_k), where
-    Herm(Y) = (Y + Y†)/2, and F(E_jj) = Herm(Y_j). The loop fills the
-    diagonal rows and columns for E_jj; H then turns both into the B_a.
-    The build keeps this arithmetic rather than taking `_Basis.coords` of
-    each image, which measured 1.4-1.6x slower at N=30 to 64.
+
+def _image_rows(unitaries: np.ndarray, weights: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The rows of R_F^T for F(M) = sum_s w_s U_s† M U_s before H mixes
+    the first N rows and columns (row b is c(F(B_b)) with H = I), as
+    (first row, block) pairs of consecutive rows.
+
+    One Kraus sum per input row j and slice of k >= j gives Y_k = F(E_jk)
+    for the slice at once, since F(E_jk)[p, q] = sum_s w_s conj(U_s[j, p])
+    U_s[k, q]. With F(E_kj) = F(E_jk)†, the images of the basis elements
+    built from E_jk are sqrt(2) Herm(Y_k) and sqrt(2) Herm(i Y_k), where
+    Herm(Y) = (Y + Y†)/2, and F(E_jj) = Herm(Y_j); this measured 1.4-1.6x
+    faster at N=30 to 64 than `_Basis.coords` of each image. A slice holds
+    under _CHUNK_BYTES of Y, so every temporary comes from the heap at any
+    mmap threshold glibc has reached.
     """
     d = unitaries.shape[0]
     iu, ju = np.triu_indices(n, 1)
     pairs = iu.size
-    diag = np.arange(n)
     root2 = math.sqrt(2.0)
-    rt = np.empty((n * n, n * n))
+    # flat positions in Y_k of its diagonal, then of (j, k) and of (k, j) for j < k
+    flat = np.concatenate([np.arange(n) * (n + 1), iu * n + ju, ju * n + iu])
+    step = max(1, (_CHUNK_BYTES // (16 * n) - 2 * _ZGEMM_ALIGN) // n)  # values of k per Kraus sum
     first = 0  # index of pair (j, j + 1) in triu order
     for j in range(n):
         a = weights[:, None] * unitaries[:, j, :].conj()
-        y = (a.T @ unitaries[:, j:, :].reshape(d, -1)).reshape(n, n - j, n).transpose(1, 0, 2)
-        yd, yu, yl = y[:, diag, diag], y[:, iu, ju], y[:, ju, iu]
-        # sqrt(2) c(Herm(Y_k)) and sqrt(2) c(Herm(i Y_k)), one row per k = j..N-1
-        sym = np.concatenate([root2 * yd.real, yu.real + yl.real, yu.imag - yl.imag], axis=1)
-        anti = np.concatenate([-root2 * yd.imag, -(yu.imag + yl.imag), yu.real - yl.real], axis=1)
-        rt[j] = sym[0] / root2
-        stop = first + n - 1 - j  # pairs (j, k) for k > j are first..stop-1
-        rt[n + first : n + stop] = sym[1:]
-        rt[n + pairs + first : n + pairs + stop] = anti[1:]
-        first = stop
+        b = unitaries[:, j:, :].reshape(d, -1)
+        for k in range(j, n, step):
+            stop = min(k + step, n)
+            lo, hi = (k - j) * n, (stop - j) * n
+            # product columns from and to multiples of _ZGEMM_ALIGN (or the end), so
+            # that each column meets the zgemm kernel it meets in the one-piece product
+            lo_al, hi_al = lo - lo % _ZGEMM_ALIGN, min(-(-hi // _ZGEMM_ALIGN) * _ZGEMM_ALIGN, b.shape[1])
+            y = (a.T @ b[:, lo_al:hi_al])[:, lo - lo_al : hi - lo_al]
+            y = np.ascontiguousarray(y.reshape(n, stop - k, n).transpose(1, 0, 2)).reshape(stop - k, -1)
+            y = np.take(y, flat, axis=1)
+            yd, yu, yl = y[:, :n], y[:, n : n + pairs], y[:, n + pairs :]
+            # sqrt(2) c(Herm(Y_k)) and sqrt(2) c(Herm(i Y_k)), one row per k in the slice
+            sym = np.concatenate([root2 * yd.real, yu.real + yl.real, yu.imag - yl.imag], axis=1)
+            anti = np.concatenate([-root2 * yd.imag, -(yu.imag + yl.imag), yu.real - yl.real], axis=1)
+            if k == j:
+                yield j, sym[:1] / root2
+                sym, anti = sym[1:], anti[1:]
+            pair = first + max(k, j + 1) - j - 1  # of (j, k) for the slice's first k > j
+            yield n + pair, sym
+            yield n + pairs + pair, anti
+        first += n - 1 - j
+
+
+def _image_coords(unitaries: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """The transpose of R for F(M) = sum_s w_s U_s† M U_s: row b is c(F(B_b))."""
+    rt = _mapped_zeros((n * n, n * n))
+    for row, block in _image_rows(unitaries, weights, n):
+        rt[row : row + len(block)] = block
     h = _diagonal_basis(n)
     for k in range(0, n * n, n):  # H rt H in N-wide strips: no N x N^2 temporary
         rt[:n, k : k + n] = h @ rt[:n, k : k + n]
@@ -129,39 +169,75 @@ def _image_coords(unitaries: np.ndarray, weights: np.ndarray, n: int) -> np.ndar
     return rt
 
 
-def real_superoperator(channel: Channel) -> np.ndarray:
-    """R, the real N^2 x N^2 matrix of E in the Hermitian basis B, in one
-    8N^4-byte buffer (50 MB at N=50).
+def _hermitian_triangle(channel: Channel) -> np.ndarray:
+    """The row tails R[b, b:] of a Hermitian channel's R, C-ordered: read
+    column-major, the lower triangle LAPACK reads. The other half is never
+    written, so never resident: 34 MB at N=50 with page waste, not 50.
 
-    For a Hermitian channel the second half of the Kraus terms are the
-    adjoints of the first (Channel enforces the pairing), so E = F + F*
-    with F the first half at the pair's mean weight, and R = R_F + R_F^T:
-    half the work, and R comes out exactly symmetric. R_F^T is added in
-    place, so R is C-contiguous with the bits of R_F + R_F^T. Otherwise R
-    is the transpose of _image_coords's buffer: a Fortran-ordered view.
+    The second half of the Kraus terms are the adjoints of the first
+    (Channel enforces the pairing), so E = F + F* with F the first half at
+    the pair's mean weight, and R = rt + rt^T for rt = R_F^T. The rows of
+    _image_rows are staged per stream, E_jk + E_kj and i(E_jk - E_kj); a
+    staged group puts its tails into its own rows and adds its heads,
+    transposed, to the rows above, so a stored entry gets rt[b, c] +
+    rt[c, b] (-0.0 + both, the same bits, where the two come in either
+    order). R's first N rows, which carry H, are finished from rt's first
+    rows (kept there) and columns (a side buffer) with _image_coords's
+    strip-wise products.
     """
     n = channel.dim
-    if channel.hermitian:
-        half = channel.kraus_count // 2
-        weights = (channel.weights[:half] + channel.weights[half:]) / 2.0
-        return _symmetrize(_image_coords(channel.unitaries[:half], weights, n))
-    return _image_coords(channel.unitaries, channel.weights, n).T
+    m = n * n
+    half = channel.kraus_count // 2
+    weights = (channel.weights[:half] + channel.weights[half:]) / 2.0
+    anti = (m + n) // 2  # the first row of an i(E_jk - E_kj) element
+    r = _mapped_zeros((m, m))
+    left = _mapped_zeros((m, n))  # rt[:, :n]
+    # several slices of each stream, so that heads go in in wider columns
+    stage = _mapped_zeros((2, max(1, _CHUNK_BYTES // (4 * m)), m))
+    waiting = [n, anti]  # the row in each stage's first place
+
+    def flush(s: int, stop: int) -> None:
+        first, rows = waiting[s], stage[s, : stop - waiting[s]]
+        left[first:stop] = rows[:, :n]
+        # within a stream a row's tail comes before the heads that meet it,
+        # and is written; between the streams both terms are added to -0.0
+        split = m if s else anti
+        r[first:stop, first:split] = rows[:, first:split]
+        r[first:stop, split:] += rows[:, split:]
+        r[n:stop, first:stop] += rows[:, n:stop].T
+        waiting[s] = stop
+
+    r[n:anti, anti:] = -0.0
+    for row, block in _image_rows(channel.unitaries[:half], weights, n):
+        stop = row + len(block)
+        if row < n:
+            r[row] = block[0]
+            continue
+        s = int(row >= anti)
+        if stop - waiting[s] > stage.shape[1]:
+            flush(s, row)
+        stage[s, row - waiting[s] : stop - waiting[s]] = block
+    flush(0, anti)
+    flush(1, m)
+    h = _diagonal_basis(n)
+    corner = h @ r[:n, :n] @ h
+    r[:n, :n] = corner + corner.T
+    for k in range(n, m, n):
+        r[:n, k : k + n] = h @ r[:n, k : k + n] + (left[k : k + n] @ h).T
+    return r
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    """Overwrite the square array a with a + a^T, and return it.
-
-    Tile by tile: tile (I, J), I <= J, becomes s = a[I, J] + a[J, I]^T and
-    tile (J, I) becomes s^T. Addition commutes, so both halves hold the
-    bits of a + a^T and the result is exactly symmetric.
-    """
-    m = a.shape[0]
-    for i in range(0, m, _TILE):
-        for j in range(i, m, _TILE):
-            upper, lower = a[i : i + _TILE, j : j + _TILE], a[j : j + _TILE, i : i + _TILE]
-            upper += lower.T  # on the diagonal numpy reads a copy of the overlap
-            lower[...] = upper.T
-    return a
+def real_superoperator(channel: Channel) -> np.ndarray:
+    """R, the real N^2 x N^2 matrix of E in the Hermitian basis B, in one
+    8N^4-byte mapping (50 MB at N=50): for a Hermitian channel the row
+    tails of _hermitian_triangle mirrored onto the columns, so R is exactly
+    symmetric; otherwise the Fortran-ordered transpose of _image_coords."""
+    if not channel.hermitian:
+        return _image_coords(channel.unitaries, channel.weights, channel.dim).T
+    r = _hermitian_triangle(channel)
+    for b in range(r.shape[0] - 1):
+        r[b + 1 :, b] = r[b, b + 1 :]
+    return r
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,16 +266,19 @@ def eigen_spectrum(channel: Channel) -> SuperopSpectrum:
 
     Symmetric (dsyevd) for a Hermitian channel, general (dgeev)
     otherwise; the spectrum is R_00 together with the eigenvalues of R'.
-    R is built once, in one N^2 x N^2 buffer, and R' is solved inside it
-    (see _traceless_eigenvalues): at N=50 the call holds one 50 MB array,
-    not two. R_00 and column 0 are read before the solve overwrites R'.
+    R is built once, and R' is solved inside it (see
+    _traceless_eigenvalues): a Hermitian R is only its row tails
+    (_hermitian_triangle, 36 MB resident at N=50), a general R all of its
+    8N^4 bytes. R_00 and column 0 (row 0 of a Hermitian R's stored half)
+    are read before the solve overwrites R'.
     """
     n = channel.dim
     start = time.perf_counter()
-    r = real_superoperator(channel)
+    r = _hermitian_triangle(channel) if channel.hermitian else real_superoperator(channel)
     built = time.perf_counter()
     removed = complex(r[0, 0])
-    residual = float(np.max(np.abs(r[:, 0] - np.eye(1, n * n)[0])))  # against e_0
+    column = r[0] if channel.hermitian else r[:, 0]  # R[:, 0], in row 0 of the stored half
+    residual = float(np.max(np.abs(column - np.eye(1, n * n)[0])))  # against e_0
     rest, solver = _traceless_eigenvalues(r, channel)
     solved = time.perf_counter()
 
@@ -249,15 +328,17 @@ def _traceless_eigenvalues(r: np.ndarray, channel: Channel) -> tuple[np.ndarray,
     vectors) runs column-major on the m x m matrix at &R[1, 1] with
     leading dimension N^2 = m + 1. R is Fortran-ordered for a general
     channel, so that matrix is R' itself; a Hermitian R is C-ordered and
-    symmetric, so it is R'^T = R'. Either way LAPACK sees what
-    np.linalg.eigvalsh or eigvals would copy R' into, and LAPACKE queries
-    the same optimal workspace, so the eigenvalues carry the same bits.
-    As np.linalg.eigvals does, real output is returned when no eigenvalue
-    has an imaginary part. Without the LAPACKE pair, np.linalg solves R'.
+    holds its row tails, which are the lower triangle of that matrix.
+    Either way LAPACK sees what np.linalg.eigvalsh or eigvals would copy R'
+    into, and LAPACKE queries the same optimal workspace, so the
+    eigenvalues carry the same bits. As np.linalg.eigvals does, real
+    output is returned when no eigenvalue has an imaginary part. Without
+    the LAPACKE pair, np.linalg solves R' (R'^T of a Hermitian R, whose
+    lower triangle is the stored half).
     """
     lapack = _lapacke_eigensolvers()
     if lapack is None:
-        block = r[1:, 1:]
+        block = r[1:, 1:].T if channel.hermitian else r[1:, 1:]
         try:
             rest = np.linalg.eigvalsh(block) if channel.hermitian else np.linalg.eigvals(block)
         except np.linalg.LinAlgError as exc:
@@ -267,7 +348,7 @@ def _traceless_eigenvalues(r: np.ndarray, channel: Channel) -> tuple[np.ndarray,
         return rest, "numpy"
     syevd, geev = lapack
     if r.dtype != np.float64 or not (r.flags.f_contiguous or channel.hermitian and r.flags.c_contiguous):
-        raise ValueError("R must be float64 in Fortran order, or in C order when it is symmetric")
+        raise ValueError("R must be float64 in Fortran order, or in C order when Hermitian")
     m = r.shape[0] - 1
     corner = r.ctypes.data + (m + 2) * r.itemsize  # &R[1, 1] in either order
     wr = np.empty(m)

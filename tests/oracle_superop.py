@@ -37,6 +37,47 @@ def superoperator(channel: Channel) -> np.ndarray:
     return s
 
 
+def image_coords(unitaries: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """R_F^T for F(M) = sum_s w_s U_s† M U_s, built in one piece: one Kraus
+    sum per input row j over all k >= j, into an N^2 x N^2 heap array, then
+    H rt H in N-wide strips. The sliced, mapped build of
+    qexpander.spectrum is pinned to these bits; a Hermitian R is
+    rt + rt.T at the mean pair weights, a general R is rt.T."""
+    d = unitaries.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    pairs = iu.size
+    diag = np.arange(n)
+    root2 = math.sqrt(2.0)
+    rt = np.empty((n * n, n * n))
+    first = 0
+    for j in range(n):
+        a = weights[:, None] * unitaries[:, j, :].conj()
+        y = (a.T @ unitaries[:, j:, :].reshape(d, -1)).reshape(n, n - j, n).transpose(1, 0, 2)
+        yd, yu, yl = y[:, diag, diag], y[:, iu, ju], y[:, ju, iu]
+        sym = np.concatenate([root2 * yd.real, yu.real + yl.real, yu.imag - yl.imag], axis=1)
+        anti = np.concatenate([-root2 * yd.imag, -(yu.imag + yl.imag), yu.real - yl.real], axis=1)
+        rt[j] = sym[0] / root2
+        stop = first + n - 1 - j
+        rt[n + first : n + stop] = sym[1:]
+        rt[n + pairs + first : n + pairs + stop] = anti[1:]
+        first = stop
+    h = _diagonal_basis(n)
+    for k in range(0, n * n, n):
+        rt[:n, k : k + n] = h @ rt[:n, k : k + n]
+        rt[k : k + n, :n] = rt[k : k + n, :n] @ h
+    return rt
+
+
+def full_superoperator(channel: Channel) -> np.ndarray:
+    """R from image_coords: rt + rt.T for a Hermitian channel, rt.T otherwise."""
+    if channel.hermitian:
+        half = channel.kraus_count // 2
+        weights = (channel.weights[:half] + channel.weights[half:]) / 2.0
+        rt = image_coords(channel.unitaries[:half], weights, channel.dim)
+        return rt + rt.T
+    return image_coords(channel.unitaries, channel.weights, channel.dim).T
+
+
 def faithfulness_residual(channel: Channel, s: np.ndarray, m: np.ndarray) -> float:
     """max-entry |S vec(M) - vec(E(M))|, the defining contract of S."""
     return float(np.max(np.abs(s @ vec(m) - vec(apply(channel, m)))))

@@ -723,6 +723,41 @@ def test_write_sweep_csv_round_trip(tmp_path):
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is a glibc call")
+def test_dense_peak_does_not_depend_on_the_heap_state_earlier_commands_left(tmp_path):
+    # The first command runs at glibc's starting mmap threshold (128 KiB);
+    # freeing a 30 MiB block (never written, so never resident) raises it
+    # to 30 MiB, and blocks below that then come from the heap. R is
+    # mapped on its own and the build's temporaries stay under 128 KiB, so
+    # the later commands peak where the first did: measured within 0.1 MB.
+    # With R and the per-row temporaries on the heap the peak rose 1.2 MB
+    # here (5 MB at N=40).
+    script = (
+        "import contextlib, io, sys\n"
+        "import numpy as np\n"
+        "from qexpander.cli import main\n"
+        "def peak_kb():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+        "argv = ['spectrum', '--construction', 'nonhermitian', '--n', '30', '--d', '4', '--seed', '1',\n"
+        "        '--out', sys.argv[1]]\n"
+        "peaks = []\n"
+        "for i in range(3):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "    peaks.append(peak_kb())\n"
+        "    if i == 0:\n"
+        "        big = np.empty(30 * 2**20 // 8)\n"
+        "        del big\n"
+        "print((peaks[-1] - peaks[0]) * 1024)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qexpander.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 2**20
+
+
 def test_command_leaves_no_freed_heap_resident(tmp_path, capsys):
     def rss_mb() -> float:
         with open("/proc/self/statm") as fh:

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import qexpander
 from oracle_mc import haar_stack
-from oracle_superop import faithfulness_residual, superoperator, unvec, vec
+from oracle_superop import faithfulness_residual, full_superoperator, superoperator, unvec, vec
 from qexpander import spectrum
 from qexpander.channel import DEFAULT_DIM_CEILING, Channel, apply, build_channel
 from qexpander.cli import main
@@ -219,16 +220,48 @@ def test_in_place_build_is_the_bits_of_rt_plus_its_transpose(n):
     assert np.array_equal(r, r.T)
 
 
-def test_one_dense_solve_holds_one_copy_of_r():
-    # Peak resident set (VmHWM) of one Hermitian N=40 eigen_spectrum in a
-    # fresh process, above the resident set (VmRSS) before the call.
-    # ru_maxrss would not do: a child started from a large process can
-    # inherit that process's peak, and imports can leave a peak above the
-    # resident set. R is 20.5 MB. Solved in place this measured 23.3 MB;
-    # with R' copied for np.linalg 42.8 MB, and with R built as rt + rt.T
-    # 41.6 MB. The bound, 1.5 R, sits between them.
-    if spectrum._lapacke_eigensolvers() is None:
-        pytest.skip("no LAPACKE symbols in the loaded BLAS: R' is solved on a copy")
+@pytest.mark.parametrize(
+    "construction, n, seed",
+    [
+        ("hermitian", 50, (0, 0)),  # criterion 1's first channel, criterion 10's N=50 curve
+        ("hermitian", 20, (4, 0)),  # criterion 10's N=20 and N=30 curves
+        ("hermitian", 30, (4, 1)),
+        ("weighted", 17, (2, 1)),
+        ("hermitian", 2, (2,)),
+        ("hermitian", 17, (2,)),
+        ("nonhermitian", 40, (1, 1)),
+    ],
+)
+def test_mapped_build_and_eigenvalues_are_the_bits_of_the_one_piece_build(construction, n, seed, monkeypatch):
+    # the oracle builds R in one piece on the heap; the stored half of a
+    # Hermitian R (its row tails), all of a general R and the sorted
+    # spectrum carry its bytes, on the LAPACKE path and on np.linalg's
+    chan = build_channel(construction, n, 4, SeededRng(*seed))
+    want = full_superoperator(chan)
+    if chan.hermitian:
+        stored = spectrum._hermitian_triangle(chan)
+        assert stored.flags.c_contiguous
+        assert all(stored[b, b:].tobytes() == want[b, b:].tobytes() for b in range(n * n))
+    else:
+        stored = real_superoperator(chan)
+        assert stored.flags.f_contiguous and stored.tobytes(order="F") == want.tobytes(order="F")
+    del stored
+    rest = np.linalg.eigvalsh(want[1:, 1:]) if chan.hermitian else np.linalg.eigvals(want[1:, 1:])
+    eigs = np.concatenate([[complex(want[0, 0])], rest.astype(complex)])
+    eigs = eigs[np.argsort(-eigs.real if chan.hermitian else -np.abs(eigs), kind="stable")]
+    lapack = "lapack" if spectrum._lapacke_eigensolvers() is not None else "numpy"
+    for expected_solver in (lapack, "numpy"):
+        if expected_solver == "numpy":
+            monkeypatch.setattr(spectrum, "_lapacke_eigensolvers", lambda: None)
+        spec = eigen_spectrum(chan)
+        assert spec.solver == expected_solver and spec.eigenvalues.tobytes() == eigs.tobytes()
+
+
+def _dense_solve_peak_bytes(construction: str) -> int:
+    # Peak resident set (VmHWM) of one N=40 eigen_spectrum in a fresh
+    # process, above the resident set (VmRSS) before the call. ru_maxrss
+    # would not do: a child started from a large process can inherit that
+    # process's peak, and imports can leave a peak above the resident set.
     script = (
         "from qexpander.channel import build_channel\n"
         "from qexpander.matrixcore import SeededRng\n"
@@ -236,7 +269,7 @@ def test_one_dense_solve_holds_one_copy_of_r():
         "def status_kb(key):\n"
         "    with open('/proc/self/status') as fh:\n"
         "        return next(int(line.split()[1]) for line in fh if line.startswith(key + ':'))\n"
-        "chan = build_channel('hermitian', 40, 4, SeededRng(1))\n"
+        f"chan = build_channel({construction!r}, 40, 4, SeededRng(1))\n"
         "live = status_kb('VmRSS')\n"
         "eigen_spectrum(chan)\n"
         "print((status_kb('VmHWM') - live) * 1024)\n"
@@ -244,7 +277,42 @@ def test_one_dense_solve_holds_one_copy_of_r():
     env = {**os.environ, "PYTHONPATH": str(Path(qexpander.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) <= 1.5 * 8 * 40**4
+    return int(proc.stdout)
+
+
+def test_one_dense_solve_holds_one_copy_of_r():
+    # R is 20.5 MB at N=40. Only the row tails of a Hermitian R are written
+    # and solved in place: 4 KB pages holding part of a tail make 15.5 MB
+    # (0.755 R), and the call measured 17.4 MB (0.85 R) with the side
+    # buffers, the heap temporaries and LAPACK's workspace. A full R solved
+    # in place measured 23.3 MB (1.14 R). The bound, 0.95 R, leaves 2 MB.
+    if spectrum._lapacke_eigensolvers() is None:
+        pytest.skip("no LAPACKE symbols in the loaded BLAS: R' is solved on a copy")
+    assert _dense_solve_peak_bytes("hermitian") <= 0.95 * 8 * 40**4
+
+
+def test_one_general_dense_solve_holds_one_copy_of_r():
+    # A general R is all written; dgeev's workspace and Hessenberg
+    # reduction come on top. Measured 26.4 MB (1.29 R); with R' copied for
+    # np.linalg it would hold two copies. The bound, 1.4 R, leaves 2.3 MB.
+    if spectrum._lapacke_eigensolvers() is None:
+        pytest.skip("no LAPACKE symbols in the loaded BLAS: R' is solved on a copy")
+    assert _dense_solve_peak_bytes("nonhermitian") <= 1.4 * 8 * 40**4
+
+
+@pytest.mark.parametrize("construction", ["hermitian", "nonhermitian"])
+@pytest.mark.parametrize(
+    "failure", [OSError(errno.ENOMEM, "Cannot allocate memory"), MemoryError()], ids=["oserror", "memoryerror"]
+)
+def test_failed_mapping_of_r_ends_with_out_of_memory(construction, failure, monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise failure
+
+    monkeypatch.setattr(spectrum.mmap, "mmap", refuse)
+    assert main(["spectrum", "--construction", construction, "--n", "6", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out of memory") and len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("construction", ["hermitian", "nonhermitian"])
