@@ -5,20 +5,23 @@ routes to agree. The samples split into sub-batches of 256. Sub-batch b
 draws its unitaries from child stream b of the seed, spawned on the
 calling thread, and one task does all of its work, on buffers its thread
 reuses from one sub-batch to the next. Each generator but the last, in
-sorted order, is drawn and orthonormalized by the phase-fixed QR into a
-whole (256, N, N) stack. The last is drawn, orthonormalized and traced
-one QR slice at a time (`matrixcore._QR_SLICE_BYTES`: 16 matrices at
-N=32, one at N=128); its normals continue the stream where a whole
-stack's would, so the draws are the same. Per slice the traces take one
-batched product per class of rotations and inverses, planned once per
-query. The tasks run on one thread per CPU, with BLAS on one thread
+sorted order, is drawn into a whole (256, N, N) stack by
+`matrixcore._HaarSampler`: Stewart's product of Householder reflectors,
+N(N+1)/2 normals per matrix and one batched zungqr per 256 KB slice
+(`matrixcore._QR_SLICE_BYTES`: 16 matrices at N=32, one at N=128), with
+no factorization. The last is drawn, orthonormalized and traced one
+slice at a time; each matrix's normals are one run of the stream, so the
+draws are those of a whole stack bit for bit. Per slice the traces take
+one batched product per class of rotations and inverses, planned once
+per query. The tasks run on one thread per CPU, with BLAS on one thread
 under them. A stream belongs to a sub-batch, not to a thread, and the
 slices depend on N alone, so a seed gives the same estimate bit for bit
 on any number of CPUs and at any BLAS thread setting. Memory is 16 bytes
 per sample plus, per thread, (generators - 1) stacks of 16·256·N² bytes
-(4 MB at N=32) and one slice with the temporaries of its QR and products:
-about 5 MB per thread at N=32 with two generators (traced peak 10.2 MB
-on two threads). The number of generators has no limit; N has the
+(4 MB at N=32), one slice, the sampler's normal and reflector buffers
+(about 1.5 slices) and the temporaries of the products: about 5 MB per
+thread at N=32 with two generators (traced peak 9.9 MB on two
+threads). The number of generators has no limit; N has the
 ceiling MC_DIM_CEILING.
 """
 
@@ -31,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..errors import NumericalError, ValidationError
-from ..matrixcore import _SUB_BATCH, SeededRng, _haar_fill, _qr_slice_len, map_batches
+from ..matrixcore import _SUB_BATCH, SeededRng, _HaarSampler, _qr_slice_len, map_batches
 from .words import ExpectationQuery
 
 MC_DIM_CEILING = 128  # a thread then holds 64 MB per generator but the last
@@ -127,21 +130,22 @@ def monte_carlo_expectation(
             # glibc maps a block over its mmap threshold (128 KB at first)
             # on its own, and unmapping it raises that threshold to the
             # block's size and the heap's trim threshold to twice that.
-            # Unless such a block has been freed, the QR's slice-sized
-            # temporaries are mapped, or trimmed off the heap top, and
-            # faulted in again on every slice (41k minor faults in one
-            # N=64, 1024-sample, 1-generator estimate). This one is never
-            # touched, so it costs no fault.
+            # Unless such a block has been freed, the trace products'
+            # slice-sized temporaries are mapped, or trimmed off the heap
+            # top, and faulted in again on every slice (59k minor faults in
+            # one N=64, 1024-sample, 3-generator estimate, 2.5k with this
+            # block). It is never touched, so it costs no fault.
             np.empty((4, step, N, N), dtype=complex)
+            local.sampler = _HaarSampler(N)
             local.stacks = {g: np.empty((rows, N, N), dtype=complex) for g in whole}
             local.slice = np.empty((step, N, N), dtype=complex)
-        stacks = {g: _haar_fill(local.stacks[g][: hi - lo], gen) for g in whole}
+        stacks = {g: local.sampler.fill(local.stacks[g][: hi - lo], gen) for g in whole}
         # the last generator's draws continue the stream where a whole
         # stack's would, one slice at a time
         for a in range(0, hi - lo, step):
             b = min(a + step, hi - lo)
             views = {g: stack[a:b] for g, stack in stacks.items()}
-            views[last] = _haar_fill(local.slice[: b - a], gen)
+            views[last] = local.sampler.fill(local.slice[: b - a], gen)
             vals[lo + a : lo + b] = _trace_product(views, plan)
 
     map_batches(sample, samples, rng)

@@ -3,13 +3,14 @@ qexpander.matrixcore and qexpander.sdengine.mc.
 
 This is the plain recipe: the samples split into sub-batches of 256, and
 sub-batch b takes child stream b spawned from the seed. Per sub-batch and
-generator, in sorted order: fresh complex Gaussians (real and imaginary
-parts interleaved, unscaled, since the result does not change when Z is
-scaled by a positive number), one stacked QR with the R-diagonal phase fix
-(Mezzadri, Notices AMS 54, 2007), then every word multiplied out letter by
-letter on the whole sub-batch. The package must reproduce its Haar draws
-bit for bit, and its estimates within the tolerance tests/test_mc.py
-states, whatever its worker count.
+generator, in sorted order: each matrix's n(n+1)/2 complex Gaussians
+(real and imaginary parts interleaved, unscaled, since no reflector sees
+a positive scale), then Stewart's product of Householder reflectors
+(Mezzadri, Notices AMS 54, 2007), each reflector built densely and
+multiplied in, then every word multiplied out letter by letter on the
+whole sub-batch. The package's Haar draws must match these within the
+tolerance tests/test_mc.py states, and its estimates within MC_TOL,
+whatever its worker count.
 """
 
 from __future__ import annotations
@@ -31,10 +32,25 @@ def _sub_batches(count: int, rng: SeededRng):
 
 
 def _haar(gen: np.random.Generator, count: int, n: int) -> np.ndarray:
-    z = gen.standard_normal((count, n, n, 2)).view(complex)[..., 0]
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q / (d / np.abs(d))[..., None, :]
+    """U = H_1 ... H_n diag(sign beta_k): H_k = I - tau_k v_k v_k^H takes
+    x_k, the normals of row k onwards, to beta_k e_k (LAPACK's zlarfg).
+    H_k is the identity outside rows and columns k..n, so only that block
+    is built and multiplied."""
+    x = gen.standard_normal((count, n * (n + 1) // 2, 2)).view(complex)[..., 0]
+    u = np.empty((count, n, n), dtype=complex)
+    u[:] = np.eye(n)
+    signs = np.empty((count, n))
+    start = 0
+    for k in range(n):
+        xk, start = x[:, start : start + n - k], start + n - k
+        alpha = xk[:, 0]
+        beta = -np.copysign(np.linalg.norm(xk, axis=1), alpha.real)
+        tau = (beta - alpha) / beta
+        v = np.concatenate([np.ones((count, 1)), xk[:, 1:] / (alpha - beta)[:, None]], axis=1)
+        block = np.eye(n - k) - (tau[:, None] * v)[:, :, None] * v.conj()[:, None, :]
+        u[:, :, k:] = u[:, :, k:] @ block
+        signs[:, k] = np.sign(beta)
+    return u * signs[:, None, :]
 
 
 def haar_stack(n: int, count: int, rng: SeededRng) -> np.ndarray:

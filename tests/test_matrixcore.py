@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracle_mc import haar_stack
+from qexpander import matrixcore
 from qexpander.errors import ValidationError
 from qexpander.matrixcore import (
     SeededRng,
@@ -90,6 +91,40 @@ def test_haar_invariance_under_fixed_rotation():
     # E|tr U|^2 = 1 for Haar; both estimates agree within sampling error
     assert abs(np.mean(np.abs(t0) ** 2) - 1.0) < 0.1
     assert abs(np.mean(np.abs(t1) ** 2) - 1.0) < 0.1
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_sampler_has_the_haar_moments(n):
+    # Haar moments that need no QR: E|tr U^k|^2 = min(k, n) for k <= 3
+    # (Diaconis-Shahshahani), and per entry E|U_ij|^2 = 1/n and
+    # E|U_ij|^4 = 2/(n(n+1)); each mean within 5 standard errors
+    sampler, gen = matrixcore._HaarSampler(n), np.random.default_rng(100 + n)
+    count, chunks = 20_000, 10
+    sums, squares = 0.0, 0.0
+    for _ in range(chunks):
+        u = sampler.fill(np.empty((count, n, n), dtype=complex), gen)
+        power, stats = u, []
+        for _ in range(3):
+            stats.append(np.abs(np.einsum("kii->k", power)) ** 2)
+            power = power @ u
+        e2 = (u.real**2 + u.imag**2).reshape(count, n * n)
+        x = np.concatenate([np.stack(stats, axis=1), e2, e2**2], axis=1)
+        sums, squares = sums + x.sum(axis=0), squares + (x**2).sum(axis=0)
+    total = count * chunks
+    mean = sums / total
+    stderr = np.sqrt((squares / total - mean**2) / (total - 1))
+    want = np.concatenate([[1, min(2, n), min(3, n)], np.full(n * n, 1 / n), np.full(n * n, 2 / (n * (n + 1)))])
+    assert np.all(np.abs(mean - want) <= 5 * stderr), np.max(np.abs(mean - want) / stderr)
+
+
+def test_sampler_gufunc_and_a_large_stack():
+    # the sampler forms Q with numpy's private batched zungqr, the second
+    # half of np.linalg.qr; a numpy that renames or reshapes it fails here
+    gufunc = getattr(np.linalg._umath_linalg, "qr_reduced", None)
+    assert gufunc is not None and gufunc.signature == "(m,n),(k)->(m,k)"
+    us = matrixcore._HaarSampler(128).fill(np.empty((3, 128, 128), dtype=complex), np.random.default_rng(0))
+    for u in us:
+        assert unitarity_residual(u) <= UNITARITY_TOL
 
 
 def test_assert_unitary_rejects_non_unitary():
