@@ -2,13 +2,14 @@
 
 Haar stacks must match tests/oracle_mc.py, which multiplies the same
 reflectors out densely, within HAAR_TOL for any stack size, and must not
-depend on how a stack is split between fill calls at all. The trace kernel multiplies out one word per class (a
-word's rotations and those of its inverse) and closes the trace with a
-contraction, so its rounding differs from the oracle's plain products:
-per-sample trace products must agree within TRACE_TOL, and the mean and
-standard error within MC_TOL, for every sample count and generator count.
-Estimates must not depend on the number of worker threads or on the
-BLAS thread count at all.
+depend on how a stack is split between fill calls at all. The trace
+kernel multiplies out one word per class (a word's rotations and those
+of its inverse) and closes the trace with a contraction, so its rounding
+differs from the oracle's plain products: per-sample trace products
+must agree within TRACE_TOL, and the mean and standard error within
+MC_TOL, for every sample count and generator count. Estimates must not
+depend on the number of worker threads or on the BLAS thread count at
+all.
 """
 
 import json
