@@ -28,7 +28,8 @@ from .matrixcore import (
 CONSTRUCTIONS = ("hermitian", "nonhermitian", "weighted")
 # the largest N per solver: dense N^2 x N^2 work is impractical beyond 64
 # (a dense solve maps one 8N^4-byte R, 134 MB at N=64, of which a
-# Hermitian R writes 79 MB, and its eigensolve takes seconds), and the matrix-free Krylov solve of lambda2 (one loop
+# Hermitian R writes its row tails, 76 MB, and one solve grows the
+# resident set by 79 MB and takes seconds), and the matrix-free Krylov solve of lambda2 (one loop
 # for every channel, whose 16N-step basis reserves 268 MB at N=128) stops
 # at 128
 DIM_CEILINGS = {"dense": 64, "matrix-free": 128}

@@ -188,10 +188,10 @@ def quantile_distance(
 def emit_collapse(
     spectra: dict[int, SuperopSpectrum], out_dir
 ) -> dict:
-    """Write collapse.csv (columns N,a_over_N2,eig) and collapse.svg from
-    Hermitian spectra for at least two values of N."""
+    """Write collapse.csv (columns N,a_over_N2,eig) and collapse.svg into
+    the directory out_dir from Hermitian spectra for at least two values
+    of N."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     curves = {n: collapse_curve(spec) for n, spec in sorted(spectra.items())}
 
     csv_path = out / "collapse.csv"
@@ -296,11 +296,25 @@ def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
     return values
 
 
+def _output_dir(path: str) -> Path:
+    """The directory --out names, made with its parents if missing. A
+    writing command calls this once its arguments pass and before any
+    draw, so that a path naming a regular file, or lying under one, ends
+    it with exit 2 before the work, and a rejected command makes no
+    directory."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"--out {path!r} is not a usable directory: {exc.strerror}") from exc
+    return out
+
+
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    check_construction(args.construction, args.n, args.d)
+    out = _output_dir(args.out)
     chan = build_channel(args.construction, args.n, args.d, SeededRng(args.seed))
     spec = eigen_spectrum(chan)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "spectrum.csv"
     write_spectrum_csv(spec, csv_path)
     bench = benchmark_values(args.d)
@@ -326,8 +340,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     n_list = _parse_int_list(args.n_list, "N list")
     config = ExperimentConfig(args.construction, n_list, args.d, args.trials, args.seed, args.m_max)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     records = run_sweep(config)
     csv_path = out / "sweep.csv"
     write_sweep_csv(records, csv_path)
@@ -357,11 +370,12 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
         raise ValidationError(f"collapse needs >= 2 values of N, got {len(n_list)}")
     for n in n_list:
         check_construction("hermitian", n, args.d)
+    out = _output_dir(args.out)
     spectra: dict[int, SuperopSpectrum] = {}
     for stream, n in enumerate(n_list):
         chan = build_channel("hermitian", n, args.d, SeededRng(args.seed, stream))
         spectra[n] = eigen_spectrum(chan)
-    report = emit_collapse(spectra, args.out)
+    report = emit_collapse(spectra, out)
     report["solver"] = spectra[n_list[0]].solver  # one solver per process: its lookup is cached
     print(json.dumps(report, indent=2))
     return 0
@@ -369,6 +383,9 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     orders = _parse_int_list(args.m_list, "m list")
+    beyond = [m for m in orders if not 1 <= m <= MAX_WALK_LENGTH]
+    if beyond:
+        raise ValidationError(f"moment orders must lie in 1..{MAX_WALK_LENGTH}, got {beyond}")
     chan = build_channel(args.construction, args.n, args.d, SeededRng(args.seed))
     rows = [
         {
@@ -386,6 +403,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 def _cmd_cayley(args: argparse.Namespace) -> int:
     table = walk_counts(args.d, args.m_max)
+    out = _output_dir(args.out) if args.out else None
     lines = ["D,m,l,count"]
     for m in range(args.m_max + 1):
         for l in range(m + 1):
@@ -393,9 +411,7 @@ def _cmd_cayley(args: argparse.Namespace) -> int:
             if c:
                 lines.append(f"{args.d},{m},{l},{c}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "cayley.csv").write_text(text)
         print(json.dumps({"files": [str(out / "cayley.csv")]}, indent=2))
     else:

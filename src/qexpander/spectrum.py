@@ -16,14 +16,17 @@ Conventions fixed here once:
   R = [[R_00, 0], [0, R']] with R_00 = 1, up to rounding. The unit
   eigenvalue is R_00, and the second eigenvalue lambda2 is the largest
   modulus among the eigenvalues of the traceless block R' = R[1:, 1:].
-- eigen_spectrum solves R' densely for every eigenvalue inside R's own
-  N^2 x N^2 mapping, of which a Hermitian R writes only the row tails
-  (about 4N^4 bytes and page waste), a general R all 8N^4 bytes. The
-  loaded OpenBLAS's LAPACKE_dsyevd (lower triangle) or LAPACKE_dgeev
-  overwrites R' where it stands (column-major with leading dimension N^2
-  from &R[1, 1], the matrix np.linalg would have copied R' into), so the
-  eigenvalues are the bits np.linalg gives. Where no LAPACKE symbols are
-  found (another BLAS), np.linalg solves a copy of R'.
+- one builder, _image_coords, writes R^T into its own N^2 x N^2
+  mapping, row b being c(E(B_b)) from all D Kraus terms. A Hermitian R
+  is symmetric, so of its rows past N only the tails are written (about
+  4N^4 bytes and page waste), the lower triangle of R read column-major;
+  a general R writes all 8N^4 bytes. eigen_spectrum solves R' densely
+  for every eigenvalue in that mapping: the loaded OpenBLAS's
+  LAPACKE_dsyevd (lower triangle) or LAPACKE_dgeev overwrites R' where
+  it stands (column-major with leading dimension N^2 from &R^T[1, 1],
+  the matrix np.linalg would have copied R' into), so the eigenvalues
+  are the bits np.linalg gives. Where no LAPACKE symbols are found
+  (another BLAS), np.linalg solves a copy of R'.
   One Krylov solve (_krylov, Arnoldi matrix-free through `apply`) serves
   both lambda2 entry points and differs only in its Ritz step:
   lanczos_lambda2 takes the extremes of R' for a Hermitian channel, and
@@ -110,21 +113,21 @@ def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.float64).reshape(shape)
 
 
-def _image_rows(unitaries: np.ndarray, weights: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The rows of R_F^T for F(M) = sum_s w_s U_s† M U_s before H mixes
-    the first N rows and columns (row b is c(F(B_b)) with H = I), as
-    (first row, block) pairs of consecutive rows.
+def _image_rows(channel: Channel) -> Iterator[tuple[int, np.ndarray]]:
+    """The rows of R^T before H mixes the first N rows and columns (row b
+    is c(E(B_b)) with H = I), as (first row, block) pairs of consecutive
+    rows, from all D Kraus terms.
 
-    One Kraus sum per input row j and slice of k >= j gives Y_k = F(E_jk)
-    for the slice at once, since F(E_jk)[p, q] = sum_s w_s conj(U_s[j, p])
-    U_s[k, q]. With F(E_kj) = F(E_jk)†, the images of the basis elements
+    One Kraus sum per input row j and slice of k >= j gives Y_k = E(E_jk)
+    for the slice at once, since E(E_jk)[p, q] = sum_s P(s) conj(U_s[j, p])
+    U_s[k, q]. With E(E_kj) = E(E_jk)†, the images of the basis elements
     built from E_jk are sqrt(2) Herm(Y_k) and sqrt(2) Herm(i Y_k), where
-    Herm(Y) = (Y + Y†)/2, and F(E_jj) = Herm(Y_j); this measured 1.4-1.6x
+    Herm(Y) = (Y + Y†)/2, and E(E_jj) = Herm(Y_j); this measured 1.4-1.6x
     faster at N=30 to 64 than `_Basis.coords` of each image. A slice holds
     under _CHUNK_BYTES of Y, so every temporary comes from the heap at any
     mmap threshold glibc has reached.
     """
-    d = unitaries.shape[0]
+    unitaries, n, d = channel.unitaries, channel.dim, channel.kraus_count
     iu, ju = np.triu_indices(n, 1)
     pairs = iu.size
     root2 = math.sqrt(2.0)
@@ -133,7 +136,7 @@ def _image_rows(unitaries: np.ndarray, weights: np.ndarray, n: int) -> Iterator[
     step = max(1, (_CHUNK_BYTES // (16 * n) - 2 * _ZGEMM_ALIGN) // n)  # values of k per Kraus sum
     first = 0  # index of pair (j, j + 1) in triu order
     for j in range(n):
-        a = weights[:, None] * unitaries[:, j, :].conj()
+        a = channel.weights[:, None] * unitaries[:, j, :].conj()
         b = unitaries[:, j:, :].reshape(d, -1)
         for k in range(j, n, step):
             stop = min(k + step, n)
@@ -157,87 +160,43 @@ def _image_rows(unitaries: np.ndarray, weights: np.ndarray, n: int) -> Iterator[
         first += n - 1 - j
 
 
-def _image_coords(unitaries: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """The transpose of R for F(M) = sum_s w_s U_s† M U_s: row b is c(F(B_b))."""
+def _image_coords(channel: Channel) -> np.ndarray:
+    """rt = R^T, C-ordered in its own mapping: row b is c(E(B_b)), so
+    read column-major with leading dimension N^2, rt is R.
+
+    A Hermitian R is symmetric, and of its rows b >= N only the tails
+    rt[b, b:] = R[b:, b] are written: read column-major, the lower
+    triangle LAPACK reads. The other half is never written, so never
+    resident. R's first N rows and columns carry H: H rt H in N-wide
+    strips, of which a Hermitian R, with no heads past row N, needs only
+    the first column strip.
+    """
+    n = channel.dim
     rt = _mapped_zeros((n * n, n * n))
-    for row, block in _image_rows(unitaries, weights, n):
-        rt[row : row + len(block)] = block
+    for row, block in _image_rows(channel):
+        if channel.hermitian and row >= n:
+            for b, image in enumerate(block, start=row):
+                rt[b, b:] = image[b:]
+        else:
+            rt[row : row + len(block)] = block
     h = _diagonal_basis(n)
     for k in range(0, n * n, n):  # H rt H in N-wide strips: no N x N^2 temporary
         rt[:n, k : k + n] = h @ rt[:n, k : k + n]
-        rt[k : k + n, :n] = rt[k : k + n, :n] @ h
+        if k == 0 or not channel.hermitian:
+            rt[k : k + n, :n] = rt[k : k + n, :n] @ h
     return rt
-
-
-def _hermitian_triangle(channel: Channel) -> np.ndarray:
-    """The row tails R[b, b:] of a Hermitian channel's R, C-ordered: read
-    column-major, the lower triangle LAPACK reads. The other half is never
-    written, so never resident: 34 MB at N=50 with page waste, not 50.
-
-    The second half of the Kraus terms are the adjoints of the first
-    (Channel enforces the pairing), so E = F + F* with F the first half at
-    the pair's mean weight, and R = rt + rt^T for rt = R_F^T. The rows of
-    _image_rows are staged per stream, E_jk + E_kj and i(E_jk - E_kj); a
-    staged group puts its tails into its own rows and adds its heads,
-    transposed, to the rows above, so a stored entry gets rt[b, c] +
-    rt[c, b] (-0.0 + both, the same bits, where the two come in either
-    order). R's first N rows, which carry H, are finished from rt's first
-    rows (kept there) and columns (a side buffer) with _image_coords's
-    strip-wise products.
-    """
-    n = channel.dim
-    m = n * n
-    half = channel.kraus_count // 2
-    weights = (channel.weights[:half] + channel.weights[half:]) / 2.0
-    anti = (m + n) // 2  # the first row of an i(E_jk - E_kj) element
-    r = _mapped_zeros((m, m))
-    left = _mapped_zeros((m, n))  # rt[:, :n]
-    # several slices of each stream, so that heads go in in wider columns
-    stage = _mapped_zeros((2, max(1, _CHUNK_BYTES // (4 * m)), m))
-    waiting = [n, anti]  # the row in each stage's first place
-
-    def flush(s: int, stop: int) -> None:
-        first, rows = waiting[s], stage[s, : stop - waiting[s]]
-        left[first:stop] = rows[:, :n]
-        # within a stream a row's tail comes before the heads that meet it,
-        # and is written; between the streams both terms are added to -0.0
-        split = m if s else anti
-        r[first:stop, first:split] = rows[:, first:split]
-        r[first:stop, split:] += rows[:, split:]
-        r[n:stop, first:stop] += rows[:, n:stop].T
-        waiting[s] = stop
-
-    r[n:anti, anti:] = -0.0
-    for row, block in _image_rows(channel.unitaries[:half], weights, n):
-        stop = row + len(block)
-        if row < n:
-            r[row] = block[0]
-            continue
-        s = int(row >= anti)
-        if stop - waiting[s] > stage.shape[1]:
-            flush(s, row)
-        stage[s, row - waiting[s] : stop - waiting[s]] = block
-    flush(0, anti)
-    flush(1, m)
-    h = _diagonal_basis(n)
-    corner = h @ r[:n, :n] @ h
-    r[:n, :n] = corner + corner.T
-    for k in range(n, m, n):
-        r[:n, k : k + n] = h @ r[:n, k : k + n] + (left[k : k + n] @ h).T
-    return r
 
 
 def real_superoperator(channel: Channel) -> np.ndarray:
     """R, the real N^2 x N^2 matrix of E in the Hermitian basis B, in one
-    8N^4-byte mapping (50 MB at N=50): for a Hermitian channel the row
-    tails of _hermitian_triangle mirrored onto the columns, so R is exactly
-    symmetric; otherwise the Fortran-ordered transpose of _image_coords."""
-    if not channel.hermitian:
-        return _image_coords(channel.unitaries, channel.weights, channel.dim).T
-    r = _hermitian_triangle(channel)
-    for b in range(r.shape[0] - 1):
-        r[b + 1 :, b] = r[b, b + 1 :]
-    return r
+    8N^4-byte mapping (50 MB at N=50): the Fortran-ordered transpose of
+    _image_coords, whose row tails a Hermitian R mirrors onto the heads,
+    so that R is exactly symmetric."""
+    rt = _image_coords(channel)
+    if channel.hermitian:
+        for b in range(rt.shape[0] - 1):
+            rt[b + 1 :, b] = rt[b, b + 1 :]
+    return rt.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,20 +225,19 @@ def eigen_spectrum(channel: Channel) -> SuperopSpectrum:
 
     Symmetric (dsyevd) for a Hermitian channel, general (dgeev)
     otherwise; the spectrum is R_00 together with the eigenvalues of R'.
-    R is built once, and R' is solved inside it (see
-    _traceless_eigenvalues): a Hermitian R is only its row tails
-    (_hermitian_triangle, 36 MB resident at N=50), a general R all of its
-    8N^4 bytes. R_00 and column 0 (row 0 of a Hermitian R's stored half)
-    are read before the solve overwrites R'.
+    R is built once, as its C-ordered transpose rt (_image_coords), and R'
+    is solved inside it (see _traceless_eigenvalues): a Hermitian R is
+    only its row tails (35 MB resident at N=50), a general R all of its
+    8N^4 bytes. R_00 = rt[0, 0] and column 0 of R, rt[0], are read
+    before the solve overwrites R'.
     """
     n = channel.dim
     start = time.perf_counter()
-    r = _hermitian_triangle(channel) if channel.hermitian else real_superoperator(channel)
+    rt = _image_coords(channel)
     built = time.perf_counter()
-    removed = complex(r[0, 0])
-    column = r[0] if channel.hermitian else r[:, 0]  # R[:, 0], in row 0 of the stored half
-    residual = float(np.max(np.abs(column - np.eye(1, n * n)[0])))  # against e_0
-    rest, solver = _traceless_eigenvalues(r, channel)
+    removed = complex(rt[0, 0])
+    residual = float(np.max(np.abs(rt[0] - np.eye(1, n * n)[0])))  # R[:, 0] against e_0
+    rest, solver = _traceless_eigenvalues(rt, channel)
     solved = time.perf_counter()
 
     eigs = np.concatenate([[removed], rest.astype(complex)])
@@ -320,25 +278,24 @@ def _lapacke_eigensolvers() -> tuple[Callable[..., int], Callable[..., int]] | N
     return syevd, geev
 
 
-def _traceless_eigenvalues(r: np.ndarray, channel: Channel) -> tuple[np.ndarray, str]:
+def _traceless_eigenvalues(rt: np.ndarray, channel: Channel) -> tuple[np.ndarray, str]:
     """The eigenvalues of R' = R[1:, 1:] and the solver that found them,
-    "lapack" or "numpy". The "lapack" solve destroys R'.
+    "lapack" or "numpy", from rt = R^T as _image_coords builds it. The
+    "lapack" solve destroys R'.
 
     LAPACKE_dsyevd (no vectors, lower triangle) or LAPACKE_dgeev (no
-    vectors) runs column-major on the m x m matrix at &R[1, 1] with
-    leading dimension N^2 = m + 1. R is Fortran-ordered for a general
-    channel, so that matrix is R' itself; a Hermitian R is C-ordered and
-    holds its row tails, which are the lower triangle of that matrix.
-    Either way LAPACK sees what np.linalg.eigvalsh or eigvals would copy R'
-    into, and LAPACKE queries the same optimal workspace, so the
-    eigenvalues carry the same bits. As np.linalg.eigvals does, real
-    output is returned when no eigenvalue has an imaginary part. Without
-    the LAPACKE pair, np.linalg solves R' (R'^T of a Hermitian R, whose
-    lower triangle is the stored half).
+    vectors) runs column-major on the m x m matrix at &rt[1, 1] with
+    leading dimension N^2 = m + 1, which is R'; a Hermitian R holds its
+    lower triangle, rt's row tails. LAPACK sees what np.linalg.eigvalsh or
+    eigvals would copy R' into, and LAPACKE queries the same optimal
+    workspace, so the eigenvalues carry the same bits. As
+    np.linalg.eigvals does, real output is returned when no eigenvalue has
+    an imaginary part. Without the LAPACKE pair, np.linalg solves
+    R' = rt[1:, 1:].T.
     """
     lapack = _lapacke_eigensolvers()
     if lapack is None:
-        block = r[1:, 1:].T if channel.hermitian else r[1:, 1:]
+        block = rt[1:, 1:].T
         try:
             rest = np.linalg.eigvalsh(block) if channel.hermitian else np.linalg.eigvals(block)
         except np.linalg.LinAlgError as exc:
@@ -347,10 +304,10 @@ def _traceless_eigenvalues(r: np.ndarray, channel: Channel) -> tuple[np.ndarray,
             ) from exc
         return rest, "numpy"
     syevd, geev = lapack
-    if r.dtype != np.float64 or not (r.flags.f_contiguous or channel.hermitian and r.flags.c_contiguous):
-        raise ValueError("R must be float64 in Fortran order, or in C order when Hermitian")
-    m = r.shape[0] - 1
-    corner = r.ctypes.data + (m + 2) * r.itemsize  # &R[1, 1] in either order
+    if rt.dtype != np.float64 or not rt.flags.c_contiguous:
+        raise ValueError("R^T must be float64 in C order")
+    m = rt.shape[0] - 1
+    corner = rt.ctypes.data + (m + 2) * rt.itemsize  # &rt[1, 1]
     wr = np.empty(m)
     if channel.hermitian:
         info = syevd(_LAPACK_COL_MAJOR, b"N", b"L", m, corner, m + 1, wr.ctypes.data)

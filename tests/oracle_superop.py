@@ -37,13 +37,13 @@ def superoperator(channel: Channel) -> np.ndarray:
     return s
 
 
-def image_coords(unitaries: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """R_F^T for F(M) = sum_s w_s U_s† M U_s, built in one piece: one Kraus
-    sum per input row j over all k >= j, into an N^2 x N^2 heap array, then
+def image_coords(channel: Channel) -> np.ndarray:
+    """R^T, built in one piece from all D Kraus terms: one Kraus sum per
+    input row j over all k >= j, into an N^2 x N^2 heap array, then
     H rt H in N-wide strips. The sliced, mapped build of
-    qexpander.spectrum is pinned to these bits; a Hermitian R is
-    rt + rt.T at the mean pair weights, a general R is rt.T."""
-    d = unitaries.shape[0]
+    qexpander.spectrum is pinned to these bits, of a Hermitian R its row
+    tails."""
+    n, d = channel.dim, channel.kraus_count
     iu, ju = np.triu_indices(n, 1)
     pairs = iu.size
     diag = np.arange(n)
@@ -51,8 +51,8 @@ def image_coords(unitaries: np.ndarray, weights: np.ndarray, n: int) -> np.ndarr
     rt = np.empty((n * n, n * n))
     first = 0
     for j in range(n):
-        a = weights[:, None] * unitaries[:, j, :].conj()
-        y = (a.T @ unitaries[:, j:, :].reshape(d, -1)).reshape(n, n - j, n).transpose(1, 0, 2)
+        a = channel.weights[:, None] * channel.unitaries[:, j, :].conj()
+        y = (a.T @ channel.unitaries[:, j:, :].reshape(d, -1)).reshape(n, n - j, n).transpose(1, 0, 2)
         yd, yu, yl = y[:, diag, diag], y[:, iu, ju], y[:, ju, iu]
         sym = np.concatenate([root2 * yd.real, yu.real + yl.real, yu.imag - yl.imag], axis=1)
         anti = np.concatenate([-root2 * yd.imag, -(yu.imag + yl.imag), yu.real - yl.real], axis=1)
@@ -69,13 +69,8 @@ def image_coords(unitaries: np.ndarray, weights: np.ndarray, n: int) -> np.ndarr
 
 
 def full_superoperator(channel: Channel) -> np.ndarray:
-    """R from image_coords: rt + rt.T for a Hermitian channel, rt.T otherwise."""
-    if channel.hermitian:
-        half = channel.kraus_count // 2
-        weights = (channel.weights[:half] + channel.weights[half:]) / 2.0
-        rt = image_coords(channel.unitaries[:half], weights, channel.dim)
-        return rt + rt.T
-    return image_coords(channel.unitaries, channel.weights, channel.dim).T
+    """R, the transpose of image_coords."""
+    return image_coords(channel).T
 
 
 def faithfulness_residual(channel: Channel, s: np.ndarray, m: np.ndarray) -> float:

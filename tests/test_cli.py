@@ -214,6 +214,10 @@ def test_config_validation():
         ["spectrum", "--construction", "nonhermitian", "--d", "1", "--out", "{tmp}"],
         ["sweep", "--construction", "weighted", "--n-list", "20,129", "--out", "{tmp}"],
         ["sweep", "--construction", "nonhermitian", "--n-list", "20,129", "--out", "{tmp}"],
+        ["moments", "--m-list", "2,65"],
+        ["spectrum", "--out", "{file}"],
+        ["sweep", "--n-list", "6", "--out", "{file}/sub"],
+        ["collapse", "--n-list", "6,8", "--out", "{file}"],
     ],
 )
 def test_over_ceiling_n_is_rejected_before_the_haar_draw(command, monkeypatch, tmp_path, capsys):
@@ -223,15 +227,19 @@ def test_over_ceiling_n_is_rejected_before_the_haar_draw(command, monkeypatch, t
         raise AssertionError("a random number was drawn")
 
     monkeypatch.setattr(SeededRng, "generator", property(no_draw))
-    assert main([arg.format(tmp=tmp_path) for arg in command]) == 2
+    (tmp_path / "file").touch()
+    assert main([arg.format(tmp=tmp_path, file=tmp_path / "file") for arg in command]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
     assert captured.out == ""
-    # the message names the ceiling of the solver the command runs
-    if re.search(r"\b65\b", " ".join(command)):
+    # the message names the ceiling of the solver the command runs, or of the moment orders
+    line = " ".join(command)
+    if re.search(r"--n(-list)? \S*\b65\b", line):
         assert "2..64 (the dense-solver ceiling)" in captured.err
-    if re.search(r"\b129\b", " ".join(command)):
+    if re.search(r"\b129\b", line):
         assert "2..128 (the matrix-free-solver ceiling)" in captured.err
+    if "--m-list" in command:
+        assert "1..64" in captured.err
 
 
 def test_exit_code_validation_error(tmp_path, capsys):
@@ -273,10 +281,20 @@ def test_exit_code_validation_error(tmp_path, capsys):
         ["sd", "eval", "tr(U1) tr(U1')", "--n", "4", "--allow-divergent"],
         ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "4", "--levels", "3"],
         ["sd", "eval", "tr(U1) tr(U1')", "--series", "--n", "16", "--seed", "2"],
+        ["moments", "--m-list", "2,65"],
+        ["spectrum", "--n", "4", "--out", "{file}"],
+        ["spectrum", "--n", "4", "--out", "{file}/sub"],
+        ["sweep", "--n-list", "4", "--out", "{file}"],
+        ["sweep", "--n-list", "4", "--out", "{file}/sub"],
+        ["collapse", "--n-list", "4,6", "--out", "{file}"],
+        ["collapse", "--n-list", "4,6", "--out", "{file}/sub"],
+        ["cayley", "--out", "{file}"],
+        ["cayley", "--out", "{file}/sub"],
     ],
 )
 def test_explicit_zero_is_validated_not_defaulted(argv, tmp_path, capsys):
-    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    (tmp_path / "file").touch()  # a regular file where --out wants a directory
+    assert main([arg.format(tmp=tmp_path, file=tmp_path / "file") for arg in argv]) == 2
     captured = capsys.readouterr()
     assert any(line.startswith("error:") for line in captured.err.splitlines())
     assert "Traceback" not in captured.err + captured.out
@@ -649,14 +667,14 @@ def test_hermitian_sweep_past_the_dense_ceiling(tmp_path, capsys):
 
 
 def test_hermitian_sweep_and_edge_build_no_superoperator(monkeypatch, tmp_path, capsys):
-    real = spectrum.real_superoperator
+    real = spectrum._image_coords  # the one builder of R
     calls = []
 
     def counted(chan):
         calls.append(chan.dim)
         return real(chan)
 
-    monkeypatch.setattr(spectrum, "real_superoperator", counted)
+    monkeypatch.setattr(spectrum, "_image_coords", counted)
     assert main(["sweep", "--n-list", "6", "--construction", "weighted", "--out", str(tmp_path)]) == 0
     assert main(["edge", "--n", "6", "--projectors", "2"]) == 0
     assert calls == []

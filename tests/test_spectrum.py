@@ -204,20 +204,9 @@ def test_in_place_eigenvalues_are_the_bits_of_np_linalg(construction, n, seed, m
     for expected_solver in (lapack, "numpy"):
         if expected_solver == "numpy":
             monkeypatch.setattr(spectrum, "_lapacke_eigensolvers", lambda: None)
-        got, solver = spectrum._traceless_eigenvalues(real_superoperator(chan), chan)
+        got, solver = spectrum._traceless_eigenvalues(spectrum._image_coords(chan), chan)
         assert solver == expected_solver
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("n", [2, 17, 50])  # N^2 = 4, 289 and 2500: one partial tile, and several
-def test_in_place_build_is_the_bits_of_rt_plus_its_transpose(n):
-    chan = build_channel("hermitian", n, 4, SeededRng(2))
-    half = chan.kraus_count // 2
-    weights = (chan.weights[:half] + chan.weights[half:]) / 2.0
-    rt = spectrum._image_coords(chan.unitaries[:half], weights, n)
-    r = real_superoperator(chan)
-    assert r.flags.c_contiguous and r.tobytes() == (rt + rt.T).tobytes()
-    assert np.array_equal(r, r.T)
 
 
 @pytest.mark.parametrize(
@@ -234,17 +223,16 @@ def test_in_place_build_is_the_bits_of_rt_plus_its_transpose(n):
 )
 def test_mapped_build_and_eigenvalues_are_the_bits_of_the_one_piece_build(construction, n, seed, monkeypatch):
     # the oracle builds R in one piece on the heap; the stored half of a
-    # Hermitian R (its row tails), all of a general R and the sorted
+    # Hermitian R (the row tails of R^T), all of a general R and the sorted
     # spectrum carry its bytes, on the LAPACKE path and on np.linalg's
     chan = build_channel(construction, n, 4, SeededRng(*seed))
     want = full_superoperator(chan)
+    stored = spectrum._image_coords(chan)
+    assert stored.flags.c_contiguous
     if chan.hermitian:
-        stored = spectrum._hermitian_triangle(chan)
-        assert stored.flags.c_contiguous
-        assert all(stored[b, b:].tobytes() == want[b, b:].tobytes() for b in range(n * n))
+        assert all(stored[b, b:].tobytes() == want[b:, b].tobytes() for b in range(n * n))
     else:
-        stored = real_superoperator(chan)
-        assert stored.flags.f_contiguous and stored.tobytes(order="F") == want.tobytes(order="F")
+        assert stored.tobytes() == want.T.tobytes()
     del stored
     rest = np.linalg.eigvalsh(want[1:, 1:]) if chan.hermitian else np.linalg.eigvals(want[1:, 1:])
     eigs = np.concatenate([[complex(want[0, 0])], rest.astype(complex)])
@@ -283,9 +271,9 @@ def _dense_solve_peak_bytes(construction: str) -> int:
 def test_one_dense_solve_holds_one_copy_of_r():
     # R is 20.5 MB at N=40. Only the row tails of a Hermitian R are written
     # and solved in place: 4 KB pages holding part of a tail make 15.5 MB
-    # (0.755 R), and the call measured 17.4 MB (0.85 R) with the side
-    # buffers, the heap temporaries and LAPACK's workspace. A full R solved
-    # in place measured 23.3 MB (1.14 R). The bound, 0.95 R, leaves 2 MB.
+    # (0.755 R), and the call measured 17.5 MB (0.85 R) with the build's
+    # heap temporaries and LAPACK's workspace. A full R solved in place
+    # measured 23.3 MB (1.14 R). The bound, 0.95 R, leaves 2 MB.
     if spectrum._lapacke_eigensolvers() is None:
         pytest.skip("no LAPACKE symbols in the loaded BLAS: R' is solved on a copy")
     assert _dense_solve_peak_bytes("hermitian") <= 0.95 * 8 * 40**4
