@@ -474,13 +474,16 @@ def _cmd_sd(args: argparse.Namespace) -> int:
         if n is None:
             raise ValidationError("--mc needs --n")
         rng = SeededRng(args.seed)
+        start = time.perf_counter()
         estimate, stderr = monte_carlo_expectation(parsed.query, n, args.samples, rng)
+        sampled = time.perf_counter()
         scale = float(n**power)
         report["estimate"] = estimate * scale
         report["stderr"] = stderr * scale
         report["samples"] = args.samples
         report["threads"] = 1 if parsed.query.is_empty else batch_workers(args.samples)
         report["blas_threads"] = batch_blas_threads()
+        report["stage_s"] = {"sample": sampled - start}
     print(json.dumps(report, indent=2))
     return 0
 
@@ -606,11 +609,11 @@ def _release_free_heap() -> None:
     """Hand the C heap's free pages back to the system (glibc malloc_trim).
 
     glibc keeps freed blocks of up to 32 MiB resident in its heap for
-    reuse, such as a Krylov basis or the Monte-Carlo stacks, and whether a
-    later command fits into them or grows the heap depends on the
-    fragmentation earlier commands left. (The dense solve's R is mapped on
-    its own and its build's temporaries stay under 128 KiB, so it never
-    leaves large blocks there.) Trimming after each command makes a
+    reuse, such as a Krylov basis, and whether a later command fits into
+    them or grows the heap depends on the fragmentation earlier commands
+    left. (The dense solve's R is mapped on its own and its build's
+    temporaries stay under 128 KiB, so it never leaves large blocks
+    there.) Trimming after each command makes a
     command's resident set not depend on what ran before it in the same
     process. Within a command, free() itself hands
     back the top of a heap once the free space there passes the trim
@@ -619,7 +622,7 @@ def _release_free_heap() -> None:
     Monte-Carlo estimate in the benchmark's op sequence took about 200k
     minor faults while each generator's QR made three 4 MB temporaries,
     59k once the QR was sliced but each sub-batch still had fresh stacks,
-    and 0.6k-2.4k with each thread's stacks reused across its sub-batches.
+    and 0.6k-2.4k once each thread reused its buffers across its sub-batches.
     """
     if sys.platform.startswith("linux"):
         trim = getattr(ctypes.CDLL(None), "malloc_trim", None)

@@ -37,7 +37,7 @@ _SUB_BATCH = 256
 
 # Bytes of the stack `_HaarSampler` forms with one batched zungqr call
 # (16 matrices at N=32, 64 at N=16, one from N=128), and of the slice of
-# its last generator the Monte-Carlo sampler draws, orthonormalizes and
+# every generator the Monte-Carlo sampler draws, orthonormalizes and
 # traces at a time. Per slice the sampler keeps the normals (about half a
 # slice) and the reflectors (one slice) in buffers it reuses; the other
 # temporaries hold one number per reflector, and zungqr's own work arrays

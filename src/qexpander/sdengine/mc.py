@@ -2,27 +2,28 @@
 
 Independent of the symbolic engine on purpose; the tests require both
 routes to agree. The samples split into sub-batches of 256. Sub-batch b
-draws its unitaries from child stream b of the seed, spawned on the
-calling thread, and one task does all of its work, on buffers its thread
-reuses from one sub-batch to the next. Each generator but the last, in
-sorted order, is drawn into a whole (256, N, N) stack by
+takes child stream b of the seed, spawned on the calling thread, and
+spawns one child of its own per generator: generator i, in sorted order,
+draws from child i. One task does all of a sub-batch's work, on buffers
+its thread reuses from one sub-batch to the next. Every generator is
+drawn, orthonormalized and traced one 256 KB slice at a time
+(`matrixcore._QR_SLICE_BYTES`: 16 matrices at N=32, one at N=128) by
 `matrixcore._HaarSampler`: Stewart's product of Householder reflectors,
-N(N+1)/2 normals per matrix and one batched zungqr per 256 KB slice
-(`matrixcore._QR_SLICE_BYTES`: 16 matrices at N=32, one at N=128), with
-no factorization. The last is drawn, orthonormalized and traced one
-slice at a time; each matrix's normals are one run of the stream, so the
-draws are those of a whole stack bit for bit. Per slice the traces take
-one batched product per class of rotations and inverses, planned once
-per query. The tasks run on one thread per CPU, with BLAS on one thread
-under them. A stream belongs to a sub-batch, not to a thread, and the
-slices depend on N alone, so a seed gives the same estimate bit for bit
-on any number of CPUs and at any BLAS thread setting. Memory is 16 bytes
-per sample plus, per thread, (generators - 1) stacks of 16·256·N² bytes
-(4 MB at N=32), one slice, the sampler's normal and reflector buffers
-(about 1.5 slices) and the temporaries of the products: about 5 MB per
-thread at N=32 with two generators (traced peak 9.9 MB on two
-threads). The number of generators has no limit; N has the
-ceiling MC_DIM_CEILING.
+N(N+1)/2 normals per matrix and one batched zungqr per slice, with no
+factorization. Each matrix's normals are one run of its generator's
+stream, so the draws are those of a whole stack bit for bit. Per slice
+the traces take one batched product per class of rotations and
+inverses, planned once per query. The tasks run on one thread per CPU,
+with BLAS on one thread under them. A stream belongs to a sub-batch and
+a generator, not to a thread, and the slices depend on N alone, so a
+seed gives the same estimate bit for bit on any number of CPUs and at
+any BLAS thread setting. Memory is 16 bytes per sample plus, per
+thread, one slice per generator, the sampler's normal and reflector
+buffers (about 1.5 slices) and the products' temporaries (a slice per
+adjoint letter and a few more), whatever N is: traced peaks on two
+threads are 2.4 MB with two generators at N=32 and at N=128, and 4.3
+and 4.8 MB with three and six generators at N=64. The number of
+generators has no limit; N has the ceiling MC_DIM_CEILING.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from ..errors import NumericalError, ValidationError
 from ..matrixcore import _SUB_BATCH, SeededRng, _HaarSampler, _qr_slice_len, map_batches
 from .words import ExpectationQuery
 
-MC_DIM_CEILING = 128  # a thread then holds 64 MB per generator but the last
+# Memory per thread does not grow with N; time does: one 10^4-sample,
+# 2-generator estimate takes about 13 s on 2 CPUs at N=128.
+MC_DIM_CEILING = 128
 
 
 def _representative(word: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
@@ -118,34 +121,34 @@ def monte_carlo_expectation(
     if query.is_empty:
         return 1.0, 0.0
 
-    *whole, last = sorted({abs(s) for t in query.traces for s in t})
+    gens = sorted({abs(s) for t in query.traces for s in t})
     plan = _trace_plan(query.traces)
-    rows = min(samples, _SUB_BATCH)
-    step = min(_qr_slice_len(N), rows)
-    vals = np.empty(samples, dtype=complex)
+    step = min(_qr_slice_len(N), _SUB_BATCH, samples)
+    try:
+        vals = np.empty(samples, dtype=complex)
+    except ValueError:  # a size numpy cannot describe, past 2^63 bytes
+        raise MemoryError(f"cannot allocate 16 bytes for each of {samples} samples") from None
     local = threading.local()  # one thread's buffers, reused by its sub-batches
 
     def sample(lo: int, hi: int, gen: np.random.Generator) -> None:
-        if not hasattr(local, "slice"):
+        if not hasattr(local, "slices"):
             # glibc maps a block over its mmap threshold (128 KB at first)
             # on its own, and unmapping it raises that threshold to the
             # block's size and the heap's trim threshold to twice that.
             # Unless such a block has been freed, the trace products'
             # slice-sized temporaries are mapped, or trimmed off the heap
-            # top, and faulted in again on every slice (59k minor faults in
-            # one N=64, 1024-sample, 3-generator estimate, 2.5k with this
+            # top, and faulted in again on every slice (58k minor faults in
+            # one N=64, 1024-sample, 3-generator estimate, 1.2k with this
             # block). It is never touched, so it costs no fault.
             np.empty((4, step, N, N), dtype=complex)
             local.sampler = _HaarSampler(N)
-            local.stacks = {g: np.empty((rows, N, N), dtype=complex) for g in whole}
-            local.slice = np.empty((step, N, N), dtype=complex)
-        stacks = {g: local.sampler.fill(local.stacks[g][: hi - lo], gen) for g in whole}
-        # the last generator's draws continue the stream where a whole
-        # stack's would, one slice at a time
+            local.slices = [np.empty((step, N, N), dtype=complex) for _ in gens]
+        # generator i draws from child i of the sub-batch's stream, one
+        # slice at a time, continuing where its previous slice stopped
+        streams = gen.spawn(len(gens))
         for a in range(0, hi - lo, step):
             b = min(a + step, hi - lo)
-            views = {g: stack[a:b] for g, stack in stacks.items()}
-            views[last] = local.sampler.fill(local.slice[: b - a], gen)
+            views = {g: local.sampler.fill(buf[: b - a], s) for g, buf, s in zip(gens, local.slices, streams)}
             vals[lo + a : lo + b] = _trace_product(views, plan)
 
     map_batches(sample, samples, rng)

@@ -1,9 +1,10 @@
 """Serial Monte-Carlo sampler, independent of the threaded path in
 qexpander.matrixcore and qexpander.sdengine.mc.
 
-This is the plain recipe: the samples split into sub-batches of 256, and
-sub-batch b takes child stream b spawned from the seed. Per sub-batch and
-generator, in sorted order: each matrix's n(n+1)/2 complex Gaussians
+This is the plain recipe: the samples split into sub-batches of 256,
+sub-batch b takes child stream b spawned from the seed, and generator i,
+in sorted order, draws from child i spawned from that. Per sub-batch and
+generator: each matrix's n(n+1)/2 complex Gaussians
 (real and imaginary parts interleaved, unscaled, since no reflector sees
 a positive scale), then Stewart's product of Householder reflectors
 (Mezzadri, Notices AMS 54, 2007), each reflector built densely and
@@ -74,6 +75,6 @@ def expectation(query: ExpectationQuery, N: int, samples: int, rng: SeededRng) -
     gens = sorted({abs(s) for t in query.traces for s in t})
     vals = np.empty(samples, dtype=complex)
     for gen, lo, hi in _sub_batches(samples, rng):
-        stacks = {g: _haar(gen, hi - lo, N) for g in gens}
+        stacks = {g: _haar(child, hi - lo, N) for g, child in zip(gens, gen.spawn(len(gens)))}
         vals[lo:hi] = trace_product(stacks, query)
     return float(vals.real.mean()), float(vals.real.std(ddof=1) / math.sqrt(samples))

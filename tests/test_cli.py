@@ -215,6 +215,8 @@ def test_config_validation():
         ["sweep", "--construction", "weighted", "--n-list", "20,129", "--out", "{tmp}"],
         ["sweep", "--construction", "nonhermitian", "--n-list", "20,129", "--out", "{tmp}"],
         ["moments", "--m-list", "2,65"],
+        ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "4", "--samples", "100000000000000000000"],
+        ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "4", "--samples", "9223372036854775807"],
         ["spectrum", "--out", "{file}"],
         ["sweep", "--n-list", "6", "--out", "{file}/sub"],
         ["collapse", "--n-list", "6,8", "--out", "{file}"],
@@ -268,6 +270,9 @@ def test_exit_code_validation_error(tmp_path, capsys):
         ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "4", "--seed", "-1"],
         ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "129", "--samples", "100"],
         ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "1000000", "--samples", "100"],
+        # 16 bytes per sample past what numpy can describe
+        ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "4", "--samples", "100000000000000000000"],
+        ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "4", "--samples", "9223372036854775807"],
         ["sd", "eval", "tr(U1 U2 U1' U2')", "--exact", "--n", "0"],
         ["sd", "eval", "tr(U1 U2 U1' U2')", "--exact", "--n", "-4"],
         ["sd", "eval", "tr(U1 U1 U1) tr(U1' U1' U1')", "--exact", "--n", "2"],
@@ -608,6 +613,8 @@ def test_sd_eval_mc_reports_samples_and_threads(monkeypatch, capsys, samples, cp
     report = json.loads(capsys.readouterr().out)
     assert (report["samples"], report["threads"]) == (samples, threads)
     assert report["blas_threads"] == (None if matrixcore._blas_thread_calls() is None else 1)
+    # the wall seconds of its one stage, as `spectrum` reports its two
+    assert list(report["stage_s"]) == ["sample"] and report["stage_s"]["sample"] >= 0.0
     assert (callers == {threading.get_ident()}) == (threads == 1)
 
 
