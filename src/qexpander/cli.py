@@ -338,6 +338,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    for flag, owner in args.mode_flags:
+        if args.construction == "nonhermitian":
+            raise ValidationError(f"{flag} is read by {owner} sweeps only, not by nonhermitian ones")
     n_list = _parse_int_list(args.n_list, "N list")
     config = ExperimentConfig(args.construction, n_list, args.d, args.trials, args.seed, args.m_max)
     out = _output_dir(args.out)
@@ -473,13 +476,19 @@ def _cmd_sd(args: argparse.Namespace) -> int:
     else:
         if n is None:
             raise ValidationError("--mc needs --n")
+        too_large = f"the estimate or its stderr at N={n} does not fit in a float"
+        try:  # N^(tr(1) count) is checked before the sampling, the scaled values after it
+            scale = float(n**power)
+        except OverflowError:
+            raise ValidationError(too_large) from None
         rng = SeededRng(args.seed)
         start = time.perf_counter()
         estimate, stderr = monte_carlo_expectation(parsed.query, n, args.samples, rng)
         sampled = time.perf_counter()
-        scale = float(n**power)
         report["estimate"] = estimate * scale
         report["stderr"] = stderr * scale
+        if math.isinf(report["estimate"]) or math.isinf(report["stderr"]):
+            raise ValidationError(too_large)
         report["samples"] = args.samples
         report["threads"] = 1 if parsed.query.is_empty else batch_workers(args.samples)
         report["blas_threads"] = batch_blas_threads()
@@ -518,9 +527,10 @@ def _cmd_edge(args: argparse.Namespace) -> int:
 
 
 class _ModeFlag(argparse.Action):
-    """An `sd eval` flag that only one mode reads. It stores its value as
-    argparse's store action does (store_true with nargs=0) and, when
-    given, appends (flag, mode) to args.mode_flags for _cmd_sd to check."""
+    """A flag that only one mode reads: an `sd eval` mode, or the Hermitian
+    constructions of `sweep`. It stores its value as argparse's store
+    action does (store_true with nargs=0) and, when given, appends (flag,
+    mode) to args.mode_flags for the command to check."""
 
     def __init__(self, option_strings, dest, mode: str, **kwargs):
         super().__init__(option_strings, dest, **kwargs)
@@ -553,10 +563,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--d", type=int, default=4)
     p_sweep.add_argument("--trials", type=int, default=1)
     p_sweep.add_argument("--construction", choices=CONSTRUCTIONS, default="hermitian")
-    p_sweep.add_argument("--m-max", dest="m_max", type=int, default=20)
+    p_sweep.add_argument("--m-max", type=int, default=20, action=_ModeFlag, mode="hermitian and weighted")
     p_sweep.add_argument("--seed", type=int, default=0, help="master seed")
     p_sweep.add_argument("--out", default=".", help="output directory")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, mode_flags=())
 
     p_col = sub.add_parser("collapse", help="sorted-spectrum collapse figure")
     p_col.add_argument("--n-list", default="20,30,50", help="comma-separated N values")

@@ -28,11 +28,10 @@ SPECTRAL_RADIUS_TOL = 1e-8
 TRACE_RESIDUAL_TOL = 1e-8  # tracelessness of the second eigenvector
 SLACK_TOL = 1e-8          # one-sided slack on the edge inequalities
 
-# Matrices per task when per-matrix work is split across the CPUs. The
-# tasks are cut from the item count alone, so the worker count never
-# changes a value. At one BLAS thread count LAPACK and matmul give each
-# matrix the same bits in any batch; einsum need not (at N=128 it rounds
-# a one-matrix stack, which it reads as one flat array, differently).
+# Samples per Monte-Carlo sub-batch, cut from the sample count alone, so
+# the worker count never changes a value. At one BLAS thread count LAPACK
+# and matmul give each matrix the same bits in any batch; einsum need not
+# (at N=128 it rounds a one-matrix stack, a flat array, differently).
 _SUB_BATCH = 256
 
 # Bytes of the stack `_HaarSampler` forms with one batched zungqr call
@@ -170,51 +169,14 @@ def worker_count() -> int:
 
 
 def batch_workers(count: int) -> int:
-    """Threads `map_batches` splits `count` items across: one per CPU, at
+    """Threads Monte-Carlo splits `count` samples across: one per CPU, at
     most one per sub-batch; 1 means the calling thread alone."""
     return max(1, min(worker_count(), -(-count // _SUB_BATCH)))
 
 
-def map_batches(fn: Callable[[int, int, np.random.Generator], object], count: int, rng: SeededRng) -> None:
-    """Call fn(lo, hi, gen) on consecutive _SUB_BATCH slices of range(count),
-    on `batch_workers(count)` threads (inline when that is 1), with BLAS on
-    `batch_blas_threads()` threads.
-
-    `gen` is the slice's own random stream: slice b gets child b of rng's
-    generator, spawned on the calling thread before any call. A stream
-    belongs to a slice, not to a thread, so what fn draws does not depend
-    on the thread count or on the order the slices run in.
-
-    For the whole call OpenBLAS runs on one thread, and its thread count is
-    restored afterwards. The calls are the one level of threads: BLAS
-    threads under them would contend with the pool for the CPUs, and a
-    threaded zgemm or QR rounds differently from a serial one (at N=128
-    with OpenBLAS 0.3.31, not at N=64), which would make fn's results
-    depend on the BLAS setting.
-
-    Each call must write only its own slice, and must not call a public
-    function: the benchmark tracer wraps those with one span stack that all
-    threads would share.
-    """
-    bounds = [(lo, min(lo + _SUB_BATCH, count)) for lo in range(0, count, _SUB_BATCH)]
-    children = rng.generator.spawn(len(bounds))
-    workers = batch_workers(count)
-    with _one_blas_thread():
-        if workers == 1:
-            for (lo, hi), gen in zip(bounds, children):
-                fn(lo, hi, gen)
-            return
-        # imported here: concurrent.futures pulls in logging, which would add
-        # about 8 ms to every command's start-up
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fn, *zip(*bounds), children))
-
-
 def batch_blas_threads() -> int | None:
-    """BLAS threads `map_batches` runs with: 1, or None when the loaded BLAS
-    has no thread setter and keeps its own count."""
+    """BLAS threads Monte-Carlo samples with: 1, or None when the loaded
+    BLAS has no thread setter and keeps its own count."""
     return None if _blas_thread_calls() is None else 1
 
 

@@ -1,41 +1,40 @@
 """Monte-Carlo oracle: estimate trace-product expectations by direct sampling.
 
 Independent of the symbolic engine on purpose; the tests require both
-routes to agree. The samples split into sub-batches of 256. Sub-batch b
-takes child stream b of the seed, spawned on the calling thread, and
-spawns one child of its own per generator: generator i, in sorted order,
-draws from child i. One task does all of a sub-batch's work, on buffers
-its thread reuses from one sub-batch to the next. Every generator is
-drawn, orthonormalized and traced one 256 KB slice at a time
+routes to agree. The samples split into sub-batches of 256. Generator i,
+in sorted order, of sub-batch b draws from stream (b, i) (`_stream`),
+made where it is used. `batch_workers(samples)` workers, the calling
+thread alone when that is 1, make their buffers once and take sub-batch
+indices from one shared iterator. Every generator is drawn,
+orthonormalized and traced one 256 KB slice at a time
 (`matrixcore._QR_SLICE_BYTES`: 16 matrices at N=32, one at N=128) by
 `matrixcore._HaarSampler`: Stewart's product of Householder reflectors,
 N(N+1)/2 normals per matrix and one batched zungqr per slice, with no
 factorization. Each matrix's normals are one run of its generator's
 stream, so the draws are those of a whole stack bit for bit. Per slice
-the traces take one batched product per class of rotations and
-inverses, planned once per query. The tasks run on one thread per CPU,
-with BLAS on one thread under them. A stream belongs to a sub-batch and
-a generator, not to a thread, and the slices depend on N alone, so a
-seed gives the same estimate bit for bit on any number of CPUs and at
-any BLAS thread setting. Memory is 16 bytes per sample plus, per
+the traces take one batched product per class of rotations and inverses,
+planned once per query. BLAS runs on one thread under the workers. A
+stream belongs to a sub-batch and a generator, not to a thread, and the
+slices depend on N alone, so a seed gives the same estimate bit for bit
+on any number of CPUs and at any BLAS thread setting. Memory is 16 bytes
+per sample, and 8 more while the standard error is taken, plus, per
 thread, one slice per generator, the sampler's normal and reflector
 buffers (about 1.5 slices) and the products' temporaries (a slice per
 adjoint letter and a few more), whatever N is: traced peaks on two
-threads are 2.4 MB with two generators at N=32 and at N=128, and 4.3
-and 4.8 MB with three and six generators at N=64. The number of
-generators has no limit; N has the ceiling MC_DIM_CEILING.
+threads are 2.4 MB with two generators at N=32 and at N=128, and 4.3 and
+4.8 MB with three and six generators at N=64. The number of generators
+has no limit; N has the ceiling MC_DIM_CEILING.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..errors import NumericalError, ValidationError
-from ..matrixcore import _SUB_BATCH, SeededRng, _HaarSampler, _qr_slice_len, map_batches
+from ..matrixcore import _SUB_BATCH, SeededRng, _HaarSampler, _one_blas_thread, _qr_slice_len, batch_workers
 from .words import ExpectationQuery
 
 # Memory per thread does not grow with N; time does: one 10^4-sample,
@@ -103,6 +102,13 @@ def _trace_product(stacks: dict[int, np.ndarray], plan: _TracePlan) -> np.ndarra
     return values
 
 
+def _stream(seed: np.random.SeedSequence, batch: int, gen: int) -> np.random.Generator:
+    """The stream default_rng(seed).spawn(n)[batch].spawn(m)[gen] gives for
+    any n > batch and m > gen, made without spawning."""
+    key = (*seed.spawn_key, batch, gen)
+    return np.random.default_rng(np.random.SeedSequence(seed.entropy, spawn_key=key, pool_size=seed.pool_size))
+
+
 def monte_carlo_expectation(
     query: ExpectationQuery, N: int, samples: int, rng: SeededRng
 ) -> tuple[float, float]:
@@ -128,30 +134,49 @@ def monte_carlo_expectation(
         vals = np.empty(samples, dtype=complex)
     except ValueError:  # a size numpy cannot describe, past 2^63 bytes
         raise MemoryError(f"cannot allocate 16 bytes for each of {samples} samples") from None
-    local = threading.local()  # one thread's buffers, reused by its sub-batches
+    seed = rng.generator.bit_generator.seed_seq
+    batches = iter(range(-(-samples // _SUB_BATCH)))  # next() is one C call: no index goes out twice
 
-    def sample(lo: int, hi: int, gen: np.random.Generator) -> None:
-        if not hasattr(local, "slices"):
-            # glibc maps a block over its mmap threshold (128 KB at first)
-            # on its own, and unmapping it raises that threshold to the
-            # block's size and the heap's trim threshold to twice that.
-            # Unless such a block has been freed, the trace products'
-            # slice-sized temporaries are mapped, or trimmed off the heap
-            # top, and faulted in again on every slice (58k minor faults in
-            # one N=64, 1024-sample, 3-generator estimate, 1.2k with this
-            # block). It is never touched, so it costs no fault.
-            np.empty((4, step, N, N), dtype=complex)
-            local.sampler = _HaarSampler(N)
-            local.slices = [np.empty((step, N, N), dtype=complex) for _ in gens]
-        # generator i draws from child i of the sub-batch's stream, one
-        # slice at a time, continuing where its previous slice stopped
-        streams = gen.spawn(len(gens))
-        for a in range(0, hi - lo, step):
-            b = min(a + step, hi - lo)
-            views = {g: local.sampler.fill(buf[: b - a], s) for g, buf, s in zip(gens, local.slices, streams)}
-            vals[lo + a : lo + b] = _trace_product(views, plan)
+    def work() -> None:
+        # glibc maps a block over its mmap threshold (128 KB at first) on
+        # its own, and unmapping it raises that threshold to the block's
+        # size and the heap's trim threshold to twice that. Unless such a
+        # block has been freed, the trace products' slice-sized temporaries
+        # are mapped, or trimmed off the heap top, and faulted in again on
+        # every slice (58k minor faults in one N=64, 1024-sample,
+        # 3-generator estimate, 1.2k with this block). It is never touched,
+        # so it costs no fault.
+        np.empty((4, step, N, N), dtype=complex)
+        sampler = _HaarSampler(N)
+        slices = [np.empty((step, N, N), dtype=complex) for _ in gens]
+        for b in batches:
+            # each slice continues its generator's stream where the last stopped
+            streams = [_stream(seed, b, i) for i in range(len(gens))]
+            end = min((b + 1) * _SUB_BATCH, samples)
+            for lo in range(b * _SUB_BATCH, end, step):
+                hi = min(lo + step, end)
+                views = {g: sampler.fill(buf[: hi - lo], s) for g, buf, s in zip(gens, slices, streams)}
+                vals[lo:hi] = _trace_product(views, plan)
 
-    map_batches(sample, samples, rng)
+    # BLAS threads would contend with the workers, and a threaded zgemm or QR
+    # rounds differently (at N=128). Workers call no public function: the
+    # benchmark tracer wraps those with one span stack all threads share.
+    workers = batch_workers(samples)
+    with _one_blas_thread():
+        if workers == 1:
+            work()
+        else:
+            # imported here: concurrent.futures pulls in logging, which would
+            # add about 8 ms to every command's start-up
+            from concurrent.futures import ThreadPoolExecutor, as_completed
+
+            with ThreadPoolExecutor(workers) as pool:
+                try:
+                    for done in as_completed([pool.submit(work) for _ in range(workers)]):
+                        done.result()
+                finally:  # after a failure or an interrupt, no worker starts another sub-batch
+                    for _ in batches:
+                        pass
 
     mean_re = float(vals.real.mean())
     stderr_re = float(vals.real.std(ddof=1) / math.sqrt(samples))

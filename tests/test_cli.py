@@ -72,7 +72,12 @@ MOVED_TO_TESTS = (
     "hs_inner",
     "hs_norm",
     "hermitian_from_coords",
+    "map_batches",
 )
+
+# 200 traces that reduce to tr(1): N^200 is past a float at N=128, and
+# with tr(U2) tr(U2') the reduced query is not empty
+HUGE_SCALE = " ".join(["tr(U1 U1')"] * 200)
 
 
 def test_src_exports_resolve_and_hold_no_test_only_code():
@@ -217,6 +222,9 @@ def test_config_validation():
         ["moments", "--m-list", "2,65"],
         ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "4", "--samples", "100000000000000000000"],
         ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "4", "--samples", "9223372036854775807"],
+        ["sd", "eval", HUGE_SCALE, "--mc", "--n", "128"],
+        ["sd", "eval", HUGE_SCALE + " tr(U2) tr(U2')", "--mc", "--n", "128"],
+        ["sweep", "--construction", "nonhermitian", "--n-list", "8", "--m-max", "30", "--out", "{tmp}"],
         ["spectrum", "--out", "{file}"],
         ["sweep", "--n-list", "6", "--out", "{file}/sub"],
         ["collapse", "--n-list", "6,8", "--out", "{file}"],
@@ -282,6 +290,8 @@ def test_exit_code_validation_error(tmp_path, capsys):
         ["collapse", "--n-list", "6,8,6", "--out", "{tmp}"],
         ["sd", "eval", "tr(U1 U1') tr(U2 U2') tr(U3) tr(U3')", "--exact", "--n", "1" + "0" * 200],
         ["sd", "eval", "tr(U1 U1') tr(U2 U2') tr(U3) tr(U3')", "--series", "--n", "1" + "0" * 200],
+        ["sd", "eval", HUGE_SCALE, "--mc", "--n", "128"],
+        ["sweep", "--construction", "nonhermitian", "--n-list", "8", "--m-max", "30", "--out", "{tmp}"],
         ["sd", "eval", "tr(U1) tr(U1')", "--exact", "--samples", "500"],
         ["sd", "eval", "tr(U1) tr(U1')", "--n", "4", "--allow-divergent"],
         ["sd", "eval", "tr(U1) tr(U1')", "--mc", "--n", "4", "--levels", "3"],

@@ -42,6 +42,10 @@ SIX_GENERATORS = "tr(U1 U2 U3 U4 U5 U6) tr(U6' U5' U4' U3' U2' U1')"
 # 256-matrix stack per thread (4 MB at N=32) would break both.
 MC_PEAK_BOUND_MB = 3.5
 MC_PEAK_BOUND_MANY_GEN_MB = 6.5
+# Traced memory past 24 bytes per sample: 0.013 MB for 2*10^5 samples at
+# N=2 on two threads, 1.55 MB with a stream and a future made up front
+# per sub-batch.
+STREAM_SET_UP_BOUND_MB = 0.25
 # Over the 28 estimates checked below, 19 moved from the oracle's, by at
 # most 8.9e-16, and per-sample trace products by at most 5.5e-15 (2.9e-14
 # on the QR-drawn stacks the tolerances were set on).
@@ -191,7 +195,7 @@ def test_estimates_do_not_depend_on_the_worker_count(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_blas_runs_on_one_thread_under_map_batches_and_is_restored(monkeypatch, workers):
+def test_blas_runs_on_one_thread_while_sampling_and_is_restored(monkeypatch, workers):
     calls = matrixcore._blas_thread_calls()
     if calls is None:
         pytest.skip("the loaded BLAS has no thread setter")
@@ -199,15 +203,48 @@ def test_blas_runs_on_one_thread_under_map_batches_and_is_restored(monkeypatch, 
     monkeypatch.setattr(matrixcore, "worker_count", lambda: workers)
     before = get()
     seen = set()
+    real = mc._trace_product
 
-    def fn(lo, hi, gen):
+    def recording(stacks, plan):
         seen.add(get())
-        if lo == 512:
+        # at N=2 a slice is a whole sub-batch; 600 samples end in one of 88
+        if len(next(iter(stacks.values()))) == 600 - 2 * matrixcore._SUB_BATCH:
             raise RuntimeError("the last sub-batch fails")
+        return real(stacks, plan)
 
+    monkeypatch.setattr(mc, "_trace_product", recording)
     with pytest.raises(RuntimeError):
-        matrixcore.map_batches(fn, 600, SeededRng(0))
+        monte_carlo_expectation(_query("tr(U1) tr(U1')"), 2, 600, SeededRng(0))
     assert seen == {1} and get() == before
+
+
+def test_a_failing_sub_batch_stops_the_other_workers(monkeypatch):
+    monkeypatch.setattr(matrixcore, "worker_count", lambda: 2)
+    calls = []
+    real = mc._trace_product
+
+    def failing_first(stacks, plan):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("the first traced slice fails")
+        return real(stacks, plan)
+
+    monkeypatch.setattr(mc, "_trace_product", failing_first)
+    with pytest.raises(RuntimeError):
+        # 40 sub-batches of four 64-matrix slices each at N=16
+        monte_carlo_expectation(_query("tr(U1) tr(U1')"), 16, 40 * matrixcore._SUB_BATCH, SeededRng(0))
+    # the other worker finishes the sub-batch it holds and takes hardly
+    # another (5 or 9 calls here, against 157 when it takes all the rest)
+    assert len(calls) < 40, len(calls)
+
+
+@pytest.mark.parametrize("b, i", [(0, 0), (1, 2), (40, 1)])
+def test_keyed_streams_are_the_spawned_children(b, i):
+    # the key mirrors how numpy numbers the children Generator.spawn makes
+    keyed = mc._stream(SeededRng(9, 4).generator.bit_generator.seed_seq, b, i)
+    spawned = SeededRng(9, 4).generator.spawn(41)[b].spawn(3)[i]
+    assert keyed.bit_generator.state == spawned.bit_generator.state
+    assert keyed.standard_normal(5).tobytes() == spawned.standard_normal(5).tobytes()
 
 
 def test_estimates_do_not_depend_on_the_blas_thread_count():
@@ -252,3 +289,18 @@ def test_memory_stays_under_the_bound(monkeypatch):
         # no thread's buffers outlive the call: what is left is under the
         # 16 bytes per sample of the sample array, far under one slice
         assert current <= 16 * samples, (expr, n)
+
+
+def test_stream_set_up_does_not_grow_with_the_sample_count(monkeypatch):
+    # past its samples (16 bytes each) and the standard error's temporary
+    # (8 more) an estimate holds only per-thread buffers
+    monkeypatch.setattr(matrixcore, "worker_count", lambda: 2)
+    query, samples = _query("tr(U1) tr(U1')"), 2 * 10**5
+    monte_carlo_expectation(query, 2, 300, SeededRng(0))  # imports concurrent.futures
+    tracemalloc.start()
+    try:
+        monte_carlo_expectation(query, 2, samples, SeededRng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - 24 * samples) / 2**20 < STREAM_SET_UP_BOUND_MB
