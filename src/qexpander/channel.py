@@ -29,9 +29,12 @@ CONSTRUCTIONS = ("hermitian", "nonhermitian", "weighted")
 # the largest N per solver: dense N^2 x N^2 work is impractical beyond 64
 # (a dense solve maps one 8N^4-byte R, 134 MB at N=64, of which a
 # Hermitian R writes its row tails, 76 MB, and one solve grows the
-# resident set by 79 MB and takes seconds), and the matrix-free Krylov solve of lambda2 (one loop
-# for every channel, whose 16N-step basis reserves 268 MB at N=128) stops
-# at 128
+# resident set by 79 MB and takes seconds), and the matrix-free Krylov
+# solve of lambda2 (one loop for every channel) stops at 128. Up to 64
+# the loop may run N^2 - 1 steps: its basis and Hessenberg matrix each
+# map at most 134 MB, the size of the dense R, of which only the pages a
+# solve touches are resident. Above 64 it runs at most 16N steps, whose
+# basis maps 268 MB at N=128
 DIM_CEILINGS = {"dense": 64, "matrix-free": 128}
 DEFAULT_DIM_CEILING = DIM_CEILINGS["dense"]
 

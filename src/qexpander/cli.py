@@ -76,7 +76,7 @@ class ExperimentRecord:
     wall_ms: float
     error: str | None = None
     solver: str | None = None  # the solver that produced lambda2
-    steps: int | None = None  # Lanczos or Arnoldi steps, fallback included
+    steps: int | None = None  # Lanczos or Arnoldi steps
 
 
 def _run_one(config: ExperimentConfig, n: int, stream_index: int) -> ExperimentRecord:
@@ -87,13 +87,13 @@ def _run_one(config: ExperimentConfig, n: int, stream_index: int) -> ExperimentR
         rng = SeededRng(config.master_seed, stream_index)
         chan = build_channel(config.construction, n, config.D, rng, "matrix-free")
         if chan.hermitian:
-            top = lanczos_lambda2(chan)
+            top, solver = lanczos_lambda2(chan), "lanczos"
             lb = alon_boppana_lower_bound(n, config.D, config.m_max).value
             gap_ok = top.lambda2 >= lb - GAP_SLACK
         else:
-            top = arnoldi_lambda2(chan)
+            top, solver = arnoldi_lambda2(chan), "arnoldi"
             lb, gap_ok = math.nan, None
-        lam2, solver, steps = top.lambda2, top.solver, top.steps
+        lam2, steps = top.lambda2, top.steps
     except QxError as exc:
         lam2, lb, gap_ok, error = math.nan, math.nan, None, str(exc)
     return ExperimentRecord(
@@ -516,7 +516,8 @@ def _cmd_edge(args: argparse.Namespace) -> int:
         "D": args.d,
         "seed": seed,
         "lambda2": top.lambda2,
-        "solver": top.solver,
+        "theta_min": top.theta_min,
+        "solver": "lanczos",
         "steps": top.steps,
         "residual": top.residual,
         "min_slack": min_slack,

@@ -17,8 +17,8 @@ planned once per query. BLAS runs on one thread under the workers. A
 stream belongs to a sub-batch and a generator, not to a thread, and the
 slices depend on N alone, so a seed gives the same estimate bit for bit
 on any number of CPUs and at any BLAS thread setting. Memory is 16 bytes
-per sample, and 8 more while the standard error is taken, plus, per
-thread, one slice per generator, the sampler's normal and reflector
+per sample (the standard error is summed one sub-batch at a time), plus,
+per thread, one slice per generator, the sampler's normal and reflector
 buffers (about 1.5 slices) and the products' temporaries (a slice per
 adjoint letter and a few more), whatever N is: traced peaks on two
 threads are 2.4 MB with two generators at N=32 and at N=128, and 4.3 and
@@ -109,6 +109,18 @@ def _stream(seed: np.random.SeedSequence, batch: int, gen: int) -> np.random.Gen
     return np.random.default_rng(np.random.SeedSequence(seed.entropy, spawn_key=key, pool_size=seed.pool_size))
 
 
+def _mean_and_stderr(x: np.ndarray) -> tuple[float, float]:
+    """The mean of x and its standard error, std(ddof=1) / sqrt(len(x)),
+    with the squared deviations summed one sub-batch at a time: no
+    temporary of 8 bytes per sample."""
+    mean = float(x.mean())
+    squares = 0.0
+    for lo in range(0, x.size, _SUB_BATCH):
+        dev = x[lo : lo + _SUB_BATCH] - mean
+        squares += float(dev @ dev)
+    return mean, math.sqrt(squares / (x.size - 1)) / math.sqrt(x.size)
+
+
 def monte_carlo_expectation(
     query: ExpectationQuery, N: int, samples: int, rng: SeededRng
 ) -> tuple[float, float]:
@@ -178,10 +190,8 @@ def monte_carlo_expectation(
                     for _ in batches:
                         pass
 
-    mean_re = float(vals.real.mean())
-    stderr_re = float(vals.real.std(ddof=1) / math.sqrt(samples))
-    mean_im = float(vals.imag.mean())
-    stderr_im = float(vals.imag.std(ddof=1) / math.sqrt(samples))
+    mean_re, stderr_re = _mean_and_stderr(vals.real)
+    mean_im, stderr_im = _mean_and_stderr(vals.imag)
     if abs(mean_im) > 5.0 * stderr_im + 1e-12:
         raise NumericalError(
             f"imaginary part {mean_im:.3e} is {abs(mean_im) / max(stderr_im, 1e-300):.1f} "

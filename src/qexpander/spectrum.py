@@ -53,7 +53,7 @@ from .matrixcore import SPECTRAL_RADIUS_TOL, _openblas_symbols
 
 KRYLOV_TOL = 1e-12  # stop once the Ritz residual estimate is below
 KRYLOV_FIRST_CHECK = 20  # Krylov steps before the first solve of H
-KRYLOV_BUDGET_SCALE = 16  # step budget per unit of N
+KRYLOV_BUDGET_SCALE = 16  # step limit per unit of N above DEFAULT_DIM_CEILING
 _CHUNK_BYTES = 120 * 1024  # bound on each Kraus sum of the R build: under glibc's 128 KiB mmap threshold
 _ZGEMM_ALIGN = 8  # a multiple of the column blocks of OpenBLAS's zgemm kernels
 _LAPACK_COL_MAJOR = 102  # LAPACKE's matrix_layout for column-major arrays
@@ -351,7 +351,7 @@ def _traceless_operator(channel: Channel) -> tuple[_Basis, Callable[[np.ndarray]
 
 def _krylov(
     channel: Channel, symmetric: bool
-) -> tuple[_Basis, np.ndarray, int, float, tuple[float, complex, np.ndarray]]:
+) -> tuple[_Basis, np.ndarray, int, float, tuple[float, complex, float | None, np.ndarray]]:
     """The Krylov solve behind lanczos_lambda2 (symmetric) and
     arnoldi_lambda2.
 
@@ -366,24 +366,26 @@ def _krylov(
     H, and the solve stops once the residual estimate is <= KRYLOV_TOL or
     the Krylov space is invariant.
 
-    Returns the basis B, the Krylov vectors, the step count, the last
-    estimate and _ritz_step's (lambda2, theta, y). An estimate above
-    KRYLOV_TOL means the budget of KRYLOV_BUDGET_SCALE N steps ran out;
-    the caller finishes densely, and above N = DEFAULT_DIM_CEILING this
-    raises NumericalError instead.
+    The step limit is N^2 - 1, the traceless dimension, up to N =
+    DEFAULT_DIM_CEILING, and KRYLOV_BUDGET_SCALE N above it; a solve
+    still above KRYLOV_TOL at the limit raises NumericalError. Returns
+    the basis B, the Krylov vectors, the step count, the last estimate
+    and _ritz_step's (lambda2, theta, theta_min, y).
     """
     n = channel.dim
     basis, op, start = _traceless_operator(channel)
     # the estimate reaches KRYLOV_TOL after about 10N steps on uniform
     # general channels with D=4 or 6 (261 to 298 at N=30, 1216 to 1281 at
     # N=128) and 12N with D=2 (1530 at N=128); Hermitian channels with
-    # D=4 take 170 to 211 at N=30. At N=128 the budget's basis reserves
-    # 2048 x 16384 doubles (268 MB) and a solve touches the rows it
-    # reaches; one run to the budget peaked at 531 MB RSS
-    limit = min(KRYLOV_BUDGET_SCALE * n, n * n - 1)
-    q = np.zeros((limit, n * n))  # the Krylov basis, coordinate 0 kept at 0
+    # D=4 take 170 to 211 at N=30, weighted ones with a small pair weight
+    # up to 26N (1681 at N=64). q and h are mapped, so a solve makes
+    # resident only the rows it reaches: at N=64 each maps 134 MB, and at
+    # N=128 the basis maps 268 MB, where one run to the limit peaked at
+    # 531 MB RSS
+    limit = n * n - 1 if n <= DEFAULT_DIM_CEILING else KRYLOV_BUDGET_SCALE * n
+    q = _mapped_zeros((limit, n * n))  # the Krylov basis, coordinate 0 kept at 0
     q[0] = start
-    h = np.zeros((limit + 1, limit))
+    h = _mapped_zeros((limit + 1, limit))
     k, check, last = 0, KRYLOV_FIRST_CHECK, None
     while True:
         w = op(q[k])
@@ -404,13 +406,10 @@ def _krylov(
             if estimate <= KRYLOV_TOL:
                 break
             if k == limit:
-                if n > DEFAULT_DIM_CEILING:
-                    raise NumericalError(
-                        f"{'Lanczos' if symmetric else 'Arnoldi'} did not converge in {k} steps "
-                        f"at N={n} (residual estimate {estimate:.1e} > {KRYLOV_TOL:.0e}); the "
-                        f"dense fallback stops at N={DEFAULT_DIM_CEILING}"
-                    )
-                break
+                raise NumericalError(
+                    f"{'Lanczos' if symmetric else 'Arnoldi'} did not converge in {k} steps "
+                    f"at N={n} (residual estimate {estimate:.1e} > {KRYLOV_TOL:.0e})"
+                )
             check, last = _next_check(k, estimate, last), (k, estimate)
         q[k] = w / b
     return basis, q[:k], k, estimate, ritz
@@ -418,28 +417,29 @@ def _krylov(
 
 def _ritz_step(
     hk: np.ndarray, b: float, symmetric: bool, channel: Channel
-) -> tuple[float, tuple[float, complex, np.ndarray]]:
-    """The residual estimate and (lambda2, theta, y) from the k x k
-    Hessenberg matrix, y the unit eigenvector of theta.
+) -> tuple[float, tuple[float, complex, float | None, np.ndarray]]:
+    """The residual estimate and (lambda2, theta, theta_min, y) from the
+    k x k Hessenberg matrix, y the unit eigenvector of theta.
 
     Symmetric: eigh of H's lower triangle, which is the tridiagonal T
-    (above it H holds only reorthogonalization rounding); theta is the
-    largest eigenvalue, lambda2 the larger of |theta_min| and |theta_max|,
-    and the estimate the larger of the two extremes' b |e_k^T y|.
-    Otherwise: eig of H; theta is the largest-modulus eigenvalue,
-    lambda2 = |theta|, and the estimate b |e_k^T y|.
+    (above it H holds only reorthogonalization rounding); theta and
+    theta_min are the largest and smallest eigenvalues, lambda2 the larger
+    of their moduli, and the estimate the larger of the two extremes'
+    b |e_k^T y|. Otherwise: eig of H; theta is the largest-modulus
+    eigenvalue, lambda2 = |theta|, theta_min None, and the estimate
+    b |e_k^T y|.
     """
     try:
         if symmetric:
             vals, vecs = np.linalg.eigh(hk, UPLO="L")
             estimate = b * max(abs(vecs[-1, 0]), abs(vecs[-1, -1]))
             lam2 = max(abs(vals[0]), abs(vals[-1]))
-            return float(estimate), (float(lam2), float(vals[-1]), vecs[:, -1])
+            return float(estimate), (float(lam2), float(vals[-1]), float(vals[0]), vecs[:, -1])
         vals, vecs = np.linalg.eig(hk)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Ritz solve failed (channel seed {channel.seed}): {exc}") from exc
     i = int(np.argmax(np.abs(vals)))
-    return b * float(abs(vecs[-1, i])), (float(abs(vals[i])), vals[i], vecs[:, i])
+    return b * float(abs(vecs[-1, i])), (float(abs(vals[i])), vals[i], None, vecs[:, i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,10 +448,10 @@ class TopEigenpair:
 
     lambda2: float  # max(|theta_max|, |theta_min|)
     theta: float  # theta_max, the largest eigenvalue of R'
+    theta_min: float  # the smallest eigenvalue of R'
     vector: np.ndarray  # unit-norm traceless Hermitian eigenvector X of theta
     steps: int  # Lanczos steps, one `apply` each
     residual: float  # Hilbert-Schmidt norm of E(X) - theta X
-    solver: str  # "lanczos", or "dense" when the step budget ran out
 
 
 def lanczos_lambda2(channel: Channel) -> TopEigenpair:
@@ -461,60 +461,28 @@ def lanczos_lambda2(channel: Channel) -> TopEigenpair:
     Hermitian channel it is Lanczos with full reorthogonalization
     (Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 13), and
     it stops once both extreme Ritz pairs have residual estimates
-    <= KRYLOV_TOL. The eigenvector is signed so that its
-    largest-magnitude coordinate is positive, which makes the pair a
-    function of the channel alone.
-
-    A solve still unconverged after KRYLOV_BUDGET_SCALE N steps is
-    finished densely up to N = DEFAULT_DIM_CEILING (eigvalsh of R', then
-    one inverse-iteration step from the top Ritz vector), and raises
-    NumericalError above it.
+    <= KRYLOV_TOL, or raises NumericalError at _krylov's step limit. The
+    eigenvector is signed so that its largest-magnitude coordinate is
+    positive, which makes the pair a function of the channel alone.
     """
     if not channel.hermitian:
         raise ValidationError("the Lanczos solve applies to hermitian channels")
-    basis, q, steps, estimate, (lam2, theta, y) = _krylov(channel, symmetric=True)
+    basis, q, steps, _, (lam2, theta, theta_min, y) = _krylov(channel, symmetric=True)
+    if lam2 > 1.0 + SPECTRAL_RADIUS_TOL:
+        raise NumericalError(f"lambda2 {lam2!r} exceeds 1 (channel seed {channel.seed})")
     # a strided y takes another BLAS kernel with another summation order:
     # copy it, so that x depends on y's values alone, not on its layout
     x = q.T @ np.ascontiguousarray(y)
-    if estimate > KRYLOV_TOL:
-        return _dense_top(channel, basis, x, steps)
-    return _top_pair(channel, basis, lam2, theta, x, steps, "lanczos")
-
-
-def _dense_top(channel: Channel, basis: _Basis, ritz: np.ndarray, steps: int) -> TopEigenpair:
-    """Finish an unconverged Lanczos solve densely: eigvalsh of R' for
-    lambda2 and theta, and one inverse-iteration step from the top Ritz
-    vector for the eigenvector."""
-    n = channel.dim
-    block = real_superoperator(channel)[1:, 1:]
-    try:
-        eigs = np.linalg.eigvalsh(block)
-        theta = float(eigs[-1])
-        block[np.diag_indices(n * n - 1)] -= theta
-        x = np.concatenate([[0.0], np.linalg.solve(block, ritz[1:])])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"dense fallback failed (channel seed {channel.seed}): {exc}") from exc
-    lam2 = float(max(abs(eigs[0]), abs(eigs[-1])))
-    return _top_pair(channel, basis, lam2, theta, x / np.linalg.norm(x), steps, "dense")
-
-
-def _top_pair(
-    channel: Channel, basis: _Basis, lam2: float, theta: float, x: np.ndarray, steps: int, solver: str
-) -> TopEigenpair:
-    """The result for unit coordinates x of the top eigenvector, signed
-    so that the largest-magnitude coordinate is positive."""
-    if lam2 > 1.0 + SPECTRAL_RADIUS_TOL:
-        raise NumericalError(f"lambda2 {lam2!r} exceeds 1 (channel seed {channel.seed})")
     if x[np.argmax(np.abs(x))] < 0.0:
         x = -x
     vector = basis.matrix(x)
     return TopEigenpair(
         lambda2=lam2,
         theta=theta,
+        theta_min=theta_min,
         vector=vector,
         steps=steps,
         residual=float(np.linalg.norm(apply(channel, vector) - theta * vector)),
-        solver=solver,
     )
 
 
@@ -525,7 +493,6 @@ class DominantEigenvalue:
     lambda2: float  # its modulus
     steps: int  # Arnoldi steps, one `apply` each
     estimate: float  # Ritz residual estimate h_{k+1,k} |e_k^T y| at the last check
-    solver: str  # "arnoldi", or "dense" when the step budget ran out
 
 
 def arnoldi_lambda2(channel: Channel) -> DominantEigenvalue:
@@ -533,19 +500,13 @@ def arnoldi_lambda2(channel: Channel) -> DominantEigenvalue:
 
     The Krylov solve (_krylov) with the general Ritz step: it stops once
     the largest-modulus Ritz value theta has residual estimate
-    <= KRYLOV_TOL, and lambda2 is |theta|.
-
-    A solve still unconverged after KRYLOV_BUDGET_SCALE N steps is
-    finished densely up to N = DEFAULT_DIM_CEILING (eigen_spectrum's
-    lambda2) and raises NumericalError above it.
+    <= KRYLOV_TOL, or raises NumericalError at _krylov's step limit, and
+    lambda2 is |theta|.
     """
-    _, _, steps, estimate, (lam2, _, _) = _krylov(channel, symmetric=False)
-    if estimate > KRYLOV_TOL:
-        lam2 = eigen_spectrum(channel).lambda2
-        return DominantEigenvalue(lambda2=lam2, steps=steps, estimate=estimate, solver="dense")
+    _, _, steps, estimate, (lam2, _, _, _) = _krylov(channel, symmetric=False)
     if lam2 > 1.0 + SPECTRAL_RADIUS_TOL:
         raise NumericalError(f"lambda2 {lam2!r} exceeds 1 (channel seed {channel.seed})")
-    return DominantEigenvalue(lambda2=lam2, steps=steps, estimate=estimate, solver="arnoldi")
+    return DominantEigenvalue(lambda2=lam2, steps=steps, estimate=estimate)
 
 
 def _next_check(k: int, estimate: float, last: tuple[int, float] | None) -> int:

@@ -99,8 +99,8 @@ def dense_top_eigenpair(channel: Channel) -> TopEigenpair:
     return TopEigenpair(
         lambda2=float(np.max(np.abs(rest))),
         theta=theta,
+        theta_min=float(rest[0]),
         vector=x,
         steps=0,
         residual=float(np.linalg.norm(apply(channel, x) - theta * x)),
-        solver="eigh",
     )

@@ -1,8 +1,7 @@
 """spectrum.arnoldi_lambda2 against the dense eigvals it replaced.
 
 The oracle is `eigen_spectrum`, the dense solve of every eigenvalue of
-R'. Tolerance: 1e-12 on lambda2; the dense fallback gives eigen_spectrum's
-lambda2 exactly.
+R'. Tolerance: 1e-12 on lambda2.
 """
 
 import json
@@ -16,6 +15,7 @@ from qexpander.cli import main
 from qexpander.errors import NumericalError
 from qexpander.matrixcore import SeededRng
 from qexpander.spectrum import arnoldi_lambda2, eigen_spectrum, lanczos_lambda2
+from test_lanczos import clustered_channel
 
 LAMBDA2_AGREE = 1e-12
 
@@ -24,7 +24,7 @@ def test_lambda2_on_criterion_7_channels(nonherm50):
     # the fixture's dense spectra are the oracle: no further dense solve
     for chan, spec in nonherm50:
         dom = arnoldi_lambda2(chan)
-        assert dom.solver == "arnoldi" and dom.estimate <= 1e-12
+        assert dom.estimate <= 1e-12
         assert abs(dom.lambda2 - spec.lambda2) <= LAMBDA2_AGREE
 
 
@@ -34,7 +34,7 @@ def test_exact_termination_at_small_n(n):
         chan = build_channel("nonhermitian", n, 3, SeededRng(70 + seed, n))
         dom = arnoldi_lambda2(chan)
         # the Krylov space is exhausted or invariant within N^2 - 1 steps
-        assert dom.solver == "arnoldi" and dom.steps <= n * n - 1
+        assert dom.steps <= n * n - 1
         assert abs(dom.lambda2 - eigen_spectrum(chan).lambda2) <= LAMBDA2_AGREE
 
 
@@ -43,7 +43,6 @@ def test_few_kraus_terms_against_dense(d):
     for n in range(6, 17, 2):
         chan = build_channel("nonhermitian", n, d, SeededRng(80 + d, n))
         dom = arnoldi_lambda2(chan)
-        assert dom.solver == "arnoldi"
         assert abs(dom.lambda2 - eigen_spectrum(chan).lambda2) <= LAMBDA2_AGREE
 
 
@@ -54,18 +53,13 @@ def test_hermitian_channel_agrees_with_lanczos():
     assert abs(arnoldi_lambda2(chan).lambda2 - lanczos_lambda2(chan).lambda2) <= LAMBDA2_AGREE
 
 
-@pytest.mark.parametrize("budget_scale, solver", [(None, "arnoldi"), (1, "dense")])
-def test_matches_dense_whichever_solver_ran(budget_scale, solver, monkeypatch):
-    if budget_scale is not None:  # N steps are too few: the dense fallback finishes
-        monkeypatch.setattr(spectrum, "KRYLOV_BUDGET_SCALE", budget_scale)
-    chan = build_channel("nonhermitian", 12, 3, SeededRng(91))
+@pytest.mark.parametrize("clustered, min_steps", [(False, 1), (True, 16 * 24 + 1)])
+def test_matches_dense(clustered, min_steps):
+    # the clustered channel runs past 16N steps, which up to N=64 do not limit the solve
+    chan = clustered_channel(24) if clustered else build_channel("nonhermitian", 12, 3, SeededRng(91))
     dom = arnoldi_lambda2(chan)
-    want = eigen_spectrum(chan).lambda2
-    assert dom.solver == solver
-    if solver == "dense":
-        assert dom.steps == 12 and dom.estimate > 1e-12 and dom.lambda2 == want
-    else:
-        assert abs(dom.lambda2 - want) <= LAMBDA2_AGREE
+    assert min_steps <= dom.steps <= chan.dim**2 - 1 and dom.estimate <= 1e-12
+    assert abs(dom.lambda2 - eigen_spectrum(chan).lambda2) <= LAMBDA2_AGREE
 
 
 def test_unconverged_past_the_dense_ceiling_raises(monkeypatch):
@@ -82,7 +76,8 @@ def test_unconverged_sweep_record_fails_and_the_sweep_continues(monkeypatch, tmp
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert report["records"] == 2 and report["failed"] == 1
-    assert report["solvers"] == {"dense": 1} and report["max_steps"] == 8
+    # at N=8 the limit is N^2 - 1 = 63 steps whatever the budget scale
+    assert report["solvers"] == {"arnoldi": 1} and 8 < report["max_steps"] <= 63
     (line,) = captured.err.splitlines()
     assert line.startswith("record (N=65, trial=0) failed: Arnoldi did not converge in 65 steps at N=65")
     rows = [r.split(",") for r in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import importlib
 import json
@@ -98,6 +99,37 @@ def test_src_exports_resolve_and_hold_no_test_only_code():
     ):
         members = set(dir(cls)) | {f.name for f in dataclasses.fields(cls)}
         assert not members & set(names), cls.__name__
+
+
+# one spectral path: the functions that may call a dense np.linalg eigensolver
+EIGENSOLVER_CALLERS = {
+    "spectrum._traceless_eigenvalues",  # R', every eigenvalue
+    "spectrum._ritz_step",  # the k x k Hessenberg matrix of the Krylov solve
+    "edgex.tanner_chain_check",  # the N x N eigenvector of R'
+}
+
+
+def test_only_the_spectral_path_calls_a_dense_eigensolver():
+    root = Path(qexpander.__file__).parent
+    callers = set()
+    for path in root.rglob("*.py"):
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}"
+            func = node.func if isinstance(node, ast.Call) else None
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr.startswith("eig")
+                and ast.unparse(func.value) in ("np.linalg", "numpy.linalg")
+            ):
+                callers.add(scope)
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text()), module)
+    assert callers == EIGENSOLVER_CALLERS
 
 
 def test_readme_command_lines_parse():
@@ -647,6 +679,7 @@ def test_edge_command(monkeypatch, capsys):
     assert report["chain"]["holds"] is True
     assert report["chain"]["lhs"] <= report["chain"]["rhs"] + 1e-8
     assert report["solver"] == "lanczos"
+    assert -report["lambda2"] <= report["theta_min"] < 0.0
     assert 0 < report["steps"] <= 99
     assert report["residual"] <= 1e-12
 

@@ -183,9 +183,9 @@ def test_chain_does_not_depend_on_the_solver_eigenvector_sign(monkeypatch):
     calls = []
 
     def negated_ritz(hk, b, symmetric, channel):
-        estimate, (value, theta, y) = real_ritz(hk, b, symmetric, channel)
+        estimate, (value, theta, theta_min, y) = real_ritz(hk, b, symmetric, channel)
         calls.append(len(hk))
-        return estimate, (value, theta, -y)
+        return estimate, (value, theta, theta_min, -y)
 
     # a Ritz vector of either sign, as a start vector of either sign gives
     monkeypatch.setattr(spectrum_mod, "_ritz_step", negated_ritz)

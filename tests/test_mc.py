@@ -42,9 +42,11 @@ SIX_GENERATORS = "tr(U1 U2 U3 U4 U5 U6) tr(U6' U5' U4' U3' U2' U1')"
 # 256-matrix stack per thread (4 MB at N=32) would break both.
 MC_PEAK_BOUND_MB = 3.5
 MC_PEAK_BOUND_MANY_GEN_MB = 6.5
-# Traced memory past 24 bytes per sample: 0.013 MB for 2*10^5 samples at
-# N=2 on two threads, 1.55 MB with a stream and a future made up front
-# per sub-batch.
+# Growth of the traced peak past 16 bytes per sample from 2*10^5 to
+# 4*10^5 samples at N=2 on two threads: under 0.001 MB. An 8-byte
+# temporary per sample for the standard error made it 1.53 MB, and a
+# stream and a future made up front per sub-batch cost 1.55 MB per
+# 2*10^5 samples.
 STREAM_SET_UP_BOUND_MB = 0.25
 # Over the 28 estimates checked below, 19 moved from the oracle's, by at
 # most 8.9e-16, and per-sample trace products by at most 5.5e-15 (2.9e-14
@@ -291,16 +293,40 @@ def test_memory_stays_under_the_bound(monkeypatch):
         assert current <= 16 * samples, (expr, n)
 
 
+def test_stderr_is_numpys_std_of_the_samples(monkeypatch):
+    # summed one sub-batch at a time, the squared deviations give numpy's
+    # std(ddof=1) of the same samples within rounding
+    real = mc._trace_product
+    drawn = []
+
+    def recording(stacks, q):
+        drawn.append(real(stacks, q))
+        return drawn[-1]
+
+    monkeypatch.setattr(mc, "_trace_product", recording)
+    samples = 10**5
+    mean, stderr = monte_carlo_expectation(_query("tr(U1) tr(U1')"), 2, samples, SeededRng(5))
+    values = np.concatenate(drawn).real
+    assert values.size == samples
+    assert abs(mean - values.mean()) <= 1e-12 * abs(mean)
+    want = values.std(ddof=1) / np.sqrt(samples)
+    assert abs(stderr - want) <= 1e-12 * want
+
+
 def test_stream_set_up_does_not_grow_with_the_sample_count(monkeypatch):
-    # past its samples (16 bytes each) and the standard error's temporary
-    # (8 more) an estimate holds only per-thread buffers
+    # past its samples (16 bytes each) an estimate holds only per-thread
+    # buffers, whatever the sample count: no stream per sub-batch and no
+    # per-sample temporary for the standard error
     monkeypatch.setattr(matrixcore, "worker_count", lambda: 2)
-    query, samples = _query("tr(U1) tr(U1')"), 2 * 10**5
+    query = _query("tr(U1) tr(U1')")
     monte_carlo_expectation(query, 2, 300, SeededRng(0))  # imports concurrent.futures
-    tracemalloc.start()
-    try:
-        monte_carlo_expectation(query, 2, samples, SeededRng(0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (peak - 24 * samples) / 2**20 < STREAM_SET_UP_BOUND_MB
+    beyond = []
+    for samples in (2 * 10**5, 4 * 10**5):
+        tracemalloc.start()
+        try:
+            monte_carlo_expectation(query, 2, samples, SeededRng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        beyond.append(peak - 16 * samples)
+    assert (beyond[1] - beyond[0]) / 2**20 < STREAM_SET_UP_BOUND_MB
