@@ -66,14 +66,14 @@ class AlonBoppanaBound(NamedTuple):
     attained_m: int | None  # None when no moment order qualifies
 
 
-def alon_boppana_lower_bound(N: int, D: int, m_max: int = 20) -> AlonBoppanaBound:
+def alon_boppana_lower_bound(N: int, D: int, m_max: int = MAX_WALK_LENGTH) -> AlonBoppanaBound:
     """Lower bound on |lambda2| for every Hermitian weighted-unitary channel.
 
     For even m, the m-step return weight of the map is at least the tree
     return probability N(0, m)/D^m, and N^2 times it is at most
-    1 + N^2 |lambda2|^m; maximizing over even m <= m_max with
-    N^2 N(0, m)/D^m > 1 gives the bound. Ratios are exact Fractions until
-    the final real root.
+    1 + N^2 |lambda2|^m; the best even m <= m_max (by default the longest
+    walk the table holds) with N^2 N(0, m)/D^m > 1, attained_m, gives the
+    bound. Ratios are exact Fractions until the final real root.
     """
     if D % 2 != 0 or D < 4:
         raise ValidationError(f"need even D >= 4, got D={D}")

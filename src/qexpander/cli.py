@@ -14,6 +14,7 @@ import math
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,12 +43,13 @@ GAP_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep's inputs. None of them sets the tree bound's order: each N takes its best."""
+
     construction: str
     N_list: tuple[int, ...]
     D: int
     trials: int
     master_seed: int
-    m_max: int
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -56,8 +58,6 @@ class ExperimentConfig:
             raise ValidationError("N_list must not be empty")
         for n in self.N_list:
             check_construction(self.construction, n, self.D, "matrix-free")
-        if self.m_max % 2 != 0 or not 2 <= self.m_max <= MAX_WALK_LENGTH:
-            raise ValidationError(f"m_max must be even and lie in 2..{MAX_WALK_LENGTH}, got {self.m_max}")
         if self.master_seed < 0:  # SeededRng rejects it too, but only inside a sweep record
             raise ValidationError(f"master_seed must be >= 0, got {self.master_seed}")
 
@@ -77,18 +77,18 @@ class ExperimentRecord:
     error: str | None = None
     solver: str | None = None  # the solver that produced lambda2
     steps: int | None = None  # Lanczos or Arnoldi steps
+    alon_boppana_m: int | None = None  # the walk order behind alon_boppana_lb
 
 
-def _run_one(config: ExperimentConfig, n: int, stream_index: int) -> ExperimentRecord:
-    bench = benchmark_values(config.D)
+def _run_one(config: ExperimentConfig, n: int, stream_index: int, bench, bound) -> ExperimentRecord:
     start = time.perf_counter()
-    error = solver = steps = None
+    error = solver = steps = ab_m = None
     try:
         rng = SeededRng(config.master_seed, stream_index)
         chan = build_channel(config.construction, n, config.D, rng, "matrix-free")
         if chan.hermitian:
             top, solver = lanczos_lambda2(chan), "lanczos"
-            lb = alon_boppana_lower_bound(n, config.D, config.m_max).value
+            lb, ab_m = bound.value, bound.attained_m
             gap_ok = top.lambda2 >= lb - GAP_SLACK
         else:
             top, solver = arnoldi_lambda2(chan), "arnoldi"
@@ -110,6 +110,7 @@ def _run_one(config: ExperimentConfig, n: int, stream_index: int) -> ExperimentR
         error=error,
         solver=solver,
         steps=steps,
+        alon_boppana_m=ab_m,
     )
 
 
@@ -117,10 +118,12 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     """One record per (N, trial), in deterministic order with per-trial
     seed streams. A failing record reports its error; the sweep continues.
     """
+    bench = benchmark_values(config.D)
     records: list[ExperimentRecord] = []
     for n in config.N_list:
+        bound = alon_boppana_lower_bound(n, config.D) if config.construction != "nonhermitian" else None
         for trial in range(config.trials):
-            record = _run_one(config, n, len(records))
+            record = _run_one(config, n, len(records), bench, bound)
             if record.error is not None:
                 print(f"record (N={n}, trial={trial}) failed: {record.error}", file=sys.stderr)
             records.append(record)
@@ -338,11 +341,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    for flag, owner in args.mode_flags:
-        if args.construction == "nonhermitian":
-            raise ValidationError(f"{flag} is read by {owner} sweeps only, not by nonhermitian ones")
     n_list = _parse_int_list(args.n_list, "N list")
-    config = ExperimentConfig(args.construction, n_list, args.d, args.trials, args.seed, args.m_max)
+    config = ExperimentConfig(args.construction, n_list, args.d, args.trials, args.seed)
     out = _output_dir(args.out)
     records = run_sweep(config)
     csv_path = out / "sweep.csv"
@@ -356,6 +356,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "failed": len(failed),
                 "solvers": dict(Counter(r.solver for r in records if r.solver is not None)),
                 "max_steps": max(steps, default=None),
+                "alon_boppana_m": {r.N: r.alon_boppana_m for r in records if r.gap_ok is not None} or None,
                 "files": [str(csv_path)],
             },
             indent=2,
@@ -435,6 +436,17 @@ def _cmd_sd(args: argparse.Namespace) -> int:
     n = args.n
     report: dict = {"expression": args.expr, "mode": mode, "n": n, "tr1_factors": power}
 
+    @contextmanager
+    def fits_a_float(what: str, *keys: str):
+        """Exit 2 naming `what` when the block overflows a float: it raises
+        OverflowError, or leaves an inf in report under one of keys."""
+        try:
+            yield
+        except OverflowError:
+            raise ValidationError(f"{what} at N={n} does not fit in a float") from None
+        if any(math.isinf(report[key]) for key in keys):
+            raise ValidationError(f"{what} at N={n} does not fit in a float")
+
     if mode == "exact":
         # the Weingarten formula holds only for N >= k (Collins 2003); an
         # unbalanced query is 0 at every N, so only N >= 1 is needed there
@@ -448,14 +460,12 @@ def _cmd_sd(args: argparse.Namespace) -> int:
         value = evaluate_exact(query) * RationalInN.n_power(power)
         report["rational"] = str(value)
         if n is not None:
-            try:
+            with fits_a_float("the value", "value"):
                 report["value"] = float(value.evaluate(n))
-            except OverflowError:
-                raise ValidationError(f"the value at N={n} does not fit in a float") from None
     elif mode == "series":
         if n is None:
             raise ValidationError("--series needs --n")
-        try:
+        with fits_a_float("the value or its bound", "value", "truncation_bound"):
             result = evaluate_series(
                 parsed.query,
                 n,
@@ -464,31 +474,22 @@ def _cmd_sd(args: argparse.Namespace) -> int:
                 allow_divergent=args.allow_divergent,
             )
             scale = n**power
-            value, bound = result.partial_total * scale, result.truncation_bound * scale
-        except OverflowError:  # a value that does not convert to a float
-            value = bound = math.inf
-        if math.isinf(value) or math.isinf(bound):
-            raise ValidationError(f"the value or its bound at N={n} does not fit in a float")
-        report["value"] = value
-        report["levels_computed"] = result.levels_computed
-        report["truncation_bound"] = bound
+            report["value"] = result.partial_total * scale
+            report["levels_computed"] = result.levels_computed
+            report["truncation_bound"] = result.truncation_bound * scale
         report["level_sums"] = [str(s) for s in result.level_sums]
     else:
         if n is None:
             raise ValidationError("--mc needs --n")
-        too_large = f"the estimate or its stderr at N={n} does not fit in a float"
-        try:  # N^(tr(1) count) is checked before the sampling, the scaled values after it
+        with fits_a_float("the estimate or its stderr"):  # N^(tr(1) count), before the sampling
             scale = float(n**power)
-        except OverflowError:
-            raise ValidationError(too_large) from None
         rng = SeededRng(args.seed)
         start = time.perf_counter()
         estimate, stderr = monte_carlo_expectation(parsed.query, n, args.samples, rng)
         sampled = time.perf_counter()
-        report["estimate"] = estimate * scale
-        report["stderr"] = stderr * scale
-        if math.isinf(report["estimate"]) or math.isinf(report["stderr"]):
-            raise ValidationError(too_large)
+        with fits_a_float("the estimate or its stderr", "estimate", "stderr"):
+            report["estimate"] = estimate * scale
+            report["stderr"] = stderr * scale
         report["samples"] = args.samples
         report["threads"] = 1 if parsed.query.is_empty else batch_workers(args.samples)
         report["blas_threads"] = batch_blas_threads()
@@ -528,10 +529,9 @@ def _cmd_edge(args: argparse.Namespace) -> int:
 
 
 class _ModeFlag(argparse.Action):
-    """A flag that only one mode reads: an `sd eval` mode, or the Hermitian
-    constructions of `sweep`. It stores its value as argparse's store
-    action does (store_true with nargs=0) and, when given, appends (flag,
-    mode) to args.mode_flags for the command to check."""
+    """A flag that only one `sd eval` mode reads. It stores its value as
+    argparse's store action does (store_true with nargs=0) and, when given,
+    appends (flag, mode) to args.mode_flags for _cmd_sd to check."""
 
     def __init__(self, option_strings, dest, mode: str, **kwargs):
         super().__init__(option_strings, dest, **kwargs)
@@ -564,10 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--d", type=int, default=4)
     p_sweep.add_argument("--trials", type=int, default=1)
     p_sweep.add_argument("--construction", choices=CONSTRUCTIONS, default="hermitian")
-    p_sweep.add_argument("--m-max", type=int, default=20, action=_ModeFlag, mode="hermitian and weighted")
     p_sweep.add_argument("--seed", type=int, default=0, help="master seed")
     p_sweep.add_argument("--out", default=".", help="output directory")
-    p_sweep.set_defaults(func=_cmd_sweep, mode_flags=())
+    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_col = sub.add_parser("collapse", help="sorted-spectrum collapse figure")
     p_col.add_argument("--n-list", default="20,30,50", help="comma-separated N values")

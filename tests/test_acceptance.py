@@ -95,6 +95,16 @@ def test_criterion_2_alon_boppana(herm50):
     assert ok
 
 
+def test_criterion_1_channels_clear_the_best_order_bound(herm50):
+    # the bound `sweep` reports takes the best even order up to 64: at N=50
+    # that is m=24, tighter than criterion 2's m=20
+    rows, _ = herm50
+    best = alon_boppana_lower_bound(50, 4)
+    assert best.attained_m == 24 and best.value > alon_boppana_lower_bound(50, 4, 20).value
+    for _, _, spec in rows:
+        assert spec.lambda2 >= best.value - GAP_SLACK
+
+
 def test_criterion_3_sd_worked_examples():
     one = evaluate_exact(parse_trace_expr("tr(U1) tr(U1')").query)
     two_query = parse_trace_expr("tr(U1 U1) tr(U1' U1')").query

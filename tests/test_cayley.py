@@ -13,7 +13,7 @@ from oracle_walks import (
     shift_symmetry_period,
     slow_return_counts,
 )
-from qexpander.cayley import alon_boppana_lower_bound, walk_counts
+from qexpander.cayley import MAX_WALK_LENGTH, alon_boppana_lower_bound, walk_counts
 from qexpander.errors import ValidationError
 
 
@@ -138,9 +138,12 @@ def test_alon_boppana_pinned_value():
 
 
 def test_alon_boppana_monotone_in_m_max():
-    # a larger m_max can only improve (or keep) the bound
-    values = [alon_boppana_lower_bound(50, 4, m).value for m in (2, 4, 8, 12, 20)]
+    # a larger m_max can only improve (or keep) the bound, and the default
+    # takes the best order the walk table reaches
+    values = [alon_boppana_lower_bound(50, 4, m).value for m in range(2, MAX_WALK_LENGTH + 1, 2)]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
+    best = alon_boppana_lower_bound(50, 4)
+    assert best.value == max(values) and best.attained_m == 24
 
 
 def test_alon_boppana_approaches_benchmark():

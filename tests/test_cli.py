@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 
 import qexpander
 from qexpander import matrixcore, sdengine, spectrum
-from qexpander.cayley import MAX_WALK_LENGTH
+from qexpander.cayley import MAX_WALK_LENGTH, walk_counts
 from qexpander.channel import build_channel
 from qexpander.cli import (
     ExperimentConfig,
@@ -37,6 +38,14 @@ from qexpander.sdengine.engine import LevelAudit, SdTerm
 
 def mask_wall_ms(text: str) -> list[str]:
     return [",".join(line.split(",")[:9]) for line in text.splitlines()]
+
+
+def run_cli(argv: list[str]) -> int:
+    """main's exit code, also when argparse rejects argv and exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 # test-only code lives next to the oracles in tests/, or is gone
@@ -93,7 +102,7 @@ def test_src_exports_resolve_and_hold_no_test_only_code():
         (sdengine.RationalInN, ("is_constant", "constant_value")),
         (sdengine.SeriesResult, ("exact_partial_total", "m_total", "N")),
         (SeededRng, ("stream",)),
-        (ExperimentConfig, ("output_dir",)),
+        (ExperimentConfig, ("output_dir", "m_max")),
         (SdTerm, ("split_count",)),
         (LevelAudit, ("live_count",)),
     ):
@@ -197,18 +206,48 @@ def test_sweep_gap_ok_and_benchmarks(tmp_path):
     assert [r[2] for r in rows] == ["0", "1", "2"]  # per-trial seed streams
 
 
-def test_sweep_nonhermitian_rows_have_no_bound(tmp_path):
+def test_sweep_nonhermitian_rows_have_no_bound(tmp_path, capsys):
     out = tmp_path / "nh"
     code = main(
         ["sweep", "--n-list", "8", "--trials", "2", "--construction", "nonhermitian",
          "--d", "3", "--seed", "2", "--out", str(out)]
     )
     assert code == 0
+    assert json.loads(capsys.readouterr().out)["alon_boppana_m"] is None
     rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
     for row in rows:
         assert row[3] == "nonhermitian"
         assert row[7] == "nan"
         assert row[8] == ""
+
+
+def test_sweep_bound_takes_the_best_order_the_walk_table_reaches(tmp_path, capsys):
+    # max over even m <= 64 of ((N^2 N(0,m)/D^m - 1)/N^2)^(1/m), where the
+    # tree return weight N^2 N(0,m)/D^m exceeds 1; at D=4 from N=40 up the
+    # best order lies past 20 (m=20 gives 0.720289334972 and 0.725630599068)
+    table = walk_counts(4, MAX_WALK_LENGTH)
+    best = {}
+    for n in (40, 50):
+        weights = {m: Fraction(n * n * table.count(0, m), 4**m) for m in range(2, MAX_WALK_LENGTH + 1, 2)}
+        best[n] = max(
+            (float((w - 1) / (n * n)) ** (1.0 / m), m) for m, w in weights.items() if w > 1
+        )
+    assert main(["sweep", "--n-list", "40,50", "--d", "4", "--out", str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["alon_boppana_m"] == {"40": best[40][1], "50": best[50][1]} == {"40": 22, "50": 24}
+    rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    assert [row[7] for row in rows] == [f"{best[n][0]:.12g}" for n in (40, 50)]
+    assert [row[7] for row in rows] == ["0.720440373332", "0.729591673165"]
+    assert [row[8] for row in rows] == ["true", "true"]
+
+
+def test_sweep_weighted_d6_bound_keeps_its_order(tmp_path, capsys):
+    # at D=6 the best order is 12, well inside the old m_max=20
+    assert main(["sweep", "--construction", "weighted", "--n-list", "40", "--d", "6",
+                 "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["alon_boppana_m"] == {"40": 12}
+    row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert row[7] == "0.554082407584"
 
 
 def test_sweep_weighted_construction(tmp_path):
@@ -222,19 +261,16 @@ def test_sweep_weighted_construction(tmp_path):
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        ExperimentConfig("hermitian", (129,), 4, 1, 0, 20)  # N over the matrix-free ceiling
+        ExperimentConfig("hermitian", (129,), 4, 1, 0)  # N over the matrix-free ceiling
     with pytest.raises(ValidationError):
-        ExperimentConfig("nonhermitian", (129,), 4, 1, 0, 20)  # the same ceiling
+        ExperimentConfig("nonhermitian", (129,), 4, 1, 0)  # the same ceiling
     with pytest.raises(ValidationError):
-        ExperimentConfig("hermitian", (8,), 3, 1, 0, 20)  # odd D
+        ExperimentConfig("hermitian", (8,), 3, 1, 0)  # odd D
     with pytest.raises(ValidationError):
-        ExperimentConfig("weird", (8,), 4, 1, 0, 20)
+        ExperimentConfig("weird", (8,), 4, 1, 0)
     with pytest.raises(ValidationError):
-        ExperimentConfig("hermitian", (8,), 4, 0, 0, 20)  # no trials
-    with pytest.raises(ValidationError):
-        ExperimentConfig("hermitian", (8,), 4, 1, 0, MAX_WALK_LENGTH + 2)  # past the walk table
-    ExperimentConfig("hermitian", (8,), 4, 1, 0, MAX_WALK_LENGTH)
-    ExperimentConfig("nonhermitian", (8,), 2, 1, 0, 20)  # D=2 fine here
+        ExperimentConfig("hermitian", (8,), 4, 0, 0)  # no trials
+    ExperimentConfig("nonhermitian", (8,), 2, 1, 0)  # D=2 fine here
 
 
 @pytest.mark.parametrize(
@@ -270,9 +306,12 @@ def test_over_ceiling_n_is_rejected_before_the_haar_draw(command, monkeypatch, t
 
     monkeypatch.setattr(SeededRng, "generator", property(no_draw))
     (tmp_path / "file").touch()
-    assert main([arg.format(tmp=tmp_path, file=tmp_path / "file") for arg in command]) == 2
+    assert run_cli([arg.format(tmp=tmp_path, file=tmp_path / "file") for arg in command]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    if "--m-max" in command:  # sweep works out its tree-bound order itself and takes no such flag
+        assert "unrecognized arguments: --m-max" in captured.err
+    else:
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
     assert captured.out == ""
     # the message names the ceiling of the solver the command runs, or of the moment orders
     line = " ".join(command)
@@ -341,9 +380,12 @@ def test_exit_code_validation_error(tmp_path, capsys):
 )
 def test_explicit_zero_is_validated_not_defaulted(argv, tmp_path, capsys):
     (tmp_path / "file").touch()  # a regular file where --out wants a directory
-    assert main([arg.format(tmp=tmp_path, file=tmp_path / "file") for arg in argv]) == 2
+    assert run_cli([arg.format(tmp=tmp_path, file=tmp_path / "file") for arg in argv]) == 2
     captured = capsys.readouterr()
-    assert any(line.startswith("error:") for line in captured.err.splitlines())
+    if "--m-max" in argv:  # sweep works out its tree-bound order itself and takes no such flag
+        assert "unrecognized arguments: --m-max" in captured.err
+    else:
+        assert any(line.startswith("error:") for line in captured.err.splitlines())
     assert "Traceback" not in captured.err + captured.out
     assert captured.out == ""
     if argv[-2:] == ["--levels", "129"]:
@@ -761,7 +803,7 @@ def test_run_sweep_records_errors_and_continues(monkeypatch, capsys):
         return real(chan, *a, **k)
 
     monkeypatch.setattr(cli_mod, "lanczos_lambda2", flaky)
-    config = ExperimentConfig("hermitian", (8,), 4, 2, 0, 20)
+    config = ExperimentConfig("hermitian", (8,), 4, 2, 0)
     records = run_sweep(config)
     assert len(records) == 2
     assert records[0].error == "synthetic failure"
@@ -781,7 +823,7 @@ def test_build_channel_weighted_weights_paired():
 
 
 def test_write_sweep_csv_round_trip(tmp_path):
-    config = ExperimentConfig("hermitian", (8,), 4, 1, 0, 20)
+    config = ExperimentConfig("hermitian", (8,), 4, 1, 0)
     records = run_sweep(config)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(records, path)
