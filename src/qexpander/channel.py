@@ -1,11 +1,12 @@
 """Unital CPTP maps with weighted unitary Kraus factors.
 
 A channel acts as E(M) = sum_s P(s) U(s)† M U(s) with probabilities P(s)
-and unitaries U(s); the Kraus factors are A(s) = sqrt(P(s)) U(s). The
-Hermitian variant pairs each unitary with its adjoint, U(s + D/2) = U(s)†
-with P(s + D/2) = P(s), which makes the map self-adjoint under the
-Hilbert-Schmidt inner product. build_channel draws the random channels the
-workbench studies, after check_construction has passed the request.
+and unitaries U(s); the Kraus factors are A(s) = sqrt(P(s)) U(s). A
+channel is Hermitian when its stack pairs each unitary with its adjoint,
+U(s + D/2) = U(s)† with P(s + D/2) = P(s), which makes the map
+self-adjoint under the Hilbert-Schmidt inner product. build_channel draws
+the random channels the workbench studies, after check_construction has
+passed the request.
 """
 
 from __future__ import annotations
@@ -26,15 +27,10 @@ from .matrixcore import (
 )
 
 CONSTRUCTIONS = ("hermitian", "nonhermitian", "weighted")
-# the largest N per solver: dense N^2 x N^2 work is impractical beyond 64
-# (a dense solve maps one 8N^4-byte R, 134 MB at N=64, of which a
-# Hermitian R writes its row tails, 76 MB, and one solve grows the
-# resident set by 79 MB and takes seconds), and the matrix-free Krylov
-# solve of lambda2 (one loop for every channel) stops at 128. Up to 64
-# the loop may run N^2 - 1 steps: its basis and Hessenberg matrix each
-# map at most 134 MB, the size of the dense R, of which only the pages a
-# solve touches are resident. Above 64 it runs at most 16N steps, whose
-# basis maps 268 MB at N=128
+# the largest N per solver: a dense solve maps one 8N^4-byte R, 134 MB
+# at N=64, and takes seconds there; the matrix-free Krylov solve holds no
+# N^2 x N^2 array, and its stored basis, which spectrum._krylov's step
+# limit sizes, is what stops it at 128
 DIM_CEILINGS = {"dense": 64, "matrix-free": 128}
 DEFAULT_DIM_CEILING = DIM_CEILINGS["dense"]
 
@@ -50,7 +46,6 @@ class Channel:
 
     unitaries: np.ndarray
     weights: np.ndarray
-    hermitian: bool
     seed: tuple[int, int] | None = None
 
     @property
@@ -60,6 +55,18 @@ class Channel:
     @property
     def kraus_count(self) -> int:
         return self.unitaries.shape[0]
+
+    @cached_property
+    def hermitian(self) -> bool:
+        """Whether the stack pairs U(s + D/2) = U(s)† at P(s + D/2) = P(s)."""
+        d, half = self.kraus_count, self.kraus_count // 2
+        us, ws = self.unitaries, self.weights
+        # one pair at a time, so that the check's temporaries stay N x N
+        return d % 2 == 0 and all(
+            np.max(np.abs(us[s + half] - us[s].conj().T)) <= PAIRING_TOL
+            and abs(ws[s + half] - ws[s]) <= WEIGHT_TOL
+            for s in range(half)
+        )
 
     @cached_property
     def _weighted_adjoints(self) -> np.ndarray:
@@ -81,6 +88,8 @@ class Channel:
         n, d = self.dim, self.kraus_count
         if n < 1:
             raise ValidationError(f"invalid dimension N={n}")
+        if d < 2:
+            raise ValidationError(f"need D >= 2 Kraus terms, got D={d}")
         if self.weights.shape != (d,):
             raise ValidationError(f"weights shape {self.weights.shape} does not match D={d}")
         if not np.all(np.isfinite(self.weights)):
@@ -98,21 +107,6 @@ class Channel:
             res = unitarity_residual(self.unitaries[s])
             if res > UNITARITY_TOL:
                 raise ValidationError(f"Kraus factor {s} not unitary: residual {res:.3e}")
-        if self.hermitian:
-            if d % 2 != 0 or d < 4:
-                raise ValidationError(f"hermitian channel needs even D >= 4, got D={d}")
-            half = d // 2
-            for s in range(half):
-                pres = float(np.max(np.abs(self.unitaries[s + half] - self.unitaries[s].conj().T)))
-                if pres > PAIRING_TOL:
-                    raise ValidationError(
-                        f"adjoint pairing violated at s={s}: max deviation {pres:.3e}"
-                    )
-                if abs(self.weights[s + half] - self.weights[s]) > WEIGHT_TOL:
-                    raise ValidationError(f"weight pairing violated at s={s}")
-        else:
-            if d < 2:
-                raise ValidationError(f"need D >= 2 Kraus terms, got D={d}")
 
 
 def check_construction(construction: str, N: int, D: int, solver: str = "dense") -> None:
@@ -158,7 +152,6 @@ def build_channel(construction: str, N: int, D: int, rng: SeededRng, solver: str
     return Channel(
         unitaries=np.stack(draws),
         weights=weights,
-        hermitian=hermitian,
         seed=(rng.master_seed, rng.stream_index),
     )
 

@@ -162,7 +162,7 @@ def write_sweep_csv(records: list[ExperimentRecord], path) -> None:
 def collapse_curve(spectrum: SuperopSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """(a/N^2, eigenvalue) with eigenvalues from most positive to most
     negative, the order eigen_spectrum gives a hermitian spectrum."""
-    n2 = spectrum.dim * spectrum.dim
+    n2 = len(spectrum.eigenvalues)
     ranks = np.arange(1, n2 + 1) / n2
     return ranks, spectrum.eigenvalues.real
 
@@ -619,16 +619,17 @@ def _release_free_heap() -> None:
     """Hand the C heap's free pages back to the system (glibc malloc_trim).
 
     glibc keeps freed blocks of up to 32 MiB resident in its heap for
-    reuse, such as a Krylov basis, and whether a later command fits into
-    them or grows the heap depends on the fragmentation earlier commands
-    left. (The dense solve's R is mapped on its own and its build's
-    temporaries stay under 128 KiB, so it never leaves large blocks
-    there.) Trimming after each command makes a
+    reuse, such as the powers of R a moment table multiplies (the first
+    one freed raises the mmap threshold to their size), and whether a
+    later command fits into them or grows the heap depends on the
+    fragmentation earlier commands left. (The dense solve's R is mapped on
+    its own and its build's temporaries stay under 128 KiB, so it never
+    leaves large blocks there.) Trimming after each command makes a
     command's resident set not depend on what ran before it in the same
-    process. Within a command, free() itself hands
-    back the top of a heap once the free space there passes the trim
-    threshold (twice the mmap threshold, which rises to the largest block
-    freed), and the next allocation faults those pages in again. An N=32, 10^4-sample
+    process. Within a command, free() itself hands back the top of a heap
+    once the free space there passes the trim threshold (twice the mmap
+    threshold, which rises to the largest block freed), and the next
+    allocation faults those pages in again. An N=32, 10^4-sample
     Monte-Carlo estimate in the benchmark's op sequence took about 200k
     minor faults while each generator's QR made three 4 MB temporaries,
     59k once the QR was sliced but each sub-batch still had fresh stacks,

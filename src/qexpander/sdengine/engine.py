@@ -104,8 +104,11 @@ class SeriesResult:
     level_sums: tuple[Fraction, ...]
     partial_total: float
     truncation_bound: float
-    levels_computed: int
     level_audits: tuple[LevelAudit, ...]
+
+    @property
+    def levels_computed(self) -> int:
+        return len(self.level_sums)
 
 
 def _truncation_bound(frontier: dict[tuple[ExpectationQuery, int, int], int], level: int, N: int) -> float:
@@ -157,7 +160,6 @@ def evaluate_series(
             level_sums=(),
             partial_total=0.0 if query.is_unbalanced else 1.0,
             truncation_bound=0.0,
-            levels_computed=0,
             level_audits=(),
         )
 
@@ -200,7 +202,6 @@ def evaluate_series(
         level_sums=tuple(level_sums),
         partial_total=float(total),
         truncation_bound=bound,
-        levels_computed=level,
         level_audits=tuple(audits),
     )
 

@@ -28,10 +28,10 @@ Conventions fixed here once:
   are the bits np.linalg gives. Where no LAPACKE symbols are found
   (another BLAS), np.linalg solves a copy of R'.
   One Krylov solve (_krylov, Arnoldi matrix-free through `apply`) serves
-  both lambda2 entry points and differs only in its Ritz step:
-  lanczos_lambda2 takes the extremes of R' for a Hermitian channel, and
-  with them the top eigenvector; arnoldi_lambda2 takes the largest
-  modulus for any channel.
+  both lambda2 entry points, each for one kind of channel, and picks its
+  Ritz step by the channel's kind: lanczos_lambda2 takes the extremes of
+  R' for a Hermitian channel, and with them the top eigenvector;
+  arnoldi_lambda2 takes the largest modulus for a general one.
 """
 
 from __future__ import annotations
@@ -203,7 +203,6 @@ def real_superoperator(channel: Channel) -> np.ndarray:
 class SuperopSpectrum:
     """All N^2 eigenvalues plus the second-eigenvalue extraction metadata."""
 
-    dim: int
     eigenvalues: np.ndarray  # sorted: descending real part (hermitian) or modulus
     hermitian: bool
     lambda2: float
@@ -213,11 +212,9 @@ class SuperopSpectrum:
     solver: str  # "lapack": R' solved in place; "numpy": np.linalg on a copy of R'
     stage_s: dict[str, float]  # wall seconds: "build" (R) and "solve" (R')
 
-    def __post_init__(self) -> None:
-        if self.eigenvalues.shape != (self.dim * self.dim,):
-            raise ValidationError(
-                f"expected {self.dim * self.dim} eigenvalues, got {self.eigenvalues.shape}"
-            )
+    @property
+    def dim(self) -> int:
+        return math.isqrt(self.eigenvalues.size)
 
 
 def eigen_spectrum(channel: Channel) -> SuperopSpectrum:
@@ -252,7 +249,6 @@ def eigen_spectrum(channel: Channel) -> SuperopSpectrum:
     lam2 = float(np.max(np.abs(rest))) if rest.size else 0.0
 
     return SuperopSpectrum(
-        dim=n,
         eigenvalues=eigs,
         hermitian=channel.hermitian,
         lambda2=lam2,
@@ -350,10 +346,10 @@ def _traceless_operator(channel: Channel) -> tuple[_Basis, Callable[[np.ndarray]
 
 
 def _krylov(
-    channel: Channel, symmetric: bool
-) -> tuple[_Basis, np.ndarray, int, float, tuple[float, complex, float | None, np.ndarray]]:
-    """The Krylov solve behind lanczos_lambda2 (symmetric) and
-    arnoldi_lambda2.
+    channel: Channel,
+) -> tuple[_Basis, np.ndarray, int, float, tuple[complex, float | None, np.ndarray]]:
+    """The Krylov solve behind lanczos_lambda2 (Hermitian channels) and
+    arnoldi_lambda2 (general ones).
 
     Unrestarted Arnoldi (Saad, *Numerical Methods for Large Eigenvalue
     Problems*, SIAM 2011, ch. 6) on R' in the coordinates of B: each step
@@ -363,14 +359,14 @@ def _krylov(
     Stewart 1976), and stores the coefficients in the Hessenberg matrix H.
     On R' of a Hermitian channel this is Lanczos with full
     reorthogonalization. At the steps _next_check picks, _ritz_step solves
-    H, and the solve stops once the residual estimate is <= KRYLOV_TOL or
-    the Krylov space is invariant.
+    H by the channel's kind, and the solve stops once the residual
+    estimate is <= KRYLOV_TOL or the Krylov space is invariant.
 
     The step limit is N^2 - 1, the traceless dimension, up to N =
     DEFAULT_DIM_CEILING, and KRYLOV_BUDGET_SCALE N above it; a solve
     still above KRYLOV_TOL at the limit raises NumericalError. Returns
     the basis B, the Krylov vectors, the step count, the last estimate
-    and _ritz_step's (lambda2, theta, theta_min, y).
+    and _ritz_step's (theta, theta_min, y).
     """
     n = channel.dim
     basis, op, start = _traceless_operator(channel)
@@ -402,13 +398,13 @@ def _krylov(
         h[k + 1, k] = b
         k += 1
         if k == check or k == limit or b <= KRYLOV_TOL:
-            estimate, ritz = _ritz_step(h[:k, :k], b, symmetric, channel)
+            estimate, ritz = _ritz_step(h[:k, :k], b, channel)
             if estimate <= KRYLOV_TOL:
                 break
             if k == limit:
                 raise NumericalError(
-                    f"{'Lanczos' if symmetric else 'Arnoldi'} did not converge in {k} steps "
-                    f"at N={n} (residual estimate {estimate:.1e} > {KRYLOV_TOL:.0e})"
+                    f"{'Lanczos' if channel.hermitian else 'Arnoldi'} did not converge in {k} "
+                    f"steps at N={n} (residual estimate {estimate:.1e} > {KRYLOV_TOL:.0e})"
                 )
             check, last = _next_check(k, estimate, last), (k, estimate)
         q[k] = w / b
@@ -416,79 +412,81 @@ def _krylov(
 
 
 def _ritz_step(
-    hk: np.ndarray, b: float, symmetric: bool, channel: Channel
-) -> tuple[float, tuple[float, complex, float | None, np.ndarray]]:
-    """The residual estimate and (lambda2, theta, theta_min, y) from the
-    k x k Hessenberg matrix, y the unit eigenvector of theta.
+    hk: np.ndarray, b: float, channel: Channel
+) -> tuple[float, tuple[complex, float | None, np.ndarray]]:
+    """The residual estimate and (theta, theta_min, y) from the k x k
+    Hessenberg matrix, y the unit eigenvector of theta.
 
-    Symmetric: eigh of H's lower triangle, which is the tridiagonal T
-    (above it H holds only reorthogonalization rounding); theta and
-    theta_min are the largest and smallest eigenvalues, lambda2 the larger
-    of their moduli, and the estimate the larger of the two extremes'
-    b |e_k^T y|. Otherwise: eig of H; theta is the largest-modulus
-    eigenvalue, lambda2 = |theta|, theta_min None, and the estimate
-    b |e_k^T y|.
+    Hermitian channel: eigh of H's lower triangle, which is the
+    tridiagonal T (above it H holds only reorthogonalization rounding);
+    theta and theta_min are the largest and smallest eigenvalues, and the
+    estimate the larger of the two extremes' b |e_k^T y|. General channel:
+    eig of H; theta is the largest-modulus eigenvalue, theta_min None, and
+    the estimate b |e_k^T y|.
     """
     try:
-        if symmetric:
+        if channel.hermitian:
             vals, vecs = np.linalg.eigh(hk, UPLO="L")
             estimate = b * max(abs(vecs[-1, 0]), abs(vecs[-1, -1]))
-            lam2 = max(abs(vals[0]), abs(vals[-1]))
-            return float(estimate), (float(lam2), float(vals[-1]), float(vals[0]), vecs[:, -1])
+            return float(estimate), (float(vals[-1]), float(vals[0]), vecs[:, -1])
         vals, vecs = np.linalg.eig(hk)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Ritz solve failed (channel seed {channel.seed}): {exc}") from exc
     i = int(np.argmax(np.abs(vals)))
-    return b * float(abs(vecs[-1, i])), (float(abs(vals[i])), vals[i], None, vecs[:, i])
+    return b * float(abs(vecs[-1, i])), (vals[i], None, vecs[:, i])
 
 
 @dataclass(frozen=True, eq=False)
 class TopEigenpair:
     """The extremes of the traceless block R' of a Hermitian channel."""
 
-    lambda2: float  # max(|theta_max|, |theta_min|)
     theta: float  # theta_max, the largest eigenvalue of R'
     theta_min: float  # the smallest eigenvalue of R'
     vector: np.ndarray  # unit-norm traceless Hermitian eigenvector X of theta
     steps: int  # Lanczos steps, one `apply` each
     residual: float  # Hilbert-Schmidt norm of E(X) - theta X
 
+    @property
+    def lambda2(self) -> float:
+        return max(abs(self.theta), abs(self.theta_min))
+
 
 def lanczos_lambda2(channel: Channel) -> TopEigenpair:
     """lambda2 and the top eigenpair of R' for a Hermitian channel, matrix-free.
 
-    The Krylov solve (_krylov) with the symmetric Ritz step: on R' of a
-    Hermitian channel it is Lanczos with full reorthogonalization
-    (Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 13), and
-    it stops once both extreme Ritz pairs have residual estimates
-    <= KRYLOV_TOL, or raises NumericalError at _krylov's step limit. The
-    eigenvector is signed so that its largest-magnitude coordinate is
-    positive, which makes the pair a function of the channel alone.
+    The Krylov solve (_krylov), whose Ritz step on R' of a Hermitian
+    channel is Lanczos with full reorthogonalization (Parlett, *The
+    Symmetric Eigenvalue Problem*, SIAM 1998, ch. 13): it stops once both
+    extreme Ritz pairs have residual estimates <= KRYLOV_TOL, or raises
+    NumericalError at _krylov's step limit. The eigenvector is signed so
+    that its largest-magnitude coordinate is positive, which makes the
+    pair a function of the channel alone. A general channel raises
+    ValidationError.
     """
     if not channel.hermitian:
         raise ValidationError("the Lanczos solve applies to hermitian channels")
-    basis, q, steps, _, (lam2, theta, theta_min, y) = _krylov(channel, symmetric=True)
-    if lam2 > 1.0 + SPECTRAL_RADIUS_TOL:
-        raise NumericalError(f"lambda2 {lam2!r} exceeds 1 (channel seed {channel.seed})")
+    basis, q, steps, _, (theta, theta_min, y) = _krylov(channel)
     # a strided y takes another BLAS kernel with another summation order:
     # copy it, so that x depends on y's values alone, not on its layout
     x = q.T @ np.ascontiguousarray(y)
     if x[np.argmax(np.abs(x))] < 0.0:
         x = -x
     vector = basis.matrix(x)
-    return TopEigenpair(
-        lambda2=lam2,
+    top = TopEigenpair(
         theta=theta,
         theta_min=theta_min,
         vector=vector,
         steps=steps,
         residual=float(np.linalg.norm(apply(channel, vector) - theta * vector)),
     )
+    if top.lambda2 > 1.0 + SPECTRAL_RADIUS_TOL:
+        raise NumericalError(f"lambda2 {top.lambda2!r} exceeds 1 (channel seed {channel.seed})")
+    return top
 
 
 @dataclass(frozen=True, eq=False)
 class DominantEigenvalue:
-    """The largest-modulus eigenvalue of the traceless block R' of any channel."""
+    """The largest-modulus eigenvalue of the traceless block R' of a general channel."""
 
     lambda2: float  # its modulus
     steps: int  # Arnoldi steps, one `apply` each
@@ -496,14 +494,18 @@ class DominantEigenvalue:
 
 
 def arnoldi_lambda2(channel: Channel) -> DominantEigenvalue:
-    """lambda2 of any channel, matrix-free.
+    """lambda2 of a general (not Hermitian) channel, matrix-free.
 
-    The Krylov solve (_krylov) with the general Ritz step: it stops once
-    the largest-modulus Ritz value theta has residual estimate
-    <= KRYLOV_TOL, or raises NumericalError at _krylov's step limit, and
-    lambda2 is |theta|.
+    The Krylov solve (_krylov), whose Ritz step on R' of a general channel
+    is Arnoldi's: it stops once the largest-modulus Ritz value theta has
+    residual estimate <= KRYLOV_TOL, or raises NumericalError at _krylov's
+    step limit, and lambda2 is |theta|. A Hermitian channel raises
+    ValidationError: lanczos_lambda2 serves it.
     """
-    _, _, steps, estimate, (lam2, _, _, _) = _krylov(channel, symmetric=False)
+    if channel.hermitian:
+        raise ValidationError("the Arnoldi solve applies to nonhermitian channels")
+    _, _, steps, estimate, (theta, _, _) = _krylov(channel)
+    lam2 = float(abs(theta))
     if lam2 > 1.0 + SPECTRAL_RADIUS_TOL:
         raise NumericalError(f"lambda2 {lam2!r} exceeds 1 (channel seed {channel.seed})")
     return DominantEigenvalue(lambda2=lam2, steps=steps, estimate=estimate)
@@ -597,7 +599,7 @@ def benchmark_values(D: int) -> BenchmarkConstants:
 
 def write_spectrum_csv(spectrum: SuperopSpectrum, path) -> None:
     """Rows rank,a_over_N2,eig_re,eig_im,eig_abs in the module's sort order."""
-    n2 = spectrum.dim * spectrum.dim
+    n2 = len(spectrum.eigenvalues)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "a_over_N2", "eig_re", "eig_im", "eig_abs"])

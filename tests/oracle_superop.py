@@ -97,7 +97,6 @@ def dense_top_eigenpair(channel: Channel) -> TopEigenpair:
     x = _Basis(channel.dim).matrix(c)
     theta = float(rest[-1])
     return TopEigenpair(
-        lambda2=float(np.max(np.abs(rest))),
         theta=theta,
         theta_min=float(rest[0]),
         vector=x,

@@ -7,15 +7,16 @@ R'. Tolerance: 1e-12 on lambda2.
 import json
 import math
 
+import numpy as np
 import pytest
 
+from oracle_mc import haar_stack
 from qexpander import spectrum
-from qexpander.channel import build_channel
+from qexpander.channel import Channel, build_channel
 from qexpander.cli import main
-from qexpander.errors import NumericalError
+from qexpander.errors import NumericalError, ValidationError
 from qexpander.matrixcore import SeededRng
 from qexpander.spectrum import arnoldi_lambda2, eigen_spectrum, lanczos_lambda2
-from test_lanczos import clustered_channel
 
 LAMBDA2_AGREE = 1e-12
 
@@ -46,17 +47,23 @@ def test_few_kraus_terms_against_dense(d):
         assert abs(dom.lambda2 - eigen_spectrum(chan).lambda2) <= LAMBDA2_AGREE
 
 
-def test_hermitian_channel_agrees_with_lanczos():
-    # Arnoldi takes any channel; on a Hermitian one both solves give
-    # max(|theta_max|, |theta_min|) from the same start vector
-    chan = build_channel("hermitian", 12, 4, SeededRng(90))
-    assert abs(arnoldi_lambda2(chan).lambda2 - lanczos_lambda2(chan).lambda2) <= LAMBDA2_AGREE
+def test_each_entry_point_refuses_the_other_kind():
+    with pytest.raises(ValidationError, match="Arnoldi solve applies to nonhermitian"):
+        arnoldi_lambda2(build_channel("hermitian", 12, 4, SeededRng(90)))
+    with pytest.raises(ValidationError, match="Lanczos solve applies to hermitian"):
+        lanczos_lambda2(build_channel("nonhermitian", 12, 4, SeededRng(90)))
 
 
-@pytest.mark.parametrize("clustered, min_steps", [(False, 1), (True, 16 * 24 + 1)])
-def test_matches_dense(clustered, min_steps):
-    # the clustered channel runs past 16N steps, which up to N=64 do not limit the solve
-    chan = clustered_channel(24) if clustered else build_channel("nonhermitian", 12, 3, SeededRng(91))
+def lopsided_channel(n):
+    """Two Haar unitaries at weights (0.9, 0.1): a general channel whose
+    solve runs all N^2 - 1 steps."""
+    return Channel(haar_stack(n, 2, SeededRng(60)), np.array([0.9, 0.1]))
+
+
+@pytest.mark.parametrize("lopsided, min_steps", [(False, 1), (True, 16 * 24 + 1)])
+def test_matches_dense(lopsided, min_steps):
+    # the lopsided channel runs past 16N steps, which up to N=64 do not limit the solve
+    chan = lopsided_channel(24) if lopsided else build_channel("nonhermitian", 12, 3, SeededRng(91))
     dom = arnoldi_lambda2(chan)
     assert min_steps <= dom.steps <= chan.dim**2 - 1 and dom.estimate <= 1e-12
     assert abs(dom.lambda2 - eigen_spectrum(chan).lambda2) <= LAMBDA2_AGREE

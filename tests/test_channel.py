@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from oracle_mc import haar_stack
-from qexpander.channel import Channel, apply, build_channel
+from oracle_superop import superoperator
+from qexpander.channel import CONSTRUCTIONS, Channel, apply, build_channel
 from qexpander.errors import ValidationError
 from qexpander.matrixcore import SeededRng
+from qexpander.spectrum import eigen_spectrum
 
 
 def test_hermitian_build_shapes_and_pairing():
@@ -60,7 +62,7 @@ def test_apply_hermiticity_preserved():
 
 
 def test_apply_takes_a_stack_of_matrices():
-    chan = Channel(haar_stack(5, 3, SeededRng(30)), np.array([0.5, 0.3, 0.2]), hermitian=False)
+    chan = Channel(haar_stack(5, 3, SeededRng(30)), np.array([0.5, 0.3, 0.2]))
     g = SeededRng(31).generator
     ms = g.standard_normal((2, 3, 5, 5)) + 1j * g.standard_normal((2, 3, 5, 5))
     stacked = apply(chan, ms)
@@ -79,28 +81,60 @@ def test_apply_takes_a_stack_of_matrices():
 def test_build_weighted_validates_weights():
     us = haar_stack(5, 2, SeededRng(10))
     with pytest.raises(ValidationError):
-        Channel(us, np.array([0.7, 0.7]), hermitian=False)
+        Channel(us, np.array([0.7, 0.7]))
     with pytest.raises(ValidationError):
-        Channel(us, np.array([1.2, -0.2]), hermitian=False)
+        Channel(us, np.array([1.2, -0.2]))
 
 
 def test_build_weighted_hermitian_checks_adjoint_pairing():
     us = haar_stack(5, 4, SeededRng(11))
-    # unpaired factors must be rejected when hermitian is claimed
-    with pytest.raises(ValidationError):
-        Channel(us, np.full(4, 0.25), hermitian=True)
+    # unpaired factors make a general channel
+    assert not Channel(us, np.full(4, 0.25)).hermitian
     paired = np.empty_like(us)
     paired[0], paired[1] = us[0], us[1]
     paired[2], paired[3] = us[0].conj().T, us[1].conj().T
-    chan = Channel(paired, np.array([0.3, 0.2, 0.3, 0.2]), hermitian=True)
-    assert chan.hermitian
+    assert Channel(paired, np.array([0.3, 0.2, 0.3, 0.2])).hermitian
+    # one factor off its adjoint by more than PAIRING_TOL breaks the pairing
+    paired[3] = paired[3] @ np.diag(np.exp(1j * np.array([1e-9, 0, 0, 0, 0])))
+    assert not Channel(paired, np.array([0.3, 0.2, 0.3, 0.2])).hermitian
 
 
-def test_weight_pairing_enforced_for_hermitian():
+def test_unequal_pair_weights_are_not_hermitian():
     us = haar_stack(5, 2, SeededRng(12))
     paired = np.concatenate([us, us.conj().swapaxes(1, 2)])
-    with pytest.raises(ValidationError, match="weight pairing"):
-        Channel(paired, np.array([0.3, 0.2, 0.2, 0.3]), hermitian=True)
+    assert Channel(paired, np.array([0.3, 0.2, 0.3, 0.2])).hermitian
+    assert not Channel(paired, np.array([0.3, 0.2, 0.2, 0.3])).hermitian
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_build_channel_kind_follows_the_construction(construction):
+    for n, d in [(2, 4), (5, 6), (8, 8)]:
+        chan = build_channel(construction, n, d, SeededRng(17, n))
+        assert chan.hermitian == (construction != "nonhermitian")
+    for d in (2, 3, 5):
+        assert not build_channel("nonhermitian", 6, d, SeededRng(18, d)).hermitian
+
+
+def test_hand_built_kinds():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    quarter = np.full(4, 0.25)
+    assert Channel(np.stack([x, y, x, y]), quarter).hermitian  # x and y are their own adjoints
+    assert Channel(np.stack([np.eye(2, dtype=complex)] * 4), quarter).hermitian
+    assert not Channel(np.stack([x, y, y, x]), quarter).hermitian  # U(2) = y is not U(0)^dag = x
+    # odd D: U(s + 2) = U(s)^dag at equal weights for s < 2, but D/2 is not whole
+    us = haar_stack(4, 2, SeededRng(19))
+    assert not Channel(np.concatenate([us, us.conj().swapaxes(1, 2), us[:1]]), np.full(5, 0.2)).hermitian
+
+
+def test_paired_d2_stack_is_hermitian_and_matches_the_oracle():
+    (u,) = haar_stack(6, 1, SeededRng(20))
+    chan = Channel(np.stack([u, u.conj().T]), np.full(2, 0.5))
+    assert chan.hermitian
+    got = eigen_spectrum(chan).eigenvalues
+    assert np.all(got.imag == 0.0)
+    want = np.linalg.eigvalsh(superoperator(chan))
+    assert np.max(np.abs(np.sort(got.real) - want)) <= 1e-12
 
 
 def test_channel_arrays_read_only():
@@ -117,10 +151,10 @@ def test_channel_rejects_a_bad_stack():
     corrupt = us.copy()
     corrupt[0, 0, 0] = 2.0
     with pytest.raises(ValidationError, match="not unitary"):
-        Channel(corrupt, w, hermitian=False)
+        Channel(corrupt, w)
     corrupt[0, 0, 0] = np.nan
     with pytest.raises(ValidationError, match="finite"):
-        Channel(corrupt, w, hermitian=False)
+        Channel(corrupt, w)
     for shape in [(4, 4), (2, 4, 3), (1, 2, 4, 4)]:
         with pytest.raises(ValidationError, match="stack"):
-            Channel(np.zeros(shape, dtype=complex), w, hermitian=False)
+            Channel(np.zeros(shape, dtype=complex), w)

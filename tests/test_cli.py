@@ -21,7 +21,7 @@ import pytest
 import qexpander
 from qexpander import matrixcore, sdengine, spectrum
 from qexpander.cayley import MAX_WALK_LENGTH, walk_counts
-from qexpander.channel import build_channel
+from qexpander.channel import Channel, build_channel
 from qexpander.cli import (
     ExperimentConfig,
     SWEEP_HEADER,
@@ -108,6 +108,20 @@ def test_src_exports_resolve_and_hold_no_test_only_code():
     ):
         members = set(dir(cls)) | {f.name for f in dataclasses.fields(cls)}
         assert not members & set(names), cls.__name__
+    # values read off other fields are properties, not constructor arguments
+    for cls, name in (
+        (Channel, "hermitian"),
+        (spectrum.SuperopSpectrum, "dim"),
+        (spectrum.TopEigenpair, "lambda2"),
+        (sdengine.SeriesResult, "levels_computed"),
+    ):
+        assert name not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
+    # a solver reads the channel's kind from the channel
+    for path in Path(qexpander.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                assert "symmetric" not in {a.arg for a in params}, path.name
 
 
 # one spectral path: the functions that may call a dense np.linalg eigensolver

@@ -78,7 +78,7 @@ def clustered_channel(n):
     whose spectrum clusters at +-1."""
     us = haar_stack(n, 2, SeededRng(60))
     us = np.concatenate([us, us.conj().swapaxes(-1, -2)])
-    return Channel(us, np.array([0.49, 0.01, 0.49, 0.01]), hermitian=True)
+    return Channel(us, np.array([0.49, 0.01, 0.49, 0.01]))
 
 
 @pytest.mark.parametrize("n, min_steps", [(12, 143), (24, 16 * 24 + 1)])

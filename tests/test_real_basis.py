@@ -47,18 +47,18 @@ def criterion_8_channels():
 
 def identity_channel(n):
     eye = np.eye(n, dtype=complex)
-    return Channel(np.stack([eye] * 4), np.full(4, 0.25), hermitian=True)
+    return Channel(np.stack([eye] * 4), np.full(4, 0.25))
 
 
 def two_pauli_channel():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    return Channel(np.stack([x, y, x, y]), np.full(4, 0.25), hermitian=True)
+    return Channel(np.stack([x, y, x, y]), np.full(4, 0.25))
 
 
 def weighted_nonhermitian_channel():
     us = haar_stack(6, 3, SeededRng(21))
-    return Channel(us, np.array([0.5, 0.3, 0.2]), hermitian=False)
+    return Channel(us, np.array([0.5, 0.3, 0.2]))
 
 
 EXTRA_CHANNELS = [

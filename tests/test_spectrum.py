@@ -84,7 +84,7 @@ def test_lambda2_removes_exactly_one_unit_eigenvalue():
     # identity channel: every eigenvalue is 1; lambda2 must stay 1
     eye = np.eye(5, dtype=complex)
     us = np.stack([eye, eye, eye, eye])
-    chan = Channel(us, np.full(4, 0.25), hermitian=True)
+    chan = Channel(us, np.full(4, 0.25))
     spec = eigen_spectrum(chan)
     assert abs(spec.lambda2 - 1.0) < 1e-12
     assert spec.eigenvalues.shape == (25,)
@@ -165,7 +165,7 @@ def test_spectrum_csv_schema(tmp_path):
 def test_nan_weights_rejected_before_solver():
     us = haar_stack(4, 2, SeededRng(15))
     with pytest.raises(ValidationError):
-        Channel(us, np.array([np.nan, 1.0]), hermitian=False)
+        Channel(us, np.array([np.nan, 1.0]))
 
 
 def test_estimate_rejects_moment_at_most_one():
