@@ -29,8 +29,8 @@ from .matrixcore import (
 CONSTRUCTIONS = ("hermitian", "nonhermitian", "weighted")
 # the largest N per solver: a dense solve maps one 8N^4-byte R, 134 MB
 # at N=64, and takes seconds there; the matrix-free Krylov solve holds no
-# N^2 x N^2 array, and its stored basis, which spectrum._krylov's step
-# limit sizes, is what stops it at 128
+# N^2 x N^2 array, and its stored basis, which the step limit of
+# spectrum.krylov_lambda2 sizes, is what stops it at 128
 DIM_CEILINGS = {"dense": 64, "matrix-free": 128}
 DEFAULT_DIM_CEILING = DIM_CEILINGS["dense"]
 

@@ -29,10 +29,9 @@ from .sdengine import evaluate_exact, evaluate_series, monte_carlo_expectation, 
 from .sdengine.rational import RationalInN
 from .spectrum import (
     SuperopSpectrum,
-    arnoldi_lambda2,
     benchmark_values,
     eigen_spectrum,
-    lanczos_lambda2,
+    krylov_lambda2,
     moment_table,
     write_spectrum_csv,
 )
@@ -76,7 +75,7 @@ class ExperimentRecord:
     wall_ms: float
     error: str | None = None
     solver: str | None = None  # the solver that produced lambda2
-    steps: int | None = None  # Lanczos or Arnoldi steps
+    steps: int | None = None  # Krylov steps
     alon_boppana_m: int | None = None  # the walk order behind alon_boppana_lb
 
 
@@ -86,14 +85,13 @@ def _run_one(config: ExperimentConfig, n: int, stream_index: int, bench, bound) 
     try:
         rng = SeededRng(config.master_seed, stream_index)
         chan = build_channel(config.construction, n, config.D, rng, "matrix-free")
-        if chan.hermitian:
-            top, solver = lanczos_lambda2(chan), "lanczos"
-            lb, ab_m = bound.value, bound.attained_m
-            gap_ok = top.lambda2 >= lb - GAP_SLACK
-        else:
-            top, solver = arnoldi_lambda2(chan), "arnoldi"
+        top = krylov_lambda2(chan)
+        lam2, solver, steps = top.lambda2, top.solver, top.steps
+        if bound is None:
             lb, gap_ok = math.nan, None
-        lam2, steps = top.lambda2, top.steps
+        else:
+            lb, ab_m = bound.value, bound.attained_m
+            gap_ok = lam2 >= lb - GAP_SLACK
     except QxError as exc:
         lam2, lb, gap_ok, error = math.nan, math.nan, None, str(exc)
     return ExperimentRecord(
@@ -503,7 +501,7 @@ def _cmd_edge(args: argparse.Namespace) -> int:
     if args.projectors < 1:
         raise ValidationError(f"--projectors must be >= 1, got {args.projectors}")
     chan = build_channel("hermitian", n, args.d, SeededRng(seed, 0), "matrix-free")
-    top = lanczos_lambda2(chan)
+    top = krylov_lambda2(chan)
     chain = tanner_chain_check(chan, top)
     proj_rng = SeededRng(seed, 1)
     min_slack = math.inf
@@ -518,7 +516,7 @@ def _cmd_edge(args: argparse.Namespace) -> int:
         "seed": seed,
         "lambda2": top.lambda2,
         "theta_min": top.theta_min,
-        "solver": "lanczos",
+        "solver": top.solver,
         "steps": top.steps,
         "residual": top.residual,
         "min_slack": min_slack,

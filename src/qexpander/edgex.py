@@ -19,7 +19,7 @@ import numpy as np
 from .channel import Channel, apply
 from .errors import NumericalError, ValidationError
 from .matrixcore import SLACK_TOL, TRACE_RESIDUAL_TOL, SeededRng, complex_gaussian
-from .spectrum import KRYLOV_TOL, TopEigenpair
+from .spectrum import KRYLOV_TOL, KrylovSolve
 
 PROJECTOR_TOL = 1e-10
 RANK_TOL = 1e-8
@@ -83,15 +83,15 @@ class ChainReport:
     trace_residual: float
 
 
-def tanner_chain_check(channel: Channel, spec: TopEigenpair) -> ChainReport:
+def tanner_chain_check(channel: Channel, spec: KrylovSolve) -> ChainReport:
     """Build the nested projectors from the second eigenvector and check
     lhs <= sqrt(2 (1 - lambda2)) + 1e-8.
 
     Requires the second eigenvalue (signed) to be positive by more than
     the solve's residual and the solver tolerance; square the channel
-    first when it is not. `spec` is the channel's solved top eigenpair of
-    the traceless block (spectrum.lanczos_lambda2), a Hermitian matrix;
-    its trace is still checked as a safety net.
+    first when it is not. `spec` is the channel's one solve of the
+    traceless block (spectrum.krylov_lambda2), whose top eigenvector is a
+    Hermitian matrix; its trace is still checked as a safety net.
     """
     if not channel.hermitian:
         raise ValidationError("chain argument applies to hermitian channels")

@@ -1,7 +1,13 @@
-"""Dense complex matrix support: seeded sampling and the unitarity residual.
+"""Dense complex matrix support: seeded streams and Haar sampling (one
+matrix, or batched by `_HaarSampler` for Monte-Carlo), the Monte-Carlo
+sub-batch size and worker counts, the lookup of the loaded OpenBLAS's
+symbols and thread count, and the unitarity residual.
 
-Matrices are plain numpy arrays of dtype complex128. Every tolerance used
-anywhere in the workbench lives here so there is a single place to audit.
+Matrices are plain numpy arrays of dtype complex128. The table below
+holds the channel's input tolerances (unitarity, weights, adjoint
+pairing), the spectral-radius check and the edge checks' trace residual
+and slack. Four more sit next to their one reader: KRYLOV_TOL in
+spectrum, GAP_SLACK in cli, PROJECTOR_TOL and RANK_TOL in edgex.
 """
 
 from __future__ import annotations

@@ -27,11 +27,12 @@ Conventions fixed here once:
   the matrix np.linalg would have copied R' into), so the eigenvalues
   are the bits np.linalg gives. Where no LAPACKE symbols are found
   (another BLAS), np.linalg solves a copy of R'.
-  One Krylov solve (_krylov, Arnoldi matrix-free through `apply`) serves
-  both lambda2 entry points, each for one kind of channel, and picks its
-  Ritz step by the channel's kind: lanczos_lambda2 takes the extremes of
-  R' for a Hermitian channel, and with them the top eigenvector;
-  arnoldi_lambda2 takes the largest modulus for a general one.
+  One Krylov solve, krylov_lambda2 (Arnoldi matrix-free through
+  `apply`), finds lambda2 for either kind of channel and picks its Ritz
+  step, and with it the solver it reports, by the channel's kind:
+  Lanczos takes the extremes of R' for a Hermitian channel, and with them
+  the top eigenvector; Arnoldi takes the largest modulus for a general
+  one.
 """
 
 from __future__ import annotations
@@ -204,7 +205,6 @@ class SuperopSpectrum:
     """All N^2 eigenvalues plus the second-eigenvalue extraction metadata."""
 
     eigenvalues: np.ndarray  # sorted: descending real part (hermitian) or modulus
-    hermitian: bool
     lambda2: float
     unit_eigvec_residual: float  # max |R[:, 0] - e_0|
     removed_eigenvalue: complex  # R_00, the unit eigenvalue of I/sqrt(N)
@@ -250,7 +250,6 @@ def eigen_spectrum(channel: Channel) -> SuperopSpectrum:
 
     return SuperopSpectrum(
         eigenvalues=eigs,
-        hermitian=channel.hermitian,
         lambda2=lam2,
         unit_eigvec_residual=residual,
         removed_eigenvalue=removed,
@@ -345,11 +344,29 @@ def _traceless_operator(channel: Channel) -> tuple[_Basis, Callable[[np.ndarray]
     return basis, op, start
 
 
-def _krylov(
-    channel: Channel,
-) -> tuple[_Basis, np.ndarray, int, float, tuple[complex, float | None, np.ndarray]]:
-    """The Krylov solve behind lanczos_lambda2 (Hermitian channels) and
-    arnoldi_lambda2 (general ones).
+@dataclass(frozen=True, eq=False)
+class KrylovSolve:
+    """One Krylov solve of the traceless block R'. The eigenvector fields
+    are filled for a Hermitian channel and None for a general one."""
+
+    solver: str  # "lanczos" (Hermitian channel) or "arnoldi" (general)
+    theta: complex  # the largest eigenvalue of R' (lanczos) or the one of largest modulus (arnoldi)
+    steps: int  # Krylov steps, one `apply` each
+    estimate: float  # _ritz_step's residual estimate at the last check, <= KRYLOV_TOL
+    theta_min: float | None = None  # the smallest eigenvalue of R'
+    vector: np.ndarray | None = None  # unit-norm traceless Hermitian eigenvector X of theta
+    residual: float | None = None  # Hilbert-Schmidt norm of E(X) - theta X
+
+    @property
+    def lambda2(self) -> float:
+        if self.theta_min is None:
+            return float(abs(self.theta))
+        return max(abs(self.theta), abs(self.theta_min))
+
+
+def krylov_lambda2(channel: Channel) -> KrylovSolve:
+    """lambda2 of R', matrix-free, and for a Hermitian channel the top
+    eigenpair and the smallest eigenvalue as well.
 
     Unrestarted Arnoldi (Saad, *Numerical Methods for Large Eigenvalue
     Problems*, SIAM 2011, ch. 6) on R' in the coordinates of B: each step
@@ -358,17 +375,22 @@ def _krylov(
     the first pass cancelled much of it (Daniel, Gragg, Kaufman and
     Stewart 1976), and stores the coefficients in the Hessenberg matrix H.
     On R' of a Hermitian channel this is Lanczos with full
-    reorthogonalization. At the steps _next_check picks, _ritz_step solves
-    H by the channel's kind, and the solve stops once the residual
-    estimate is <= KRYLOV_TOL or the Krylov space is invariant.
+    reorthogonalization (Parlett, *The Symmetric Eigenvalue Problem*, SIAM
+    1998, ch. 13). At the steps _next_check picks, _ritz_step solves H by
+    the channel's kind, and the solve stops once the residual estimate is
+    <= KRYLOV_TOL or the Krylov space is invariant: for a Hermitian
+    channel both extreme Ritz pairs, for a general one the
+    largest-modulus Ritz value theta, whose modulus is lambda2.
 
     The step limit is N^2 - 1, the traceless dimension, up to N =
     DEFAULT_DIM_CEILING, and KRYLOV_BUDGET_SCALE N above it; a solve
-    still above KRYLOV_TOL at the limit raises NumericalError. Returns
-    the basis B, the Krylov vectors, the step count, the last estimate
-    and _ritz_step's (theta, theta_min, y).
+    still above KRYLOV_TOL at the limit raises NumericalError. The
+    eigenvector of a Hermitian channel is signed so that its
+    largest-magnitude coordinate is positive, which makes the pair a
+    function of the channel alone.
     """
     n = channel.dim
+    solver = "lanczos" if channel.hermitian else "arnoldi"
     basis, op, start = _traceless_operator(channel)
     # the estimate reaches KRYLOV_TOL after about 10N steps on uniform
     # general channels with D=4 or 6 (261 to 298 at N=30, 1216 to 1281 at
@@ -398,17 +420,29 @@ def _krylov(
         h[k + 1, k] = b
         k += 1
         if k == check or k == limit or b <= KRYLOV_TOL:
-            estimate, ritz = _ritz_step(h[:k, :k], b, channel)
+            estimate, (theta, theta_min, y) = _ritz_step(h[:k, :k], b, channel)
             if estimate <= KRYLOV_TOL:
                 break
             if k == limit:
                 raise NumericalError(
-                    f"{'Lanczos' if channel.hermitian else 'Arnoldi'} did not converge in {k} "
+                    f"{solver.capitalize()} did not converge in {k} "
                     f"steps at N={n} (residual estimate {estimate:.1e} > {KRYLOV_TOL:.0e})"
                 )
             check, last = _next_check(k, estimate, last), (k, estimate)
         q[k] = w / b
-    return basis, q[:k], k, estimate, ritz
+    vector = residual = None
+    if channel.hermitian:
+        # a strided y takes another BLAS kernel with another summation order:
+        # copy it, so that x depends on y's values alone, not on its layout
+        x = q[:k].T @ np.ascontiguousarray(y)
+        if x[np.argmax(np.abs(x))] < 0.0:
+            x = -x
+        vector = basis.matrix(x)
+        residual = float(np.linalg.norm(apply(channel, vector) - theta * vector))
+    solve = KrylovSolve(solver, theta, k, estimate, theta_min, vector, residual)
+    if solve.lambda2 > 1.0 + SPECTRAL_RADIUS_TOL:
+        raise NumericalError(f"lambda2 {solve.lambda2!r} exceeds 1 (channel seed {channel.seed})")
+    return solve
 
 
 def _ritz_step(
@@ -434,81 +468,6 @@ def _ritz_step(
         raise NumericalError(f"Ritz solve failed (channel seed {channel.seed}): {exc}") from exc
     i = int(np.argmax(np.abs(vals)))
     return b * float(abs(vecs[-1, i])), (vals[i], None, vecs[:, i])
-
-
-@dataclass(frozen=True, eq=False)
-class TopEigenpair:
-    """The extremes of the traceless block R' of a Hermitian channel."""
-
-    theta: float  # theta_max, the largest eigenvalue of R'
-    theta_min: float  # the smallest eigenvalue of R'
-    vector: np.ndarray  # unit-norm traceless Hermitian eigenvector X of theta
-    steps: int  # Lanczos steps, one `apply` each
-    residual: float  # Hilbert-Schmidt norm of E(X) - theta X
-
-    @property
-    def lambda2(self) -> float:
-        return max(abs(self.theta), abs(self.theta_min))
-
-
-def lanczos_lambda2(channel: Channel) -> TopEigenpair:
-    """lambda2 and the top eigenpair of R' for a Hermitian channel, matrix-free.
-
-    The Krylov solve (_krylov), whose Ritz step on R' of a Hermitian
-    channel is Lanczos with full reorthogonalization (Parlett, *The
-    Symmetric Eigenvalue Problem*, SIAM 1998, ch. 13): it stops once both
-    extreme Ritz pairs have residual estimates <= KRYLOV_TOL, or raises
-    NumericalError at _krylov's step limit. The eigenvector is signed so
-    that its largest-magnitude coordinate is positive, which makes the
-    pair a function of the channel alone. A general channel raises
-    ValidationError.
-    """
-    if not channel.hermitian:
-        raise ValidationError("the Lanczos solve applies to hermitian channels")
-    basis, q, steps, _, (theta, theta_min, y) = _krylov(channel)
-    # a strided y takes another BLAS kernel with another summation order:
-    # copy it, so that x depends on y's values alone, not on its layout
-    x = q.T @ np.ascontiguousarray(y)
-    if x[np.argmax(np.abs(x))] < 0.0:
-        x = -x
-    vector = basis.matrix(x)
-    top = TopEigenpair(
-        theta=theta,
-        theta_min=theta_min,
-        vector=vector,
-        steps=steps,
-        residual=float(np.linalg.norm(apply(channel, vector) - theta * vector)),
-    )
-    if top.lambda2 > 1.0 + SPECTRAL_RADIUS_TOL:
-        raise NumericalError(f"lambda2 {top.lambda2!r} exceeds 1 (channel seed {channel.seed})")
-    return top
-
-
-@dataclass(frozen=True, eq=False)
-class DominantEigenvalue:
-    """The largest-modulus eigenvalue of the traceless block R' of a general channel."""
-
-    lambda2: float  # its modulus
-    steps: int  # Arnoldi steps, one `apply` each
-    estimate: float  # Ritz residual estimate h_{k+1,k} |e_k^T y| at the last check
-
-
-def arnoldi_lambda2(channel: Channel) -> DominantEigenvalue:
-    """lambda2 of a general (not Hermitian) channel, matrix-free.
-
-    The Krylov solve (_krylov), whose Ritz step on R' of a general channel
-    is Arnoldi's: it stops once the largest-modulus Ritz value theta has
-    residual estimate <= KRYLOV_TOL, or raises NumericalError at _krylov's
-    step limit, and lambda2 is |theta|. A Hermitian channel raises
-    ValidationError: lanczos_lambda2 serves it.
-    """
-    if channel.hermitian:
-        raise ValidationError("the Arnoldi solve applies to nonhermitian channels")
-    _, _, steps, estimate, (theta, _, _) = _krylov(channel)
-    lam2 = float(abs(theta))
-    if lam2 > 1.0 + SPECTRAL_RADIUS_TOL:
-        raise NumericalError(f"lambda2 {lam2!r} exceeds 1 (channel seed {channel.seed})")
-    return DominantEigenvalue(lambda2=lam2, steps=steps, estimate=estimate)
 
 
 def _next_check(k: int, estimate: float, last: tuple[int, float] | None) -> int:
@@ -617,13 +576,11 @@ def write_spectrum_csv(spectrum: SuperopSpectrum, path) -> None:
 
 __all__ = [
     "BenchmarkConstants",
-    "DominantEigenvalue",
+    "KrylovSolve",
     "SuperopSpectrum",
-    "TopEigenpair",
-    "arnoldi_lambda2",
     "benchmark_values",
     "eigen_spectrum",
-    "lanczos_lambda2",
+    "krylov_lambda2",
     "moment_table",
     "real_superoperator",
     "write_spectrum_csv",

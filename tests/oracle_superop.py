@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from qexpander.channel import Channel, apply
-from qexpander.spectrum import TopEigenpair, _Basis, _diagonal_basis, real_superoperator
+from qexpander.spectrum import KrylovSolve, _Basis, _diagonal_basis, real_superoperator
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -87,19 +87,22 @@ def hermitian_coords(m: np.ndarray) -> np.ndarray:
     return np.concatenate([_diagonal_basis(n) @ m.diagonal().real, off.real, off.imag])
 
 
-def dense_top_eigenpair(channel: Channel) -> TopEigenpair:
+def dense_top_eigenpair(channel: Channel) -> KrylovSolve:
     """lambda2 and the top eigenpair of R' = R[1:, 1:] from a dense eigh,
-    the vector signed so that its largest-magnitude coordinate is positive."""
+    the vector signed so that its largest-magnitude coordinate is positive:
+    a KrylovSolve with solver "eigh", no steps and estimate 0."""
     rest, coords = np.linalg.eigh(real_superoperator(channel)[1:, 1:])
     c = np.concatenate([[0.0], coords[:, -1]])  # eigh ascends; 0 on I/sqrt(N)
     if c[np.argmax(np.abs(c))] < 0.0:
         c = -c
     x = _Basis(channel.dim).matrix(c)
     theta = float(rest[-1])
-    return TopEigenpair(
+    return KrylovSolve(
+        solver="eigh",
         theta=theta,
+        steps=0,
+        estimate=0.0,
         theta_min=float(rest[0]),
         vector=x,
-        steps=0,
         residual=float(np.linalg.norm(apply(channel, x) - theta * x)),
     )

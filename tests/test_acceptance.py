@@ -24,7 +24,7 @@ from qexpander.sdengine import (
     monte_carlo_expectation,
     parse_trace_expr,
 )
-from qexpander.spectrum import eigen_spectrum, lanczos_lambda2, moment_table
+from qexpander.spectrum import eigen_spectrum, krylov_lambda2, moment_table
 
 LAMBDA_H = 0.86603  # 2 sqrt(3)/4 to five places
 MEDIAN_TOL = 0.05
@@ -268,7 +268,7 @@ def test_criterion_9_edge_theorems(edge_channels):
             p = random_projector(n, rank, rng)
             _, slack = converse_check(chan, p, lambda2=spec.lambda2)
             min_slack = min(min_slack, slack)
-        report = tanner_chain_check(chan, lanczos_lambda2(chan))
+        report = tanner_chain_check(chan, krylov_lambda2(chan))
         worst_trace = max(worst_trace, report.trace_residual)
         worst_chain_gap = max(worst_chain_gap, report.lhs - report.rhs)
         if not report.holds:

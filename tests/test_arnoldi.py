@@ -1,4 +1,4 @@
-"""spectrum.arnoldi_lambda2 against the dense eigvals it replaced.
+"""spectrum.krylov_lambda2 on general channels against the dense eigvals it replaced.
 
 The oracle is `eigen_spectrum`, the dense solve of every eigenvalue of
 R'. Tolerance: 1e-12 on lambda2.
@@ -14,9 +14,9 @@ from oracle_mc import haar_stack
 from qexpander import spectrum
 from qexpander.channel import Channel, build_channel
 from qexpander.cli import main
-from qexpander.errors import NumericalError, ValidationError
+from qexpander.errors import NumericalError
 from qexpander.matrixcore import SeededRng
-from qexpander.spectrum import arnoldi_lambda2, eigen_spectrum, lanczos_lambda2
+from qexpander.spectrum import eigen_spectrum, krylov_lambda2
 
 LAMBDA2_AGREE = 1e-12
 
@@ -24,7 +24,7 @@ LAMBDA2_AGREE = 1e-12
 def test_lambda2_on_criterion_7_channels(nonherm50):
     # the fixture's dense spectra are the oracle: no further dense solve
     for chan, spec in nonherm50:
-        dom = arnoldi_lambda2(chan)
+        dom = krylov_lambda2(chan)
         assert dom.estimate <= 1e-12
         assert abs(dom.lambda2 - spec.lambda2) <= LAMBDA2_AGREE
 
@@ -33,7 +33,7 @@ def test_lambda2_on_criterion_7_channels(nonherm50):
 def test_exact_termination_at_small_n(n):
     for seed in range(3):
         chan = build_channel("nonhermitian", n, 3, SeededRng(70 + seed, n))
-        dom = arnoldi_lambda2(chan)
+        dom = krylov_lambda2(chan)
         # the Krylov space is exhausted or invariant within N^2 - 1 steps
         assert dom.steps <= n * n - 1
         assert abs(dom.lambda2 - eigen_spectrum(chan).lambda2) <= LAMBDA2_AGREE
@@ -43,15 +43,22 @@ def test_exact_termination_at_small_n(n):
 def test_few_kraus_terms_against_dense(d):
     for n in range(6, 17, 2):
         chan = build_channel("nonhermitian", n, d, SeededRng(80 + d, n))
-        dom = arnoldi_lambda2(chan)
+        dom = krylov_lambda2(chan)
         assert abs(dom.lambda2 - eigen_spectrum(chan).lambda2) <= LAMBDA2_AGREE
 
 
-def test_each_entry_point_refuses_the_other_kind():
-    with pytest.raises(ValidationError, match="Arnoldi solve applies to nonhermitian"):
-        arnoldi_lambda2(build_channel("hermitian", 12, 4, SeededRng(90)))
-    with pytest.raises(ValidationError, match="Lanczos solve applies to hermitian"):
-        lanczos_lambda2(build_channel("nonhermitian", 12, 4, SeededRng(90)))
+def test_one_entry_point_picks_the_solver_by_the_channel():
+    herm = build_channel("hermitian", 12, 4, SeededRng(90))
+    top = krylov_lambda2(herm)
+    x = top.vector
+    assert top.solver == "lanczos" and top.residual <= 1e-12
+    assert np.array_equal(x, x.conj().T) and abs(np.trace(x)) <= 1e-12
+    general = build_channel("nonhermitian", 12, 4, SeededRng(90))
+    dom = krylov_lambda2(general)
+    assert dom.solver == "arnoldi"
+    assert dom.theta_min is None and dom.vector is None and dom.residual is None
+    for chan, solve in ((herm, top), (general, dom)):
+        assert abs(solve.lambda2 - eigen_spectrum(chan).lambda2) <= LAMBDA2_AGREE
 
 
 def lopsided_channel(n):
@@ -64,7 +71,7 @@ def lopsided_channel(n):
 def test_matches_dense(lopsided, min_steps):
     # the lopsided channel runs past 16N steps, which up to N=64 do not limit the solve
     chan = lopsided_channel(24) if lopsided else build_channel("nonhermitian", 12, 3, SeededRng(91))
-    dom = arnoldi_lambda2(chan)
+    dom = krylov_lambda2(chan)
     assert min_steps <= dom.steps <= chan.dim**2 - 1 and dom.estimate <= 1e-12
     assert abs(dom.lambda2 - eigen_spectrum(chan).lambda2) <= LAMBDA2_AGREE
 
@@ -73,7 +80,7 @@ def test_unconverged_past_the_dense_ceiling_raises(monkeypatch):
     monkeypatch.setattr(spectrum, "KRYLOV_BUDGET_SCALE", 1)
     chan = build_channel("nonhermitian", 65, 2, SeededRng(92), "matrix-free")
     with pytest.raises(NumericalError, match="Arnoldi did not converge in 65 steps at N=65"):
-        arnoldi_lambda2(chan)
+        krylov_lambda2(chan)
 
 
 def test_unconverged_sweep_record_fails_and_the_sweep_continues(monkeypatch, tmp_path, capsys):

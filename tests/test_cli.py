@@ -2,6 +2,7 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import os
@@ -112,7 +113,8 @@ def test_src_exports_resolve_and_hold_no_test_only_code():
     for cls, name in (
         (Channel, "hermitian"),
         (spectrum.SuperopSpectrum, "dim"),
-        (spectrum.TopEigenpair, "lambda2"),
+        (spectrum.SuperopSpectrum, "hermitian"),
+        (spectrum.KrylovSolve, "lambda2"),
         (sdengine.SeriesResult, "levels_computed"),
     ):
         assert name not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
@@ -122,6 +124,21 @@ def test_src_exports_resolve_and_hold_no_test_only_code():
             if isinstance(node, (ast.FunctionDef, ast.Lambda)):
                 params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
                 assert "symmetric" not in {a.arg for a in params}, path.name
+
+
+def test_one_lambda2_solve_and_only_spectrum_names_a_solver():
+    for name in ("lanczos_lambda2", "arnoldi_lambda2", "TopEigenpair", "DominantEigenvalue"):
+        assert not hasattr(spectrum, name), name
+    assert isinstance(inspect.getattr_static(spectrum.KrylovSolve, "lambda2"), property)
+    # a string constant that is a solver's name, also inside an f-string's
+    # expressions, appears in spectrum alone: no other module picks a solver
+    root = Path(qexpander.__file__).parent
+    naming = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and str(node.value).lower() in ("lanczos", "arnoldi"):
+                naming.add(path.relative_to(root).as_posix())
+    assert naming == {"spectrum.py"}
 
 
 # one spectral path: the functions that may call a dense np.linalg eigensolver
@@ -718,7 +735,7 @@ def test_sd_eval_mc_reports_samples_and_threads(monkeypatch, capsys, samples, cp
 
 def test_edge_command(monkeypatch, capsys):
     solves = []
-    real = spectrum.lanczos_lambda2
+    real = spectrum.krylov_lambda2
 
     def counted(chan):
         solves.append(chan.dim)
@@ -726,8 +743,8 @@ def test_edge_command(monkeypatch, capsys):
 
     for info in pkgutil.walk_packages(qexpander.__path__, "qexpander."):
         module = importlib.import_module(info.name)
-        if hasattr(module, "lanczos_lambda2"):
-            monkeypatch.setattr(module, "lanczos_lambda2", counted)
+        if hasattr(module, "krylov_lambda2"):
+            monkeypatch.setattr(module, "krylov_lambda2", counted)
     assert main(["edge", "--n", "10", "--d", "4", "--seed", "2", "--projectors", "5"]) == 0
     assert solves == [10]  # one solve serves lambda2, the report and the chain
     report = json.loads(capsys.readouterr().out)
@@ -808,7 +825,7 @@ def test_run_sweep_records_errors_and_continues(monkeypatch, capsys):
 
     import qexpander.cli as cli_mod
 
-    real = cli_mod.lanczos_lambda2
+    real = cli_mod.krylov_lambda2
 
     def flaky(chan, *a, **k):
         calls["n"] += 1
@@ -816,7 +833,7 @@ def test_run_sweep_records_errors_and_continues(monkeypatch, capsys):
             raise NumericalError("synthetic failure")
         return real(chan, *a, **k)
 
-    monkeypatch.setattr(cli_mod, "lanczos_lambda2", flaky)
+    monkeypatch.setattr(cli_mod, "krylov_lambda2", flaky)
     config = ExperimentConfig("hermitian", (8,), 4, 2, 0)
     records = run_sweep(config)
     assert len(records) == 2

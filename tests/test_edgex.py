@@ -8,7 +8,7 @@ from qexpander.edgex import assert_projector, converse_check, random_projector, 
 from qexpander.errors import ValidationError
 from qexpander.matrixcore import SeededRng
 from qexpander import spectrum as spectrum_mod
-from qexpander.spectrum import eigen_spectrum, lanczos_lambda2
+from qexpander.spectrum import eigen_spectrum, krylov_lambda2
 
 
 def edge_ratio(channel: Channel, p: np.ndarray) -> float:
@@ -106,7 +106,7 @@ def test_converse_rejects_nonhermitian():
 def test_chain_holds_on_random_channels():
     for seed in range(4):
         chan = build_channel("hermitian", 16, 4, SeededRng(100 + seed))
-        report = tanner_chain_check(chan, lanczos_lambda2(chan))
+        report = tanner_chain_check(chan, krylov_lambda2(chan))
         assert report.holds
         assert report.lhs <= report.rhs + 1e-8
         assert report.trace_residual <= 1e-8
@@ -123,7 +123,7 @@ def test_chain_holds_on_random_channels():
 def test_chain_identity_channel_degenerate_spectrum():
     # every eigenvalue 1: lambda2 = 1, both sides collapse to zero
     chan = identity_channel(8)
-    report = tanner_chain_check(chan, lanczos_lambda2(chan))
+    report = tanner_chain_check(chan, krylov_lambda2(chan))
     assert report.holds
     assert abs(report.lambda2 - 1.0) < 1e-12
     assert report.rhs < 1e-6
@@ -141,7 +141,7 @@ def two_pauli_channel() -> Channel:
 
 def test_chain_rejects_nonpositive_second_eigenvalue():
     chan = two_pauli_channel()
-    top = lanczos_lambda2(chan)
+    top = krylov_lambda2(chan)
     with pytest.raises(ValidationError):
         tanner_chain_check(chan, top)
 
@@ -150,7 +150,7 @@ def test_chain_rejects_a_zero_eigenvalue_just_above_its_residual():
     # at theta = 0 the residual |E(X) - theta X| is |theta| to the last
     # bit, so theta may come out one ulp above it
     chan = two_pauli_channel()
-    top = lanczos_lambda2(chan)
+    top = krylov_lambda2(chan)
     assert top.residual < 1e-15
     nudged = dataclasses.replace(top, theta=float(np.nextafter(top.residual, 1.0)))
     with pytest.raises(ValidationError, match="not positive beyond"):
@@ -159,7 +159,7 @@ def test_chain_rejects_a_zero_eigenvalue_just_above_its_residual():
 
 def test_chain_rejects_nonhermitian():
     chan = build_channel("nonhermitian", 8, 3, SeededRng(14))
-    top = lanczos_lambda2(build_channel("hermitian", 8, 4, SeededRng(14)))
+    top = krylov_lambda2(build_channel("hermitian", 8, 4, SeededRng(14)))
     with pytest.raises(ValidationError, match="hermitian channels"):
         tanner_chain_check(chan, top)
 
@@ -168,7 +168,7 @@ def test_chain_does_not_depend_on_the_solver_eigenvector_sign(monkeypatch):
     # seed 4 at N=8: the second eigenvector has exactly N/2 positive
     # eigenvalues, so both orientations pass the chain's flip rule
     chan = build_channel("hermitian", 8, 4, SeededRng(4))
-    top = lanczos_lambda2(chan)
+    top = krylov_lambda2(chan)
     lam2, x = top.theta, top.vector
     assert 2 * int(np.sum(np.linalg.eigvalsh(x) > 0.0)) == 8
     lhs = tanner_chain_check(chan, top).lhs
@@ -189,7 +189,7 @@ def test_chain_does_not_depend_on_the_solver_eigenvector_sign(monkeypatch):
 
     # a Ritz vector of either sign, as a start vector of either sign gives
     monkeypatch.setattr(spectrum_mod, "_ritz_step", negated_ritz)
-    top_neg = lanczos_lambda2(chan)
+    top_neg = krylov_lambda2(chan)
     assert calls  # the tridiagonal solve's vectors were negated
     assert top_neg.theta == lam2
     assert np.array_equal(top_neg.vector, x)

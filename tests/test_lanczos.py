@@ -1,4 +1,4 @@
-"""spectrum.lanczos_lambda2 against the dense eigh it replaced.
+"""spectrum.krylov_lambda2 on Hermitian channels against the dense eigh it replaced.
 
 The oracle is `dense_top_eigenpair` in tests/oracle_superop.py. Tolerances:
 1e-12 on lambda2, theta and theta_min, 1e-8 entrywise on the signed eigenvector,
@@ -15,7 +15,7 @@ from oracle_superop import dense_top_eigenpair, hermitian_coords
 from qexpander.channel import Channel, build_channel
 from qexpander.edgex import tanner_chain_check
 from qexpander.matrixcore import SeededRng
-from qexpander.spectrum import lanczos_lambda2
+from qexpander.spectrum import krylov_lambda2
 
 LAMBDA2_AGREE = 1e-12
 VECTOR_AGREE = 1e-8
@@ -37,7 +37,7 @@ def test_lambda2_and_eigenpair_on_criterion_1_channels(herm50):
     # a unit x and the top eigenvector is at most |R'x - theta x| / gap.
     rows, _ = herm50
     for _, chan, spec in rows:
-        top = lanczos_lambda2(chan)
+        top = krylov_lambda2(chan)
         assert abs(top.lambda2 - spec.lambda2) <= LAMBDA2_AGREE
         rest = np.sort(np.delete(spec.eigenvalues.real, 0))  # drop R_00, sorted first
         assert abs(top.theta - rest[-1]) <= LAMBDA2_AGREE
@@ -53,7 +53,7 @@ def test_lambda2_and_eigenpair_on_criterion_1_channels(herm50):
 
 def test_lambda2_eigenpair_and_chain_on_criterion_9_channels(edge_channels):
     for chan in edge_channels:
-        top = lanczos_lambda2(chan)
+        top = krylov_lambda2(chan)
         assert top.residual <= 1e-12
         want = assert_matches_dense(chan, top)
         lhs = tanner_chain_check(chan, top).lhs
@@ -64,7 +64,7 @@ def test_lambda2_eigenpair_and_chain_on_criterion_9_channels(edge_channels):
 def test_exact_termination_at_small_n(n):
     for seed in range(3):
         chan = build_channel("hermitian", n, 4, SeededRng(50 + seed, n))
-        top = lanczos_lambda2(chan)
+        top = krylov_lambda2(chan)
         # the Krylov space is exhausted or invariant within N^2 - 1 steps
         assert top.steps <= n * n - 1
         assert top.residual <= 1e-12
@@ -86,7 +86,7 @@ def test_clustered_channel_converges_by_lanczos_and_matches_dense(n, min_steps):
     # N=12 spans the whole traceless space; N=24 runs past 16N steps,
     # which up to N=64 do not limit the solve
     chan = clustered_channel(n)
-    top = lanczos_lambda2(chan)
+    top = krylov_lambda2(chan)
     assert min_steps <= top.steps <= n * n - 1
     assert top.residual <= 1e-12
     want = assert_matches_dense(chan, top)

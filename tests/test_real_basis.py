@@ -13,12 +13,11 @@ from oracle_mc import haar_stack
 from oracle_superop import hermitian_coords, superoperator
 from qexpander.channel import Channel, apply, build_channel
 from qexpander.edgex import tanner_chain_check
-from qexpander.errors import ValidationError
 from qexpander.matrixcore import SeededRng
 from qexpander.spectrum import (
     _Basis,
     eigen_spectrum,
-    lanczos_lambda2,
+    krylov_lambda2,
     moment_table,
     real_superoperator,
 )
@@ -187,7 +186,7 @@ def complex_signed_lambda2(chan):
     + [build_channel("weighted", 10, 6, SeededRng(41)), identity_channel(6)],
 )
 def test_chain_second_eigenpair_matches_complex_eigh(chan):
-    top = lanczos_lambda2(chan)
+    top = krylov_lambda2(chan)
     report = tanner_chain_check(chan, top)
     assert abs(report.lambda2 - complex_signed_lambda2(chan)) <= EIG_AGREE
     lam2, x = top.theta, top.vector
@@ -199,5 +198,4 @@ def test_chain_second_eigenpair_matches_complex_eigh(chan):
 
 
 def test_eigenvectors_only_for_hermitian_channels():
-    with pytest.raises(ValidationError):
-        lanczos_lambda2(build_channel("nonhermitian", 4, 3, SeededRng(42)))
+    assert krylov_lambda2(build_channel("nonhermitian", 4, 3, SeededRng(42))).vector is None

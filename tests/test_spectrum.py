@@ -61,7 +61,7 @@ def test_unit_eigenvector_identity():
 def test_eigen_spectrum_hermitian_fields():
     chan = build_channel("hermitian", 9, 4, SeededRng(6))
     spec = eigen_spectrum(chan)
-    assert spec.hermitian and spec.dim == 9
+    assert chan.hermitian and spec.dim == 9
     assert spec.eigenvalues.shape == (81,)
     # sorted by descending real part, all imag parts negligible
     assert np.all(np.diff(spec.eigenvalues.real) <= 1e-12)
@@ -74,7 +74,7 @@ def test_eigen_spectrum_hermitian_fields():
 def test_eigen_spectrum_nonhermitian_sorted_by_modulus():
     chan = build_channel("nonhermitian", 9, 3, SeededRng(7))
     spec = eigen_spectrum(chan)
-    assert not spec.hermitian
+    assert not chan.hermitian
     mods = np.abs(spec.eigenvalues)
     assert np.all(np.diff(mods) <= 1e-12)
     assert abs(spec.removed_eigenvalue - 1) < 1e-10
